@@ -95,6 +95,8 @@ TRAIN_DEFAULTS = {
     "init_scale": 1.0,
     "eval_every": 50,
     "snapshot_steps": [],
+    "update_h": True,
+    "update_head": True,
 }
 
 DIAGNOSE_DEFAULTS = {
@@ -130,10 +132,15 @@ SPAMLANG_DEFAULTS = {
     "seqs_per_symbol": 4,
     "max_context_len": 1,
     "optimizer": "adam",
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.95,
+    "adam_eps": 1e-8,
     "schedule": "cosine",
     "warmup_steps": 150,
     "eval_every": 250,
     "init_scale": 1.0,
+    "update_h": True,
+    "update_head": True,
 }
 
 # Desk-scale regime note: runs stay far from convergence (web-scale corpora
@@ -155,10 +162,15 @@ BOTTLENECK_DEFAULTS = {
     "steps": 500,
     "lr": 3e-3,
     "optimizer": "adam",
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.95,
+    "adam_eps": 1e-8,
     "schedule": "cosine",
     "warmup_steps": 50,
     "eval_every": 100,
     "init_scale": 1.0,
+    "update_h": True,
+    "update_head": True,
     "include_full_baseline": True,
 }
 
@@ -221,7 +233,16 @@ def _parse_overrides(tokens) -> dict:
     return out
 
 
+def _check_keys(kind: str, extra: dict, source: str) -> None:
+    """Refuse top-level keys the experiment does not define."""
+    unknown = sorted(set(extra) - set(_DEFAULTS[kind]))
+    if unknown:
+        raise UsageError(f"unknown {kind} config key(s) in {source}: {', '.join(unknown)}")
+
+
 def resolve_config(kind: str, config_path=None, overrides=None) -> dict:
+    """Defaults, then the config file, then the overrides; unknown top-level
+    keys are refused (a run's own config.json sidecar is accepted back)."""
     if kind not in _DEFAULTS:
         raise UsageError(f"unknown experiment kind {kind!r}")
     config = copy.deepcopy(_DEFAULTS[kind])
@@ -235,8 +256,12 @@ def resolve_config(kind: str, config_path=None, overrides=None) -> dict:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
+        if file_cfg.pop("experiment", kind) != kind:
+            raise UsageError(f"config file {config_path} is not a {kind} config")
+        _check_keys(kind, file_cfg, f"config file {config_path}")
         config = _deep_merge(config, file_cfg)
     if overrides:
+        _check_keys(kind, overrides, "the command line")
         config = _deep_merge(config, overrides)
     return config
 

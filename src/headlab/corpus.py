@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# Dense count matrices only; refuse corpora that would exceed this many
-# distinct context rows.
-MAX_CONTEXTS = 100_000
+# Dense count matrices only; refuse corpora whose C x V float64 matrix would
+# exceed this many bytes.
+MAX_DENSE_BYTES = 2 * 1024**3
 DEFAULT_CONTEXT_LEN = 16
 
 
 class ContextOverflowError(RuntimeError):
-    """A corpus produced more distinct contexts than the dense-storage cap."""
+    """A corpus's dense C x V count matrix would exceed the byte limit."""
 
 
 class CorpusFormatError(ValueError):
@@ -58,13 +59,25 @@ class Corpus:
 
 @dataclass
 class ContextTable:
-    """Distinct context keys in first-seen order, with a key -> row-id index."""
+    """Distinct context keys in first-seen order (rows right-aligned, padded
+    with -1), and the counted corpus's concatenated `tokens`, their context
+    rows `token_rows` and the sequence offsets `starts`."""
 
-    contexts: list
-    index: dict
+    keys: np.ndarray
+    tokens: np.ndarray
+    token_rows: np.ndarray
+    starts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.contexts)
+        return self.keys.shape[0]
+
+    @cached_property
+    def contexts(self) -> list:
+        return [tuple(int(t) for t in row[row >= 0]) for row in self.keys]
+
+    @cached_property
+    def index(self) -> dict:
+        return {key: rid for rid, key in enumerate(self.contexts)}
 
 
 @dataclass
@@ -114,6 +127,11 @@ class CountMatrix:
     @property
     def vocab_size(self) -> int:
         return self.counts.shape[1]
+
+    @cached_property
+    def nonzero(self):
+        """(rows, cols) of the nonzero counts in row-major order, found once."""
+        return np.nonzero(self.counts)
 
 
 def gen_spamlang(vocab_size: int, num_seqs: int, seq_len: int, seed: int) -> Corpus:
@@ -171,40 +189,60 @@ def gen_zipf_bigram(
     return Corpus(vocab_size=vocab_size, sequences=list(tokens), seed=seed)
 
 
-def _context_key(tokens: list, t: int, max_context_len: int) -> tuple:
-    return tuple(tokens[max(0, t - max_context_len) : t])
+def _token_keys(corpus: Corpus, max_context_len: int):
+    """(tokens, sequence offsets, keys): every token's context key as a row,
+    right-aligned and left-padded with -1 to `max_context_len` columns."""
+    tokens = np.concatenate(corpus.sequences)
+    lengths = [len(s) for s in corpus.sequences]
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    pos = np.arange(tokens.size) - np.repeat(starts[:-1], lengths)
+    keys = np.full((tokens.size, max_context_len), -1, dtype=np.int64)
+    for back in range(1, max_context_len + 1):
+        has = np.flatnonzero(pos >= back)
+        keys[has, -back] = tokens[has - back]
+    return tokens, starts, keys
+
+
+def _row_scalars(keys: np.ndarray) -> np.ndarray:
+    """One void scalar per key row, compared bytewise: a fast `np.unique` input."""
+    keys = np.ascontiguousarray(keys if keys.shape[1] else np.zeros((len(keys), 1), np.int64))
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+
+
+def _count_matrix(rows, tokens, vocab_size: int, keep_row_ids: bool = True) -> CountMatrix:
+    """Counts of `tokens` grouped by `rows`, one row per distinct value in
+    ascending order: what `CountMatrix.from_counts` builds, without its checks."""
+    row_ids, local = np.unique(rows, return_inverse=True)
+    if row_ids.size * vocab_size * 8 > MAX_DENSE_BYTES:
+        raise ContextOverflowError(f"{row_ids.size} contexts x {vocab_size} tokens exceed "
+                                   f"{MAX_DENSE_BYTES} bytes as a dense float64 matrix")
+    # write only the nonzero cells: a batch's rows are almost all zeros, and
+    # untouched zero pages cost neither time nor resident memory
+    cells, cell_counts = np.unique(local * vocab_size + tokens, return_counts=True)
+    row_sums = np.bincount(local)
+    n = np.zeros((row_ids.size, vocab_size), dtype=np.int64)
+    n.ravel()[cells] = cell_counts
+    normalized = np.zeros(n.shape)
+    normalized.ravel()[cells] = cell_counts / row_sums[cells // vocab_size]
+    return CountMatrix(
+        n, tokens.size, normalized, row_sums / tokens.size, row_ids if keep_row_ids else None
+    )
 
 
 def build_counts(corpus: Corpus, max_context_len: int = DEFAULT_CONTEXT_LEN):
-    """Scan the corpus into a (ContextTable, CountMatrix) pair.
+    """Count the corpus into a (ContextTable, CountMatrix) pair.
 
     The total count equals the total number of tokens: the first position of
     each sequence is counted under the empty context.
     """
     if max_context_len < 0:
         raise ValueError("max_context_len must be nonnegative")
-    index: dict = {}
-    contexts: list = []
-    row_idx: list = []
-    col_idx: list = []
-    for seq in corpus.sequences:
-        toks = [int(x) for x in seq]
-        for t, tok in enumerate(toks):
-            key = _context_key(toks, t, max_context_len)
-            rid = index.get(key)
-            if rid is None:
-                rid = len(contexts)
-                if rid >= MAX_CONTEXTS:
-                    raise ContextOverflowError(
-                        f"corpus exceeds the {MAX_CONTEXTS}-context cap"
-                    )
-                index[key] = rid
-                contexts.append(key)
-            row_idx.append(rid)
-            col_idx.append(tok)
-    n = np.zeros((len(contexts), corpus.vocab_size), dtype=np.int64)
-    np.add.at(n, (np.asarray(row_idx), np.asarray(col_idx)), 1)
-    return ContextTable(contexts=contexts, index=index), CountMatrix.from_counts(n)
+    tokens, starts, keys = _token_keys(corpus, max_context_len)
+    _, first, inv = np.unique(_row_scalars(keys), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # sorted keys -> first-seen order
+    token_rows = np.argsort(order)[inv]
+    table = ContextTable(keys[first[order]], tokens, token_rows, starts)
+    return table, _count_matrix(token_rows, tokens, corpus.vocab_size, keep_row_ids=False)
 
 
 def batch_counts(
@@ -213,30 +251,25 @@ def batch_counts(
     batch,
     max_context_len: int = DEFAULT_CONTEXT_LEN,
 ) -> CountMatrix:
-    """Counts restricted to a set of sequence indices.
+    """Counts restricted to a set of sequence indices of the corpus the table
+    was counted from, read from the table's per-token rows.
 
     Rows follow the full table's ordering; contexts absent from the batch are
     omitted, with their full-table row ids recorded in `row_ids`.
     """
-    batch = sorted({int(i) for i in batch})
-    if not batch:
+    batch = np.unique(np.asarray(list(batch), dtype=np.int64))
+    if batch.size == 0:
         raise ValueError("batch must be nonempty")
     if batch[0] < 0 or batch[-1] >= len(corpus.sequences):
         raise ValueError("batch contains an invalid sequence index")
-    n_full = np.zeros((len(table), corpus.vocab_size), dtype=np.int64)
-    for s in batch:
-        toks = [int(x) for x in corpus.sequences[s]]
-        for t, tok in enumerate(toks):
-            key = _context_key(toks, t, max_context_len)
-            rid = table.index.get(key)
-            if rid is None:
-                raise KeyError(
-                    f"context {key!r} missing from table; was it built with "
-                    f"max_context_len={max_context_len}?"
-                )
-            n_full[rid, tok] += 1
-    row_ids = np.flatnonzero(n_full.sum(axis=1) > 0)
-    return CountMatrix.from_counts(n_full[row_ids], row_ids=row_ids)
+    if not (
+        table.keys.shape[1] == max_context_len
+        and np.array_equal(np.diff(table.starts), [len(s) for s in corpus.sequences])
+        and np.array_equal(table.tokens, np.concatenate(corpus.sequences))
+    ):
+        raise ValueError(f"table not counted from this corpus at max_context_len={max_context_len}")
+    idx = np.concatenate([np.arange(table.starts[s], table.starts[s + 1]) for s in batch])
+    return _count_matrix(table.token_rows[idx], table.tokens[idx], corpus.vocab_size)
 
 
 def counts_for_table(
@@ -247,20 +280,19 @@ def counts_for_table(
     Tokens whose context key is absent from the table are skipped. Returns
     (CountMatrix with row_ids into the table, skipped token count).
     """
-    n_full = np.zeros((len(table), corpus.vocab_size), dtype=np.int64)
-    skipped = 0
-    for seq in corpus.sequences:
-        toks = [int(x) for x in seq]
-        for t, tok in enumerate(toks):
-            rid = table.index.get(_context_key(toks, t, max_context_len))
-            if rid is None:
-                skipped += 1
-            else:
-                n_full[rid, tok] += 1
-    row_ids = np.flatnonzero(n_full.sum(axis=1) > 0)
-    if row_ids.size == 0:
+    tokens, _, keys = _token_keys(corpus, max_context_len)
+    width = max(table.keys.shape[1], max_context_len)
+    padded = [np.pad(k, ((0, 0), (width - k.shape[1], 0)), constant_values=-1)
+              for k in (table.keys, keys)]
+    inv = np.unique(_row_scalars(np.concatenate(padded)), return_inverse=True)[1]
+    row_of = np.full(inv.max() + 1, -1)
+    row_of[inv[: len(table)]] = np.arange(len(table))
+    rows = row_of[inv[len(table) :]]
+    known = rows >= 0
+    if not known.any():
         raise ValueError("no token of the corpus maps to a known context")
-    return CountMatrix.from_counts(n_full[row_ids], row_ids=row_ids), skipped
+    counts = _count_matrix(rows[known], tokens[known], corpus.vocab_size)
+    return counts, int(tokens.size - known.sum())
 
 
 def row_entropies(counts: CountMatrix) -> np.ndarray:

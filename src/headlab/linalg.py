@@ -125,10 +125,6 @@ def best_rank_k_residual(m, k: int) -> float:
     return float(np.sqrt(np.sum(s[k:] ** 2)))
 
 
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=np.float64)))
-
-
 def is_orthonormal_columns(b, tol: float = 1e-10) -> bool:
     """True when pairwise column inner products are within `tol` of identity."""
     b = np.asarray(b, dtype=np.float64)

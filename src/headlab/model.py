@@ -25,6 +25,10 @@ CHECKPOINT_MAGIC = b"MLMCKPT1"
 # must be made interior before taking logs.
 INTERIOR_SMOOTHING = 1e-6
 
+# Size of one row block of logits in the evaluation pass (`loss`, trajectory
+# points); the block row count follows from the vocabulary size.
+EVAL_BLOCK_BYTES = 8 * 1024**2
+
 
 class TrainingDivergedError(RuntimeError):
     """Training hit a non-finite loss."""
@@ -292,7 +296,48 @@ def loss_from_logits(counts: CountMatrix, logit_matrix: np.ndarray) -> float:
 
 
 def loss(counts: CountMatrix, params: ModelParams) -> float:
-    return loss_from_logits(counts, _logits_for_counts(counts, params))
+    return _blocked_eval(counts, params)[0]
+
+
+def _blocked_eval(counts: CountMatrix, params: ModelParams, with_top1: bool = False):
+    """Loss, and optionally top-1 accuracy, over row blocks of the logits.
+
+    Each block holds about EVAL_BLOCK_BYTES of logits, so no C x V temporary
+    is formed. Per block the loss takes n_ij * log p_ij over the nonzero
+    counts only, with log p computed as in `probs_and_loss`; the top-1 argmax
+    runs over the same normalized probabilities as `_top1_from_probs`, so
+    ties break identically. Returns (loss, Top1Accuracy or None).
+    """
+    c, v = counts.counts.shape
+    if (counts.row_ids is None and params.num_contexts != c) or params.vocab_size != v:
+        raise ValueError(
+            f"model shape ({params.num_contexts}, {params.vocab_size}) does not match "
+            f"counts shape {counts.counts.shape}"
+        )
+    block = max(1, EVAL_BLOCK_BYTES // (8 * v))
+    nz_rows, nz_cols = counts.nonzero
+    nz_bounds = np.searchsorted(nz_rows, np.arange(0, c + block, block))
+    logp_sum = 0.0
+    match = np.empty(c, dtype=bool) if with_top1 else None
+    for b, lo in enumerate(range(0, c, block)):
+        rows = slice(lo, lo + block)
+        h = params.h[rows] if counts.row_ids is None else params.h[counts.row_ids[rows]]
+        nz = slice(nz_bounds[b], nz_bounds[b + 1])
+        i, j = nz_rows[nz], nz_cols[nz]
+        lm = _effective_logits(h, params.head)
+        # non-finite logits flow through to a non-finite loss, as in probs_and_loss
+        with np.errstate(over="ignore", invalid="ignore"):
+            lm -= lm.max(axis=1, keepdims=True)
+            shifted = lm[i - lo, j]
+            np.exp(lm, out=lm)
+            z = lm.sum(axis=1, keepdims=True)
+            logp = shifted - np.log(z[i - lo, 0])
+            logp_sum += float((counts.counts[i, j] * logp).sum())
+            if with_top1:
+                lm /= z
+                match[rows] = lm.argmax(axis=1) == counts.normalized[rows].argmax(axis=1)
+    top1 = _top1_from_match(counts, match) if with_top1 else None
+    return -logp_sum / counts.total, top1
 
 
 def entropy_floor(counts: CountMatrix) -> float:
@@ -435,9 +480,10 @@ class Top1Accuracy(tuple):
 
 
 def _top1_from_probs(counts: CountMatrix, p: np.ndarray) -> Top1Accuracy:
-    pred = p.argmax(axis=1)
-    target = counts.normalized.argmax(axis=1)
-    match = pred == target
+    return _top1_from_match(counts, p.argmax(axis=1) == counts.normalized.argmax(axis=1))
+
+
+def _top1_from_match(counts: CountMatrix, match: np.ndarray) -> Top1Accuracy:
     weighted = float(min((counts.weights * match).sum(), 1.0))
     unweighted = float(match.mean())
     return Top1Accuracy(weighted, unweighted)
@@ -546,12 +592,13 @@ def _eval_point(
     params: ModelParams,
     val_counts: CountMatrix | None,
 ) -> TrajectoryPoint:
-    p, train_loss = probs_and_loss(counts, _logits_for_counts(counts, params))
-    top1 = _top1_from_probs(counts, p).weighted
+    train_loss, top1 = _blocked_eval(counts, params, with_top1=True)
     val_loss = None
     if val_counts is not None:
         val_loss = loss(val_counts, params)
-    return TrajectoryPoint(step=step, train_loss=train_loss, val_loss=val_loss, top1_acc=top1)
+    return TrajectoryPoint(
+        step=step, train_loss=train_loss, val_loss=val_loss, top1_acc=top1.weighted
+    )
 
 
 def train(

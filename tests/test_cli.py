@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from headlab import cli
+from headlab import corpus as corpus_mod
 from headlab import verify as vf
 
 
@@ -299,3 +300,35 @@ class TestArgHandling:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "envroot"))
         assert run(["gen-corpus", "--num_seqs", "4", "--seq_len", "5"]) == 0
         assert (tmp_path / "envroot" / "corpus" / "corpus.txt").exists()
+
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        assert run(["train", "--out", str(tmp_path), "--widht", "4", "--steps", "2"]) == 1
+        assert "widht" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_seqs": 4, "seq_lenn": 5}))
+        assert run(["gen-corpus", "--out", str(tmp_path), "--config", str(cfg)]) == 1
+        assert "seq_lenn" in capsys.readouterr().err
+
+    def test_nested_keys_are_not_checked(self, tmp_path):
+        args = ["train", "--out", str(tmp_path), "--steps", "2", "--corpus.num_seqs", "4",
+                "--corpus.seq_len", "5", "--corpus.extra", "1"]
+        assert run(args) == 0
+
+    def test_sidecar_is_accepted_as_config(self, tmp_path):
+        assert run(["gen-corpus", "--out", str(tmp_path / "a"), "--num_seqs", "4",
+                    "--seq_len", "5", "--stats_prefix_sizes", "[]"]) == 0
+        sidecar = tmp_path / "a" / "corpus" / "config.json"
+        assert run(["gen-corpus", "--out", str(tmp_path / "b"), "--config", str(sidecar)]) == 0
+        a = (tmp_path / "a" / "corpus" / "corpus.txt").read_bytes()
+        assert a == (tmp_path / "b" / "corpus" / "corpus.txt").read_bytes()
+        assert run(["train", "--out", str(tmp_path / "c"), "--config", str(sidecar)]) == 1
+
+    def test_dense_size_guard(self, tmp_path, capsys):
+        # three contexts over four billion tokens: ~96 GB as a dense matrix;
+        # fails here, before any allocation, if the guard is gone
+        assert 3 * 4_000_000_000 * 8 > corpus_mod.MAX_DENSE_BYTES
+        path = tmp_path / "huge.txt"
+        path.write_text("#vocab 4000000000\n1 2 3\n")
+        assert run(["train", "--out", str(tmp_path), "--corpus", str(path), "--steps", "1"]) == 1
+        assert "bytes as a dense float64 matrix" in capsys.readouterr().err

@@ -140,7 +140,8 @@ class TestBuildCounts:
         assert n1.total == n2.total
 
     def test_context_cap(self, monkeypatch):
-        monkeypatch.setattr(cp, "MAX_CONTEXTS", 4)
+        # room for a dense 4-context x 8-token float64 matrix, no more
+        monkeypatch.setattr(cp, "MAX_DENSE_BYTES", 4 * 8 * 8)
         c = cp.gen_zipf_bigram(8, 1.0, 10, 10, seed=1)
         with pytest.raises(cp.ContextOverflowError):
             cp.build_counts(c, 3)

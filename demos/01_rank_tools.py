@@ -1,16 +1,16 @@
 """Tour of the dense linear-algebra toolkit.
 
 Shows the row-softmax pair, pivoted-QR rank estimation against singular
-values, kernel bases of tall matrices, and best low-rank residuals.
+values, the kernel split of rows against a tall head, and best low-rank
+residuals.
 """
 
 import numpy as np
 
 from headlab import (
     best_rank_k_residual,
-    kernel_basis,
+    kernel_split,
     log_softmax_rows,
-    project_rows_onto_span,
     qr_rank,
     singular_values,
     softmax_rows,
@@ -35,16 +35,13 @@ print("with 1e-10 noise  :", qr_rank(noisy), "(threshold 1e-6 ignores the noise 
 print("singular values   :", np.round(singular_values(noisy)[:7], 4), "...")
 
 print()
-print("=== kernel of a tall head matrix ===")
+print("=== kernel split against a tall head matrix ===")
 v, d = 24, 6
 head = rng.normal(size=(v, d))
-basis = kernel_basis(head)
-print(f"head is {v}x{d}; kernel basis holds {basis.shape[1]} orthonormal directions")
-print("max |head.T @ basis| =", float(np.abs(head.T @ basis).max()))
-
 g = rng.normal(size=(8, v))
-lost = project_rows_onto_span(g, basis)
-kept = g - lost
+kept, lost = kernel_split(g, head)
+print(f"head is {v}x{d}; its kernel holds {v - qr_rank(head)} of {v} directions")
+print("max |lost @ head| =", float(np.abs(lost @ head).max()))
 print("norm split: |lost|^2 + |kept|^2 - |g|^2 =",
       float(np.sum(lost**2) + np.sum(kept**2) - np.sum(g**2)))
 

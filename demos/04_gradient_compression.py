@@ -9,13 +9,13 @@ gradient. CSVs and SVG plots land in demos_out/.
 
 from pathlib import Path
 
-from headlab import build_counts, gen_zipf_bigram, kernel_basis, project_rows_onto_span, svg
+from headlab import build_counts, gen_zipf_bigram, svg
 from headlab.diagnostics import (
     coefficient_profile,
     compression_report,
     gradient_rank_curve,
 )
-from headlab.model import TrainConfig, logit_gradient, logits, probs_and_loss, train
+from headlab.model import TrainConfig, train
 
 OUT = Path("demos_out")
 OUT.mkdir(exist_ok=True)
@@ -52,10 +52,8 @@ svg.line_plot(
     logx=True,
 )
 
-p, _ = probs_and_loss(counts, logits(params))
-g = logit_gradient(counts, p)
-lost = project_rows_onto_span(g, kernel_basis(params.head.matrix))
-profile = coefficient_profile(g, lost)
+# the report carries the gradient and its part in the kernel it measured
+profile = coefficient_profile(report.g, report.lost)
 profile.to_csv(OUT / "coefficient_profile.csv")
 print("  coefficient profile: observed-token mean %.2e (full) vs %.2e (destroyed part)"
       % (profile.full_mean[0], profile.proj_mean[0]))

@@ -40,9 +40,8 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     SvdConvergenceError,
     best_rank_k_residual,
-    kernel_basis,
+    kernel_split,
     log_softmax_rows,
-    project_rows_onto_span,
     qr_rank,
     singular_values,
     softmax_rows,

@@ -43,9 +43,6 @@ from .model import (
     TrainingDivergedError,
     entropy_floor,
     load_checkpoint,
-    logit_gradient,
-    logits,
-    probs_and_loss,
     save_checkpoint,
     top1_accuracy,
     train,
@@ -453,12 +450,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
     report.to_csv(run_dir / "compression.csv")
     report.per_row_to_csv(run_dir / "per_row_lost.csv")
 
-    p, _ = probs_and_loss(counts, logits(params))
-    g = logit_gradient(counts, p)
-    from .linalg import kernel_basis, project_rows_onto_span
-
-    lost = project_rows_onto_span(g, kernel_basis(params.head.matrix))
-    profile = diagnostics.coefficient_profile(g, lost)
+    profile = diagnostics.coefficient_profile(report.g, report.lost)
     profile.to_csv(run_dir / "coefficient_profile.csv")
     positions = list(range(1, len(profile.full_mean) + 1))
     svg.line_plot(
@@ -510,14 +502,15 @@ def run_verify(config: dict, run_dir: Path):
         seed=seed, rank_tol=rank_tol, **config["logit_rank_caps"]
     )
     results["top1_reachability"] = verify.verify_top1_reachability(
-        seed=seed, **config["top1_reachability"]
+        seed=seed, rank_tol=rank_tol, **config["top1_reachability"]
     )
     results["error_rank_floor"] = verify.verify_error_rank_floor(
-        seed=seed, **config["error_rank_floor"]
+        seed=seed, rank_tol=rank_tol, **config["error_rank_floor"]
     )
     results["batch_rank_floor"] = verify.batch_rank_floor_suite(
-        seed=seed, **config["batch_rank_floor"]
+        seed=seed, rank_tol=rank_tol, **config["batch_rank_floor"]
     )
+    # update_residual_gap keeps its own fixed rank threshold (see there)
     results["update_residual_gap"] = verify.verify_update_residual_gap(
         seed=seed, **config["update_residual_gap"]
     )

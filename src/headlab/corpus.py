@@ -235,14 +235,19 @@ def build_counts(corpus: Corpus, max_context_len: int = DEFAULT_CONTEXT_LEN):
     The total count equals the total number of tokens: the first position of
     each sequence is counted under the empty context.
     """
+    table = _context_table(corpus, max_context_len)
+    return table, _count_matrix(table.token_rows, table.tokens, corpus.vocab_size,
+                                keep_row_ids=False)
+
+
+def _context_table(corpus: Corpus, max_context_len: int) -> ContextTable:
+    """Every token's context row, with rows numbered in first-seen order."""
     if max_context_len < 0:
         raise ValueError("max_context_len must be nonnegative")
     tokens, starts, keys = _token_keys(corpus, max_context_len)
     _, first, inv = np.unique(_row_scalars(keys), return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted keys -> first-seen order
-    token_rows = np.argsort(order)[inv]
-    table = ContextTable(keys[first[order]], tokens, token_rows, starts)
-    return table, _count_matrix(token_rows, tokens, corpus.vocab_size, keep_row_ids=False)
+    return ContextTable(keys[first[order]], tokens, np.argsort(order)[inv], starts)
 
 
 def batch_counts(
@@ -338,11 +343,13 @@ class AssumptionStats:
         return rows
 
 
-def _unique_continuations(counts: CountMatrix):
-    """Rows with a single observed next token, and those tokens."""
-    support = (counts.counts > 0).sum(axis=1)
-    single_rows = np.flatnonzero(support == 1)
-    tokens = counts.counts[single_rows].argmax(axis=1)
+def _unique_continuations(table: ContextTable, vocab_size: int):
+    """Rows with a single observed next token, and those tokens, read from
+    the table's distinct (row, token) pairs."""
+    cells = np.unique(table.token_rows * vocab_size + table.tokens)
+    cell_rows = cells // vocab_size
+    single_rows = np.flatnonzero(np.bincount(cell_rows) == 1)
+    tokens = cells[np.searchsorted(cell_rows, single_rows)] % vocab_size
     return single_rows, tokens
 
 
@@ -353,11 +360,11 @@ def assumption_stats(
     prefix_sizes=(),
     entropy_bins: int = 24,
 ) -> AssumptionStats:
-    single_rows, tokens = _unique_continuations(counts)
+    single_rows, tokens = _unique_continuations(table, counts.vocab_size)
     by_prefix = {}
     for size in prefix_sizes:
-        _, sized = build_counts(corpus, max_context_len=int(size))
-        _, sized_tokens = _unique_continuations(sized)
+        sized = _context_table(corpus, int(size))
+        _, sized_tokens = _unique_continuations(sized, corpus.vocab_size)
         by_prefix[int(size)] = int(np.unique(sized_tokens).size)
     h = row_entropies(counts)
     hmax = max(float(np.log(counts.vocab_size)), 1e-12)

@@ -84,10 +84,6 @@ def gradient_rank_curve(
     return curve
 
 
-def _head_kernel(head, rank_tol: float) -> np.ndarray:
-    return linalg.kernel_basis(head.matrix, rank_tol)
-
-
 def lost_norm_fraction(
     g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL
 ) -> float:
@@ -100,9 +96,8 @@ def lost_norm_fraction(
     total = np.linalg.norm(g)
     if total == 0.0:
         return 0.0
-    basis = _head_kernel(head, rank_tol)
-    lost = np.linalg.norm(linalg.project_rows_onto_span(g, basis))
-    return float(lost / total)
+    _, lost = linalg.kernel_split(g, head.matrix, rank_tol)
+    return float(np.linalg.norm(lost) / total)
 
 
 def kernel_cosine(g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL):
@@ -113,24 +108,27 @@ def kernel_cosine(g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL):
     error.
     """
     g = np.asarray(g, dtype=np.float64)
-    basis = _head_kernel(head, rank_tol)
-    kept = g - linalg.project_rows_onto_span(g, basis)
     row_norms = np.linalg.norm(g, axis=1)
     nz = row_norms > 0
     if not np.any(nz):
         raise ValueError("all gradient rows are zero")
+    kept, _ = linalg.kernel_split(g, head.matrix, rank_tol)
     cos = np.linalg.norm(kept[nz], axis=1) / row_norms[nz]
     return float(cos.mean()), float(cos.std())
 
 
 @dataclass
 class CompressionReport:
+    """Kernel-compression figures, with the gradient `g` and its part `lost` in ker(W^T)."""
+
     lost_fraction: float
     cosine_mean: float
     cosine_std: float
     eckart_young_gap: float
     per_row_lost: np.ndarray
     zero_gradient: bool = False
+    g: np.ndarray | None = field(default=None, repr=False)
+    lost: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -163,28 +161,29 @@ def compression_report(
 
     The stacked lost fraction follows the Frobenius form; a per-row series is
     included, with zero rows reported as 0 and flagged through
-    `zero_gradient` when the whole gradient vanishes.
+    `zero_gradient` when the whole gradient vanishes. All figures read one
+    kernel split of the gradient.
     """
     p, _ = probs_and_loss(counts, logits(params))
     g = logit_gradient(counts, p)
     total = np.linalg.norm(g)
-    basis = _head_kernel(params.head, rank_tol)
     gap = linalg.best_rank_k_residual(g, 2 * params.width)
     if total == 0.0:
-        rows = np.zeros(g.shape[0])
-        return CompressionReport(0.0, 0.0, 0.0, gap, rows, zero_gradient=True)
-    lost_rows = linalg.project_rows_onto_span(g, basis)
+        return CompressionReport(0.0, 0.0, 0.0, gap, np.zeros(len(g)), True, g, np.zeros_like(g))
+    kept, lost = linalg.kernel_split(g, params.head.matrix, rank_tol)
     row_norms = np.linalg.norm(g, axis=1)
-    per_row = np.zeros(g.shape[0])
     nz = row_norms > 0
-    per_row[nz] = np.linalg.norm(lost_rows[nz], axis=1) / row_norms[nz]
-    cmean, cstd = kernel_cosine(g, params.head, rank_tol)
+    per_row = np.zeros(g.shape[0])
+    per_row[nz] = np.linalg.norm(lost[nz], axis=1) / row_norms[nz]
+    cos = np.linalg.norm(kept[nz], axis=1) / row_norms[nz]
     return CompressionReport(
-        lost_fraction=float(np.linalg.norm(lost_rows) / total),
-        cosine_mean=cmean,
-        cosine_std=cstd,
+        lost_fraction=float(np.linalg.norm(lost) / total),
+        cosine_mean=float(cos.mean()),
+        cosine_std=float(cos.std()),
         eckart_young_gap=gap,
         per_row_lost=per_row,
+        g=g,
+        lost=lost,
     )
 
 

@@ -1,4 +1,4 @@
-"""Dense float64 matrix numerics: softmax, rank estimation, kernel projectors.
+"""Dense float64 matrix numerics: softmax, rank estimation, the head kernel split.
 
 All functions are pure and operate on 2-d float64 arrays. Inputs are
 validated to be finite; every operation is deterministic given its inputs.
@@ -77,13 +77,39 @@ def singular_values(m) -> np.ndarray:
         raise SvdConvergenceError(str(exc)) from exc
 
 
+def kernel_split(g, w, tol: float = DEFAULT_RANK_TOL):
+    """Split each row of `g` into its parts in range(w) and in ker(w.T).
+
+    Returns (kept, lost), kept + lost = g. The range is spanned by the first
+    r columns of Q from a pivoted economic QR of the V x D `w`, r counting
+    |R_ii| > `tol` as `qr_rank` does. At r == V `lost` is exactly zero, at
+    r == 0 `kept` is.
+    """
+    a = as_matrix(w)
+    v, d = a.shape
+    if v < d:
+        raise ValueError(f"need rows >= cols, got shape {a.shape}")
+    rows = as_matrix(g)
+    if rows.shape[1] != v:
+        raise ValueError(f"row dimension {rows.shape[1]} does not match head rows {v}")
+    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > tol))
+    if rank == v:  # (g Q) Q^T would leave rounding-level residue
+        return rows.copy(), np.zeros_like(rows)
+    q = q[:, :rank]
+    kept = (rows @ q) @ q.T
+    return kept, rows - kept
+
+
 def kernel_basis(w, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the null space of w.T, as columns of a (V, V-r) array.
 
     Computed from a pivoted full QR of `w`: the trailing V - r columns of Q,
     where r is the diagonal count above `tol`. For inputs whose discarded
     singular values are at rounding level (exact low rank or full rank), each
-    returned column v satisfies ||w.T @ v|| < 1e-8.
+    returned column v satisfies ||w.T @ v|| < 1e-8. This V x V construction
+    and `project_rows_onto_span` are the reference path `kernel_split`
+    replaces; only the tests call them.
     """
     a = as_matrix(w)
     v, d = a.shape
@@ -123,14 +149,3 @@ def best_rank_k_residual(m, k: int) -> float:
         raise ValueError("k must be nonnegative")
     s = singular_values(m)
     return float(np.sqrt(np.sum(s[k:] ** 2)))
-
-
-def is_orthonormal_columns(b, tol: float = 1e-10) -> bool:
-    """True when pairwise column inner products are within `tol` of identity."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2:
-        return False
-    if b.shape[1] == 0:
-        return True
-    gram = b.T @ b
-    return bool(np.max(np.abs(gram - np.eye(b.shape[1]))) <= tol)

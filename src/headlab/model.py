@@ -292,7 +292,15 @@ def probs_and_loss(counts: CountMatrix, logit_matrix: np.ndarray):
 
 
 def loss_from_logits(counts: CountMatrix, logit_matrix: np.ndarray) -> float:
-    return probs_and_loss(counts, logit_matrix)[1]
+    """The loss of `probs_and_loss`, summed over the nonzero counts only and
+    without forming the probabilities."""
+    lm = np.array(logit_matrix, dtype=np.float64)
+    if lm.shape != counts.counts.shape:
+        raise ValueError(
+            f"logit shape {lm.shape} does not match counts shape {counts.counts.shape}"
+        )
+    i, j = counts.nonzero
+    return -_nonzero_logp_sum(lm, i, j, counts.counts[i, j])[0] / counts.total
 
 
 def loss(counts: CountMatrix, params: ModelParams) -> float:
@@ -325,19 +333,28 @@ def _blocked_eval(counts: CountMatrix, params: ModelParams, with_top1: bool = Fa
         nz = slice(nz_bounds[b], nz_bounds[b + 1])
         i, j = nz_rows[nz], nz_cols[nz]
         lm = _effective_logits(h, params.head)
-        # non-finite logits flow through to a non-finite loss, as in probs_and_loss
-        with np.errstate(over="ignore", invalid="ignore"):
-            lm -= lm.max(axis=1, keepdims=True)
-            shifted = lm[i - lo, j]
-            np.exp(lm, out=lm)
-            z = lm.sum(axis=1, keepdims=True)
-            logp = shifted - np.log(z[i - lo, 0])
-            logp_sum += float((counts.counts[i, j] * logp).sum())
-            if with_top1:
+        block_sum, z = _nonzero_logp_sum(lm, i - lo, j, counts.counts[i, j])
+        logp_sum += block_sum
+        if with_top1:
+            with np.errstate(over="ignore", invalid="ignore"):
                 lm /= z
-                match[rows] = lm.argmax(axis=1) == counts.normalized[rows].argmax(axis=1)
+            match[rows] = lm.argmax(axis=1) == counts.normalized[rows].argmax(axis=1)
     top1 = _top1_from_match(counts, match) if with_top1 else None
     return -logp_sum / counts.total, top1
+
+
+def _nonzero_logp_sum(lm: np.ndarray, i, j, n):
+    """Sum of n * log softmax(lm)[i, j] over the given cells, with log p
+    computed as in `probs_and_loss`. Overwrites `lm` with exp(lm - row max)
+    and returns (sum, row normalizers z as a column)."""
+    # non-finite logits flow through to a non-finite sum, as in probs_and_loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        lm -= lm.max(axis=1, keepdims=True)
+        shifted = lm[i, j]
+        np.exp(lm, out=lm)
+        z = lm.sum(axis=1, keepdims=True)
+        logp = shifted - np.log(z[i, 0])
+        return float((n * logp).sum()), z
 
 
 def entropy_floor(counts: CountMatrix) -> float:

@@ -257,7 +257,11 @@ def construct_top1(counts: CountMatrix, epsilon: float) -> ModelParams:
 
 
 def verify_top1_reachability(
-    instances: int = 20, dims=(64, 256), epsilon: float = 1e-3, seed: int = 0
+    instances: int = 20,
+    dims=(64, 256),
+    epsilon: float = 1e-3,
+    seed: int = 0,
+    rank_tol: float = RANK_TOL,
 ) -> VerificationResult:
     """construct_top1 meets its epsilon across random target matrices."""
     c_max, v_max = dims
@@ -292,7 +296,7 @@ def verify_top1_reachability(
                 "C": c,
                 "V": v,
                 "max_dev": float(devs.max()),
-                "head_rank": linalg.qr_rank(params.head.w),
+                "head_rank": linalg.qr_rank(params.head.w, rank_tol),
             }
         )
     return _finish("top1_reachability", seed, details, margins)
@@ -329,7 +333,9 @@ def _svd_rank(m, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
-def verify_error_rank_floor(instances: int = 200, seed: int = 0, v_max: int = 32) -> VerificationResult:
+def verify_error_rank_floor(
+    instances: int = 200, seed: int = 0, v_max: int = 32, rank_tol: float = RANK_TOL
+) -> VerificationResult:
     """rank(P - normalized counts) >= min(#unique continuation tokens, V-1)."""
     rng = np.random.default_rng(seed)
     details, margins = [], []
@@ -341,8 +347,8 @@ def verify_error_rank_floor(instances: int = 200, seed: int = 0, v_max: int = 32
         p = _interior_stochastic(rng, c, v)
         diff = p - counts.normalized
         bound = min(n_unique, v - 1)
-        rank_qr = linalg.qr_rank(diff, RANK_TOL)
-        rank_svd = _svd_rank(diff)
+        rank_qr = linalg.qr_rank(diff, rank_tol)
+        rank_svd = _svd_rank(diff, rank_tol)
         sub = diff[np.arange(n_unique)][:, tokens]
         sub_sigma_min = float(linalg.singular_values(sub)[-1])
         margin = float(min(rank_qr, rank_svd) - bound)
@@ -414,6 +420,7 @@ def verify_batch_rank_floor(
     seed: int = 0,
     max_context_len: int = 1,
     assert_delta: float = 1e-3,
+    rank_tol: float = RANK_TOL,
 ) -> dict:
     """Check the in-batch rank floor on one corpus and one batch draw.
 
@@ -464,8 +471,8 @@ def verify_batch_rank_floor(
     for delta in deltas:
         p = (1.0 - delta) * counts.normalized + delta / v
         diff = p[batch_full_rows] - batch.normalized
-        rank_qr = linalg.qr_rank(diff, RANK_TOL)
-        rank_svd = _svd_rank(diff)
+        rank_qr = linalg.qr_rank(diff, rank_tol)
+        rank_svd = _svd_rank(diff, rank_tol)
         held = rank_qr >= bound and rank_svd >= bound
         out["ranks"][delta] = (rank_qr, rank_svd)
         if held:
@@ -489,6 +496,7 @@ def batch_rank_floor_suite(
     seq_len: int = 9,
     exponent: float = 0.9,
     max_attempts: int | None = None,
+    rank_tol: float = RANK_TOL,
 ) -> VerificationResult:
     """Run the batch rank floor over seeded corpora until enough instances
     satisfy the connectivity precondition; non-qualifying draws count as skipped."""
@@ -506,6 +514,7 @@ def batch_rank_floor_suite(
             delta_grid=delta_grid,
             seed=corpus_seed + 1,
             assert_delta=assert_delta,
+            rank_tol=rank_tol,
         )
         attempt += 1
         if res["skipped"]:
@@ -544,6 +553,9 @@ def verify_update_residual_gap(instances: int = 100, seed: int = 0) -> Verificat
         counts, _ = _plant_unique_structure(rng, c, v, n_unique)
         params = init_params(c, v, d, rng=rng)
         delta = first_order_logit_update(counts, params)
+        # a fixed 1e-8, not the configured rank_tol: the claim is that the
+        # update's rank is at most 2D, so a looser threshold could only hide
+        # a violation
         delta_rank = linalg.qr_rank(delta, 1e-8)
         p = linalg.softmax_rows(logits(params))
         raw = p - counts.normalized

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -179,9 +180,36 @@ class TestVerifyCommand:
         assert (tmp_path / "verify" / "loss_floor_instances.csv").exists()
 
     def test_degenerate_rank_tol_flagged(self, tmp_path):
-        assert run(["verify", "--out", str(tmp_path), "--rank_tol", "1e6"] + self.TINY) == 0
+        code = run(["verify", "--out", str(tmp_path), "--rank_tol", "1e6"] + self.TINY)
         summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
         assert summary["degenerate_rank_tol"]
+        # every measured rank collapses to zero: the caps hold vacuously and
+        # the rank floors fail
+        violations = {k: c["violations"] for k, c in summary["checks"].items()}
+        assert violations["logit_rank_caps"] == 0
+        assert violations["error_rank_floor"] > 0 and violations["batch_rank_floor"] > 0
+        assert code == cli.EXIT_VIOLATION
+
+    def test_rank_tol_reaches_every_rank_check(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def spy(fn):
+            def wrapped(m, tol=vf.RANK_TOL):
+                seen.setdefault(sys._getframe(1).f_code.co_name, set()).add(tol)
+                return fn(m, tol)
+            return wrapped
+
+        monkeypatch.setattr(vf.linalg, "qr_rank", spy(vf.linalg.qr_rank))
+        monkeypatch.setattr(vf, "_svd_rank", spy(vf._svd_rank))
+        assert run(["verify", "--out", str(tmp_path), "--rank_tol", "1e-3"] + self.TINY) == 0
+        assert seen == {
+            "verify_logit_rank_caps": {1e-3},
+            "verify_top1_reachability": {1e-3},
+            "verify_error_rank_floor": {1e-3},
+            "verify_batch_rank_floor": {1e-3},
+            # a fixed threshold of its own, independent of rank_tol
+            "verify_update_residual_gap": {1e-8},
+        }
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         broken = vf.VerificationResult(

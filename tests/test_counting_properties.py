@@ -1,4 +1,9 @@
-"""Property tests: the vectorized counting functions against a tuple-key loop."""
+"""Property tests: the vectorized counting functions against a tuple-key loop,
+and the assumption statistics against dense count matrices."""
+
+import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,3 +119,47 @@ def test_batch_of_another_corpus_is_refused(case):
     for other, other_mcl in ((seqs, mcl + 1), (longer, mcl), (shifted, mcl)):
         with pytest.raises(ValueError):
             cp.batch_counts(cp.Corpus(v + 1, other), table, batch, other_mcl)
+
+
+def dense_unique_continuations(counts):
+    """Single-continuation rows and their tokens, read from the dense counts."""
+    rows = np.flatnonzero((counts.counts > 0).sum(axis=1) == 1)
+    return rows, counts.counts[rows].argmax(axis=1)
+
+
+def assert_stats_csv_matches_dense_path(corpus, mcl, prefix_sizes, tmp_dir):
+    """stats.csv from `assumption_stats` equals, byte for byte, the one from
+    dense per-prefix count matrices."""
+    table, counts = cp.build_counts(corpus, mcl)
+    stats = cp.assumption_stats(corpus, table, counts, prefix_sizes=prefix_sizes)
+    rows, tokens = dense_unique_continuations(counts)
+    by_prefix = {}
+    for size in prefix_sizes:
+        _, sized_tokens = dense_unique_continuations(cp.build_counts(corpus, size)[1])
+        by_prefix[size] = int(np.unique(sized_tokens).size)
+    dense = dataclasses.replace(
+        stats,
+        unique_context_count=int(rows.size),
+        unique_next_token_count=int(np.unique(tokens).size),
+        unique_token_counts_by_prefix_size=by_prefix,
+    )
+    for name, s in (("sparse.csv", stats), ("dense.csv", dense)):
+        cp.write_stats_csv(Path(tmp_dir) / name, s)
+    assert (Path(tmp_dir) / "sparse.csv").read_bytes() == (Path(tmp_dir) / "dense.csv").read_bytes()
+
+
+@PROPERTY_SETTINGS
+@given(corpora(), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4, unique=True))
+def test_assumption_stats_match_dense_path(corpus_case, mcl, prefix_sizes):
+    v, seqs = corpus_case
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        assert_stats_csv_matches_dense_path(cp.Corpus(v, seqs), mcl, prefix_sizes, tmp_dir)
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [cp.gen_zipf_bigram(24, 1.1, 40, 30, seed=3), cp.gen_spamlang(12, 30, 8, seed=4)],
+    ids=["zipf", "spamlang"],
+)
+def test_generated_corpus_stats_match_dense_path(corpus, tmp_path):
+    assert_stats_csv_matches_dense_path(corpus, 16, [1, 2, 4, 8, 16], tmp_path)

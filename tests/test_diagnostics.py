@@ -143,8 +143,10 @@ class TestCompressionReport:
         report = dg.compression_report(counts, params)
         p, _ = md.probs_and_loss(counts, md.logits(params))
         g = md.logit_gradient(counts, p)
-        basis = linalg.kernel_basis(params.head.matrix)
-        kept = g - linalg.project_rows_onto_span(g, basis)
+        lost = linalg.project_rows_onto_span(g, linalg.kernel_basis(params.head.matrix))
+        kept = g - lost
+        assert np.array_equal(report.g, g)
+        assert np.abs(report.lost - lost).max() <= 1e-12 * np.linalg.norm(g)
         norms = np.linalg.norm(g, axis=1)
         nz = norms > 0
         retained = np.zeros_like(norms)
@@ -161,6 +163,7 @@ class TestCompressionReport:
         report = dg.compression_report(counts, params)
         assert report.zero_gradient
         assert report.lost_fraction == 0.0
+        assert np.all(report.lost == 0.0) and report.lost.shape == report.g.shape
 
 
 class TestCoefficientProfile:
@@ -190,10 +193,8 @@ class TestCoefficientProfile:
 
     def test_trained_model_pattern(self, trained_zipf_256):
         counts, params = trained_zipf_256
-        p, _ = md.probs_and_loss(counts, md.logits(params))
-        g = md.logit_gradient(counts, p)
-        lost = linalg.project_rows_onto_span(g, linalg.kernel_basis(params.head.matrix))
-        prof = dg.coefficient_profile(g, lost)
+        report = dg.compression_report(counts, params)
+        prof = dg.coefficient_profile(report.g, report.lost)
         # the observed-token coefficient keeps its negative sign after projection
         assert prof.full_mean[0] < 0
         assert prof.proj_mean[0] < 0

@@ -156,73 +156,87 @@ class TestSingularValues:
 
 
 class TestKernelBasis:
+    """The kernel side of `kernel_split`: splitting the identity's rows gives
+    the projector onto ker(w.T) as `lost`."""
+
     def test_identity_columns(self):
         v, d = 7, 3
         w = np.eye(v)[:, :d]
-        basis = linalg.kernel_basis(w)
-        assert basis.shape == (v, v - d)
-        # projector onto the basis span equals the projector onto coords d..v
-        proj = basis @ basis.T
+        _, proj = linalg.kernel_split(np.eye(v), w)
+        # projector onto the kernel equals the projector onto coords d..v
         expected = np.diag([0.0] * d + [1.0] * (v - d))
         assert np.abs(proj - expected).max() < 1e-10
 
     def test_full_rank_square_is_empty(self):
         rng = np.random.default_rng(8)
         w = rng.normal(size=(5, 5))
-        assert linalg.kernel_basis(w).shape == (5, 0)
+        g = rng.normal(size=(3, 5))
+        kept, lost = linalg.kernel_split(g, w)
+        assert np.all(lost == 0.0)
+        assert np.array_equal(kept, g)
 
     def test_random_tall_matrix(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(40, 8))
-        basis = linalg.kernel_basis(w)
-        assert basis.shape == (40, 32)
-        assert np.abs(w.T @ basis).max() < 1e-8
-        assert linalg.is_orthonormal_columns(basis, 1e-10)
+        _, proj = linalg.kernel_split(np.eye(40), w)
+        assert np.trace(proj) == pytest.approx(32, abs=1e-10)
+        assert np.abs(w.T @ proj).max() < 1e-8
+        # an orthogonal projector: symmetric and idempotent
+        assert np.abs(proj - proj.T).max() < 1e-10
+        assert np.abs(proj @ proj - proj).max() < 1e-10
 
     def test_rank_deficient(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(12, 2)) @ rng.normal(size=(2, 4))  # rank 2, shape 12x4
+        _, proj = linalg.kernel_split(np.eye(12), w)
+        assert np.trace(proj) == pytest.approx(10, abs=1e-10)
+        assert np.abs(w.T @ proj).max() < 1e-8
         basis = linalg.kernel_basis(w)
-        assert basis.shape == (12, 10)
-        assert np.abs(w.T @ basis).max() < 1e-8
+        assert np.abs(proj - basis @ basis.T).max() < 1e-12
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
-            linalg.kernel_basis(np.ones((2, 5)))
+            linalg.kernel_split(np.ones((1, 2)), np.ones((2, 5)))
 
 
 class TestProjection:
+    """The row split itself: kept + lost = g, orthogonal and exact at the ends."""
+
     def test_full_standard_basis_is_identity(self):
         rng = np.random.default_rng(11)
         g = rng.normal(size=(4, 6))
-        assert np.allclose(linalg.project_rows_onto_span(g, np.eye(6)), g, atol=1e-12)
+        kept, lost = linalg.kernel_split(g, np.eye(6))
+        assert np.array_equal(kept, g)
+        assert np.all(lost == 0.0)
 
     def test_empty_basis_gives_zero(self):
         g = np.ones((3, 5))
-        out = linalg.project_rows_onto_span(g, np.zeros((5, 0)))
-        assert np.all(out == 0)
+        kept, lost = linalg.kernel_split(g, np.zeros((5, 2)))  # rank 0: no span
+        assert np.all(kept == 0)
+        assert np.array_equal(lost, g)
 
     def test_pythagoras(self):
         rng = np.random.default_rng(12)
         g = rng.normal(size=(10, 20))
-        basis = linalg.kernel_basis(rng.normal(size=(20, 6)))
-        proj = linalg.project_rows_onto_span(g, basis)
+        kept, lost = linalg.kernel_split(g, rng.normal(size=(20, 6)))
         total = np.sum(g * g)
-        split = np.sum(proj * proj) + np.sum((g - proj) ** 2)
+        split = np.sum(lost * lost) + np.sum(kept * kept)
         assert abs(split - total) < 1e-8 * total
+        assert np.abs(kept + lost - g).max() < 1e-12
 
     def test_idempotent_and_nonexpansive(self):
         rng = np.random.default_rng(13)
         g = rng.normal(size=(5, 12))
-        basis = linalg.kernel_basis(rng.normal(size=(12, 5)))
-        proj = linalg.project_rows_onto_span(g, basis)
-        again = linalg.project_rows_onto_span(proj, basis)
-        assert np.abs(again - proj).max() < 1e-10
-        assert np.linalg.norm(proj) <= np.linalg.norm(g) + 1e-12
+        w = rng.normal(size=(12, 5))
+        _, lost = linalg.kernel_split(g, w)
+        kept_again, again = linalg.kernel_split(lost, w)
+        assert np.abs(again - lost).max() < 1e-10
+        assert np.abs(kept_again).max() < 1e-10
+        assert np.linalg.norm(lost) <= np.linalg.norm(g) + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            linalg.project_rows_onto_span(np.ones((2, 3)), np.eye(4))
+            linalg.kernel_split(np.ones((2, 3)), np.eye(4))
 
 
 class TestBestRankKResidual:

@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import inspect
 import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +73,17 @@ GEN_CORPUS_DEFAULTS = {
     "stats_prefix_sizes": [1, 2, 4, 8, 16],
 }
 
+# TrainConfig's own defaults; each experiment writes out only the values it
+# changes. The sweeps set seed, head_rank and batch_sequences per cell, so
+# those are not sweep config keys.
+_TRAIN_CONFIG_DEFAULTS = {
+    f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING
+}
+_SWEEP_TRAIN_DEFAULTS = {
+    k: v for k, v in _TRAIN_CONFIG_DEFAULTS.items()
+    if k not in ("seed", "head_rank", "batch_sequences")
+}
+
 TRAIN_DEFAULTS = {
     "name": "train",
     "corpus": {"kind": "zipf", "vocab_size": 64, "num_seqs": 128, "seq_len": 64,
@@ -78,22 +91,11 @@ TRAIN_DEFAULTS = {
     "max_context_len": 16,
     "val_fraction": 0.0,
     "width": 8,
-    "head_rank": None,
     "steps": 1000,
     "lr": 1e-2,
-    "optimizer": "adam",
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.95,
-    "adam_eps": 1e-8,
-    "schedule": "constant",
-    "warmup_steps": 0,
-    "batch_sequences": None,
-    "seed": 0,
-    "init_scale": 1.0,
-    "eval_every": 50,
     "snapshot_steps": [],
-    "update_h": True,
-    "update_head": True,
+    **_TRAIN_CONFIG_DEFAULTS,
+    "eval_every": 50,
 }
 
 DIAGNOSE_DEFAULTS = {
@@ -109,13 +111,16 @@ DIAGNOSE_DEFAULTS = {
 VERIFY_DEFAULTS = {
     "name": "verify",
     "seed": 0,
-    "rank_tol": 1e-6,
-    "loss_floor": {"trials": 1000},
-    "logit_rank_caps": {"trials": 500},
-    "top1_reachability": {"instances": 20, "epsilon": 1e-3},
-    "error_rank_floor": {"instances": 200},
-    "batch_rank_floor": {"n_instances": 50},
-    "update_residual_gap": {"instances": 100},
+    "rank_tol": verify.RANK_TOL,
+    # one block per check: its verifier's keyword defaults
+    **{
+        check_id: {
+            name: param.default
+            for name, param in inspect.signature(check).parameters.items()
+            if param.default is not param.empty and name not in ("seed", "rank_tol")
+        }
+        for check_id, check in verify.CHECKS.items()
+    },
 }
 
 SPAMLANG_DEFAULTS = {
@@ -128,16 +133,10 @@ SPAMLANG_DEFAULTS = {
     "seq_len": 64,
     "seqs_per_symbol": 4,
     "max_context_len": 1,
-    "optimizer": "adam",
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.95,
-    "adam_eps": 1e-8,
+    **_SWEEP_TRAIN_DEFAULTS,
     "schedule": "cosine",
     "warmup_steps": 150,
     "eval_every": 250,
-    "init_scale": 1.0,
-    "update_h": True,
-    "update_head": True,
 }
 
 # Desk-scale regime note: runs stay far from convergence (web-scale corpora
@@ -158,16 +157,10 @@ BOTTLENECK_DEFAULTS = {
     "max_context_len": 1,
     "steps": 500,
     "lr": 3e-3,
-    "optimizer": "adam",
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.95,
-    "adam_eps": 1e-8,
+    **_SWEEP_TRAIN_DEFAULTS,
     "schedule": "cosine",
     "warmup_steps": 50,
     "eval_every": 100,
-    "init_scale": 1.0,
-    "update_h": True,
-    "update_head": True,
     "include_full_baseline": True,
 }
 
@@ -240,7 +233,7 @@ def _check_keys(kind: str, extra: dict, source: str) -> None:
 def resolve_config(kind: str, config_path=None, overrides=None) -> dict:
     """Defaults, then the config file, then the overrides; unknown top-level
     keys are refused (a run's own config.json sidecar is accepted back)."""
-    if kind not in _DEFAULTS:
+    if kind not in COMMANDS:
         raise UsageError(f"unknown experiment kind {kind!r}")
     config = copy.deepcopy(_DEFAULTS[kind])
     if config_path is not None:
@@ -289,15 +282,16 @@ def _make_corpus(spec, default_seed=0):
         return load_corpus(spec)
     if not isinstance(spec, dict):
         raise UsageError("corpus must be a path or a generator object")
-    kind = spec.get("kind", "zipf")
-    vocab_size = int(spec.get("vocab_size", 64))
-    num_seqs = int(spec.get("num_seqs", 256))
-    seq_len = int(spec.get("seq_len", 64))
-    seed = int(spec.get("seed", default_seed))
+    spec = {**GEN_CORPUS_DEFAULTS, "seed": default_seed, **spec}
+    kind = spec["kind"]
+    vocab_size = int(spec["vocab_size"])
+    num_seqs = int(spec["num_seqs"])
+    seq_len = int(spec["seq_len"])
+    seed = int(spec["seed"])
     if kind == "spamlang":
         return corpus_mod.gen_spamlang(vocab_size, num_seqs, seq_len, seed)
     if kind == "zipf":
-        exponent = float(spec.get("exponent", 1.2))
+        exponent = float(spec["exponent"])
         return corpus_mod.gen_zipf_bigram(vocab_size, exponent, num_seqs, seq_len, seed)
     raise UsageError(f"unknown corpus kind {kind!r}")
 
@@ -321,28 +315,20 @@ def _split_corpus(corpus, val_fraction: float):
     return train_part, val_part
 
 
+# values that mean a full head / full-batch training
+_NONE_ALIASES = {"head_rank": (None, 0, "full"), "batch_sequences": (None, 0)}
+_FIELD_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+
+
 def _train_config(cfg: dict) -> TrainConfig:
-    head_rank = cfg.get("head_rank")
-    return TrainConfig(
-        steps=int(cfg["steps"]),
-        lr=float(cfg["lr"]),
-        width=int(cfg["width"]),
-        head_rank=None if head_rank in (None, 0, "full") else int(head_rank),
-        optimizer=str(cfg.get("optimizer", "adam")),
-        adam_beta1=float(cfg.get("adam_beta1", 0.9)),
-        adam_beta2=float(cfg.get("adam_beta2", 0.95)),
-        adam_eps=float(cfg.get("adam_eps", 1e-8)),
-        schedule=str(cfg.get("schedule", "constant")),
-        warmup_steps=int(cfg.get("warmup_steps", 0)),
-        batch_sequences=(
-            None if cfg.get("batch_sequences") in (None, 0) else int(cfg["batch_sequences"])
-        ),
-        seed=int(cfg.get("seed", 0)),
-        init_scale=float(cfg.get("init_scale", 1.0)),
-        eval_every=int(cfg.get("eval_every", 50)),
-        update_h=bool(cfg.get("update_h", True)),
-        update_head=bool(cfg.get("update_head", True)),
-    )
+    """TrainConfig from the config keys named like its fields, each cast to
+    its field's type; the dataclass supplies the missing ones."""
+    return TrainConfig(**{
+        f.name: None if cfg[f.name] in _NONE_ALIASES.get(f.name, ())
+        else _FIELD_TYPES[f.type.removesuffix(" | None")](cfg[f.name])
+        for f in fields(TrainConfig)
+        if f.name in cfg
+    })
 
 
 def _write_json(path, payload) -> None:
@@ -365,9 +351,7 @@ def _trajectory_svg(path, trajectory, title: str) -> None:
 
 
 def run_gen_corpus(config: dict, run_dir: Path) -> dict:
-    corpus = _make_corpus(
-        {k: config[k] for k in ("kind", "vocab_size", "num_seqs", "seq_len", "exponent", "seed")}
-    )
+    corpus = _make_corpus(config)
     corpus_path = run_dir / "corpus.txt"
     save_corpus(corpus_path, corpus)
     table, counts = build_counts(corpus, max_context_len=corpus_mod.DEFAULT_CONTEXT_LEN)
@@ -388,8 +372,8 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
 
 
 def run_train(config: dict, run_dir: Path) -> dict:
-    corpus = _make_corpus(config["corpus"], default_seed=config.get("seed", 0))
-    train_part, val_part = _split_corpus(corpus, float(config.get("val_fraction", 0.0)))
+    corpus = _make_corpus(config["corpus"], default_seed=config["seed"])
+    train_part, val_part = _split_corpus(corpus, float(config["val_fraction"]))
     mcl = int(config["max_context_len"])
     table, counts = build_counts(train_part, mcl)
     val_counts = None
@@ -398,9 +382,7 @@ def run_train(config: dict, run_dir: Path) -> dict:
         val_counts, skipped = counts_for_table(val_part, table, mcl)
     tc = _train_config(config)
     data = Dataset(train_part, table, counts, mcl) if tc.batch_sequences else counts
-    result = train(
-        data, tc, val_counts=val_counts, snapshot_steps=config.get("snapshot_steps", ())
-    )
+    result = train(data, tc, val_counts=val_counts, snapshot_steps=config["snapshot_steps"])
     save_checkpoint(run_dir / "checkpoint.bin", result.params)
     result.trajectory.to_csv(run_dir / "trajectory.csv")
     for step, snap in result.snapshots:
@@ -419,7 +401,7 @@ def run_train(config: dict, run_dir: Path) -> dict:
 
 
 def run_diagnose(config: dict, run_dir: Path) -> dict:
-    if not config.get("checkpoint"):
+    if not config["checkpoint"]:
         raise UsageError("diagnose needs a checkpoint path")
     params = load_checkpoint(config["checkpoint"])
     corpus = _make_corpus(config["corpus"])
@@ -429,7 +411,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
             f"checkpoint dimensions (C={params.h.shape[0]}, V={params.vocab_size}) do not "
             f"match the corpus counts (C={counts.num_contexts}, V={counts.vocab_size})"
         )
-    seed = int(config.get("seed", 0))
+    seed = int(config["seed"])
 
     sizes = [int(k) for k in config["token_counts"] if int(k) <= counts.total]
     curve = diagnostics.gradient_rank_curve(counts, params, sizes, seed=seed)
@@ -492,49 +474,23 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
     return summary
 
 
-def run_verify(config: dict, run_dir: Path):
-    seed = int(config.get("seed", 0))
-    rank_tol = float(config.get("rank_tol", 1e-6))
-    degenerate_tol = not (1e-12 <= rank_tol <= 1e-2)
-    results = {}
-    results["loss_floor"] = verify.verify_loss_floor(seed=seed, **config["loss_floor"])
-    results["logit_rank_caps"] = verify.verify_logit_rank_caps(
-        seed=seed, rank_tol=rank_tol, **config["logit_rank_caps"]
+def run_verify(config: dict, run_dir: Path) -> dict:
+    rank_tol = float(config["rank_tol"])
+    results = verify.run_all(
+        int(config["seed"]), rank_tol, {check_id: config[check_id] for check_id in verify.CHECKS}
     )
-    results["top1_reachability"] = verify.verify_top1_reachability(
-        seed=seed, rank_tol=rank_tol, **config["top1_reachability"]
-    )
-    results["error_rank_floor"] = verify.verify_error_rank_floor(
-        seed=seed, rank_tol=rank_tol, **config["error_rank_floor"]
-    )
-    results["batch_rank_floor"] = verify.batch_rank_floor_suite(
-        seed=seed, rank_tol=rank_tol, **config["batch_rank_floor"]
-    )
-    # update_residual_gap keeps its own fixed rank threshold (see there)
-    results["update_residual_gap"] = verify.verify_update_residual_gap(
-        seed=seed, **config["update_residual_gap"]
-    )
-    summary = {"degenerate_rank_tol": degenerate_tol, "checks": {}}
+    summary = {"degenerate_rank_tol": not (1e-12 <= rank_tol <= 1e-2), "checks": {}}
     for check_id, res in results.items():
         res.write_json(run_dir / f"{check_id}.json")
         res.write_instances_csv(run_dir / f"{check_id}_instances.csv")
         summary["checks"][check_id] = res.to_json_dict()
-    violations = sum(r.violations for r in results.values())
-    summary["total_violations"] = violations
+    summary["total_violations"] = sum(r.violations for r in results.values())
     _write_json(run_dir / "summary.json", summary)
-    return results, violations
+    return summary
 
 
 def _spamlang_cell(counts, vocab_size, lr, seed, cfg) -> dict:
-    tc = _train_config(
-        {
-            **cfg,
-            "lr": lr,
-            "seed": seed,
-            "head_rank": None,
-            "batch_sequences": None,
-        }
-    )
+    tc = _train_config({**cfg, "lr": lr, "seed": seed})
     cell = {
         "vocab_size": vocab_size,
         "lr": lr,
@@ -704,17 +660,12 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     rows = []
     trajectories = {}
     variants = [(r, False) for r in ranks]
-    if config.get("include_full_baseline", True):
+    if config["include_full_baseline"]:
         variants.append((width, True))
     for seed in [int(s) for s in config["seeds"]]:
         for rank, is_baseline in variants:
             tc = _train_config(
-                {
-                    **config,
-                    "seed": seed,
-                    "head_rank": None if is_baseline else rank,
-                    "batch_sequences": None,
-                }
+                {**config, "seed": seed, "head_rank": None if is_baseline else rank}
             )
             label = f"{'full' if is_baseline else 'rank' + str(rank)}_seed{seed}"
             row = {
@@ -820,7 +771,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
 
 def run_report(config: dict, run_dir: Path) -> dict:
     """Regenerate SVG plots for every trajectory CSV under a run directory."""
-    target = config.get("run_dir")
+    target = config["run_dir"]
     if not target:
         raise UsageError("report needs run_dir")
     target = Path(target)
@@ -847,6 +798,18 @@ def run_report(config: dict, run_dir: Path) -> dict:
     return summary
 
 
+# subcommand -> the runner itself, for the same reason as verify.CHECKS
+COMMANDS = {
+    "gen-corpus": run_gen_corpus,
+    "train": run_train,
+    "diagnose": run_diagnose,
+    "verify": run_verify,
+    "spamlang-sweep": run_spamlang_sweep,
+    "bottleneck-sweep": run_bottleneck_sweep,
+    "report": run_report,
+}
+
+
 # --------------------------------------------------------------------------
 # argument parsing and dispatch
 
@@ -863,7 +826,7 @@ def _build_parser() -> _Parser:
         add_help=True,
     )
     sub = parser.add_subparsers(dest="command")
-    for kind in _DEFAULTS:
+    for kind in COMMANDS:
         p = sub.add_parser(kind, add_help=False)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
@@ -884,33 +847,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        if args.command == "gen-corpus":
-            run_gen_corpus(config, run_dir)
-        elif args.command == "train":
-            run_train(config, run_dir)
-        elif args.command == "diagnose":
-            run_diagnose(config, run_dir)
-        elif args.command == "verify":
-            _, violations = run_verify(config, run_dir)
-            if violations:
-                print(f"verification violations: {violations}", file=sys.stderr)
-                return EXIT_VIOLATION
-        elif args.command == "spamlang-sweep":
-            run_spamlang_sweep(config, run_dir)
-        elif args.command == "bottleneck-sweep":
-            run_bottleneck_sweep(config, run_dir)
-        elif args.command == "report":
-            run_report(config, run_dir)
+        summary = COMMANDS[args.command](config, run_dir)
     except (UsageError, CorpusFormatError, CheckpointError, ContextOverflowError,
             FileNotFoundError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, SvdConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except SvdConvergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    violations = summary.get("total_violations", 0)
+    if violations:
+        print(f"verification violations: {violations}", file=sys.stderr)
+        return EXIT_VIOLATION
     print(f"wrote {run_dir}")
     return EXIT_OK
 

@@ -302,12 +302,19 @@ def counts_for_table(
 
 def row_entropies(counts: CountMatrix) -> np.ndarray:
     """Per-context next-token entropy (nats) of the normalized rows."""
-    p = counts.normalized
-    h = np.zeros(p.shape[0])
+    rows, cols = counts.nonzero
+    p = counts.normalized[rows, cols]
+    h = np.bincount(rows, weights=p * np.log(p), minlength=counts.num_contexts)
+    # a sum of one or two terms rounds the same in any order; rows with more
+    # are summed densely, so every row keeps numpy's pairwise rounding of
+    # the dense formula (entropies such as log 4 sit exactly on bin edges)
+    multi = np.flatnonzero(np.bincount(rows, minlength=counts.num_contexts) > 2)
+    p = counts.normalized[multi]
     nz = p > 0
     contrib = np.zeros_like(p)
     contrib[nz] = p[nz] * np.log(p[nz])
-    np.negative(contrib.sum(axis=1), out=h)
+    h[multi] = contrib.sum(axis=1)
+    np.negative(h, out=h)
     # rounding can leave -0.0 or tiny negatives on one-hot rows
     np.maximum(h, 0.0, out=h)
     return h
@@ -339,7 +346,7 @@ class AssumptionStats:
         for lo, hi, wgt in zip(
             self.entropy_bin_edges[:-1], self.entropy_bin_edges[1:], self.entropy_bin_weights
         ):
-            rows.append(("entropy_bin", f"{lo!r}:{hi!r}", repr(float(wgt))))
+            rows.append(("entropy_bin", f"{float(lo)!r}:{float(hi)!r}", repr(float(wgt))))
         return rows
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from headlab import cli
 from headlab import corpus as corpus_mod
 from headlab import verify as vf
+from headlab.model import TrainConfig, TrainingDivergedError
 
 
 def run(args):
@@ -53,6 +55,16 @@ class TestGenCorpus:
         assert sidecar["vocab_size"] == 8
         assert sidecar["seed"] == 5
         assert sidecar["experiment"] == "gen-corpus"
+
+    def test_entropy_bin_keys_are_plain_floats(self, tmp_path):
+        assert run(["gen-corpus", "--out", str(tmp_path), "--vocab_size", "16",
+                    "--num_seqs", "4", "--seq_len", "4", "--stats_prefix_sizes", "[]"]) == 0
+        with open(tmp_path / "corpus" / "stats.csv") as fh:
+            keys = [row["key"] for row in csv.DictReader(fh) if row["stat"] == "entropy_bin"]
+        assert keys
+        for key in keys:
+            lo, hi = key.split(":")
+            assert float(lo) < float(hi)
 
     def test_deterministic_bytes(self, tmp_path):
         args = ["gen-corpus", "--kind", "zipf", "--vocab_size", "12", "--num_seqs", "9",
@@ -215,9 +227,95 @@ class TestVerifyCommand:
         broken = vf.VerificationResult(
             check_id="loss_floor", instances_tested=1, violations=1, worst_margin=-1.0, seed=0
         )
-        monkeypatch.setattr(cli.verify, "verify_loss_floor", lambda **kw: broken)
+        monkeypatch.setitem(vf.CHECKS, "loss_floor", lambda **kw: broken)
         code = run(["verify", "--out", str(tmp_path)] + self.TINY)
         assert code == cli.EXIT_VIOLATION
+
+    def test_every_registered_check_has_a_size_block(self):
+        assert set(cli.VERIFY_DEFAULTS) - {"name", "seed", "rank_tol"} == set(vf.CHECKS)
+
+    def test_sidecar_lists_every_verifier_size(self, tmp_path):
+        assert run(["verify", "--out", str(tmp_path)] + self.TINY) == 0
+        sidecar = json.loads((tmp_path / "verify" / "config.json").read_text())
+        assert sidecar["loss_floor"] == {"trials": 40, "dims": [10, 12, 4]}
+        assert sidecar["batch_rank_floor"]["delta_grid"] == [1e-4, 1e-3, 1e-2, 1e-1]
+
+    def test_command_matches_run_all(self, tmp_path):
+        assert run(["verify", "--out", str(tmp_path), "--seed", "3", "--rank_tol", "1e-5"]
+                   + self.TINY) == 0
+        config = json.loads((tmp_path / "verify" / "config.json").read_text())
+        results = vf.run_all(seed=3, rank_tol=1e-5, sizes={k: config[k] for k in vf.CHECKS})
+        summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
+        assert summary["checks"] == {k: r.to_json_dict() for k, r in results.items()}
+
+
+# a value other than every experiment's default for each TrainConfig field
+NON_DEFAULT = {
+    "steps": 9, "lr": 0.25, "width": 6, "head_rank": 3, "optimizer": "gd",
+    "adam_beta1": 0.5, "adam_beta2": 0.75, "adam_eps": 1e-7, "warmup_steps": 3,
+    "batch_sequences": 2, "seed": 4, "init_scale": 0.5, "eval_every": 7,
+    "update_h": False, "update_head": False,
+}
+TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+class TestTrainConfigKeys:
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        """Every TrainConfig that reaches `train`; training itself is skipped."""
+        configs = []
+
+        def spy(data, tc, **kwargs):
+            configs.append(tc)
+            raise TrainingDivergedError(0, float("nan"), float("nan"))
+
+        monkeypatch.setattr(cli, "train", spy)
+        return configs
+
+    @pytest.mark.parametrize("kind, size_args", [
+        ("train", ["--corpus.num_seqs", "6", "--corpus.seq_len", "5"]),
+        ("spamlang-sweep", TINY_SPAM[:6]),
+        ("bottleneck-sweep", TINY_BOTTLENECK[:12]),
+    ])
+    def test_each_exposed_field_reaches_train(self, kind, size_args, seen, tmp_path):
+        defaults = cli.resolve_config(kind)
+        exposed = TRAIN_FIELDS & set(defaults)
+        values = dict(NON_DEFAULT)
+        values["schedule"] = "constant" if defaults["schedule"] == "cosine" else "cosine"
+        args = [kind, "--out", str(tmp_path)] + size_args
+        for key in sorted(exposed):
+            assert values[key] != defaults[key], key
+            args += [f"--{key}", json.dumps(values[key])]
+        run(args)
+        assert seen
+        for tc in seen:
+            assert {k: getattr(tc, k) for k in exposed} == {k: values[k] for k in exposed}
+
+    def test_every_command_has_defaults(self):
+        assert set(cli.COMMANDS) == set(cli._DEFAULTS)
+
+    def test_experiment_key_sets(self):
+        swept = {"lr", "seed", "head_rank", "batch_sequences"}
+        assert TRAIN_FIELDS <= set(cli.TRAIN_DEFAULTS)
+        assert TRAIN_FIELDS - set(cli.SPAMLANG_DEFAULTS) == swept
+        assert TRAIN_FIELDS - set(cli.BOTTLENECK_DEFAULTS) == swept - {"lr"}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--head_rank", "full"), ("--head_rank", "0"), ("--batch_sequences", "0"),
+    ])
+    def test_full_head_and_full_batch_aliases(self, flag, value, seen, tmp_path):
+        args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "6",
+                "--corpus.seq_len", "5", "--head_rank", "2", "--batch_sequences", "3"]
+        assert run(args + [flag, value]) == cli.EXIT_NUMERIC
+        assert getattr(seen[0], flag[2:]) is None
+
+    def test_json_numbers_are_cast_to_field_types(self, seen, tmp_path):
+        args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "6",
+                "--corpus.seq_len", "5", "--steps", "12.0", "--lr", "1", "--update_h", "0"]
+        assert run(args) == cli.EXIT_NUMERIC
+        tc = seen[0]
+        assert (tc.steps, tc.lr, tc.update_h) == (12, 1.0, False)
+        assert type(tc.steps) is int and type(tc.lr) is float
 
 
 class TestSpamlangSweep:

@@ -163,3 +163,42 @@ def test_assumption_stats_match_dense_path(corpus_case, mcl, prefix_sizes):
 )
 def test_generated_corpus_stats_match_dense_path(corpus, tmp_path):
     assert_stats_csv_matches_dense_path(corpus, 16, [1, 2, 4, 8, 16], tmp_path)
+
+
+def dense_row_entropies(counts):
+    """-sum p log p over each full dense row (the formula `row_entropies` keeps)."""
+    p = counts.normalized
+    contrib = np.zeros_like(p)
+    nz = p > 0
+    contrib[nz] = p[nz] * np.log(p[nz])
+    return np.maximum(-contrib.sum(axis=1), 0.0)
+
+
+@st.composite
+def count_matrices(draw):
+    v = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        # equal counts on k tokens give entropy log k, which can sit exactly
+        # on a histogram bin edge
+        cols = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=v, unique=True))
+        row = np.zeros(v, dtype=np.int64)
+        equal = draw(st.booleans())
+        row[cols] = 1 if equal else draw(
+            st.lists(st.integers(1, 9), min_size=len(cols), max_size=len(cols))
+        )
+        rows.append(row)
+    return cp.CountMatrix.from_counts(np.array(rows))
+
+
+@PROPERTY_SETTINGS
+@given(count_matrices())
+def test_row_entropies_equal_the_dense_formula(counts):
+    assert np.array_equal(cp.row_entropies(counts), dense_row_entropies(counts))
+
+
+@pytest.mark.parametrize("mcl", [0, 1, 2, 16])
+def test_generated_corpus_entropies_equal_the_dense_formula(mcl):
+    for corpus in (cp.gen_zipf_bigram(256, 1.1, 100, 30, seed=5), cp.gen_spamlang(12, 30, 8, 4)):
+        _, counts = cp.build_counts(corpus, mcl)
+        assert np.array_equal(cp.row_entropies(counts), dense_row_entropies(counts))

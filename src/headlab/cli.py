@@ -19,9 +19,11 @@ import csv
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import sys
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -317,7 +319,16 @@ def _split_corpus(corpus, val_fraction: float):
 
 # values that mean a full head / full-batch training
 _NONE_ALIASES = {"head_rank": (None, 0, "full"), "batch_sequences": (None, 0)}
-_FIELD_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _cast_field(name: str, type_name: str, value):
+    if type_name != "bool":
+        return _FIELD_TYPES[type_name](value)
+    # bool("False") is True, so only JSON true/false and 0/1 are accepted
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise UsageError(f"{name} must be true, false, 0 or 1, got {value!r}")
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -325,10 +336,61 @@ def _train_config(cfg: dict) -> TrainConfig:
     its field's type; the dataclass supplies the missing ones."""
     return TrainConfig(**{
         f.name: None if cfg[f.name] in _NONE_ALIASES.get(f.name, ())
-        else _FIELD_TYPES[f.type.removesuffix(" | None")](cfg[f.name])
+        else _cast_field(f.name, f.type.removesuffix(" | None"), cfg[f.name])
         for f in fields(TrainConfig)
         if f.name in cfg
     })
+
+
+# OpenBLAS's thread-count variables, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _pool_workers() -> int:
+    """How many cells can run at once: the usable CPUs over the BLAS threads
+    of each cell. Unless a thread variable says otherwise, OpenBLAS runs one
+    thread per CPU, and two workers would then oversubscribe every core."""
+    cpus = len(os.sched_getaffinity(0))
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+_worker_cell = None  # set in each pool worker by _install_cell, never in the parent
+
+
+def _install_cell(cell) -> None:
+    global _worker_cell
+    _worker_cell = cell
+
+
+def _run_installed_cell(task):
+    return _worker_cell(*task)
+
+
+def _map_cells(cell, shared, tasks: list) -> list:
+    """[cell(shared, *task) for task in tasks], in task order.
+
+    The cells run in a fork pool of min(len(tasks), _pool_workers()) workers,
+    or in this process when that is one. `shared` (the config, count
+    matrices) reaches the workers through fork and is never pickled; only the
+    task tuples and the results are. Workers keep the parent's BLAS thread
+    setting, so the results equal the serial ones at that setting.
+    """
+    run = partial(cell, shared)
+    workers = min(len(tasks), _pool_workers())
+    if workers <= 1:
+        return [run(*task) for task in tasks]
+    with multiprocessing.get_context("fork").Pool(
+        workers, initializer=_install_cell, initargs=(run,)
+    ) as pool:
+        results = pool.map(_run_installed_cell, tasks, chunksize=1)
+        # close and join, so that the workers' rusage reaches this process
+        pool.close()
+        pool.join()
+    return results
 
 
 def _write_json(path, payload) -> None:
@@ -489,8 +551,15 @@ def run_verify(config: dict, run_dir: Path) -> dict:
     return summary
 
 
-def _spamlang_cell(counts, vocab_size, lr, seed, cfg) -> dict:
-    tc = _train_config({**cfg, "lr": lr, "seed": seed})
+def _spamlang_cell(config, vocab_size, seed, lr):
+    """One (V, seed, lr) cell: its row and its trajectory (None if diverged)."""
+    # the corpus depends only on (V, seed): cells stay independent of the
+    # learning-rate grid composition
+    corpus = corpus_mod.gen_spamlang(
+        vocab_size, int(config["seqs_per_symbol"]) * vocab_size, int(config["seq_len"]), seed
+    )
+    _, counts = build_counts(corpus, int(config["max_context_len"]))
+    tc = _train_config({**config, "lr": lr, "seed": seed})
     cell = {
         "vocab_size": vocab_size,
         "lr": lr,
@@ -505,16 +574,14 @@ def _spamlang_cell(counts, vocab_size, lr, seed, cfg) -> dict:
             final_loss=float("nan"),
             top1_weighted=float("nan"),
             diverged_step=exc.step,
-            trajectory=None,
         )
-        return cell
+        return cell, None
     cell.update(
         status="ok",
         final_loss=result.trajectory.final_train_loss,
         top1_weighted=top1_accuracy(counts, result.params).weighted,
-        trajectory=result.trajectory,
     )
-    return cell
+    return cell, result.trajectory
 
 
 def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
@@ -522,28 +589,21 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
 
     Cells whose training diverges are recorded as failed cells, not crashes.
     """
+    tasks = [
+        (int(vocab_size), int(seed), float(lr))
+        for vocab_size in config["vocab_sizes"]
+        for seed in config["seeds"]
+        for lr in config["lrs"]
+    ]
     cells = []
-    for vocab_size in config["vocab_sizes"]:
-        for seed in config["seeds"]:
-            # the corpus depends only on (V, seed): cells stay independent of
-            # the learning-rate grid composition
-            corpus = corpus_mod.gen_spamlang(
-                int(vocab_size),
-                int(config["seqs_per_symbol"]) * int(vocab_size),
-                int(config["seq_len"]),
-                int(seed),
+    for cell, traj in _map_cells(_spamlang_cell, config, tasks):
+        if traj is not None:
+            cell_dir = run_dir / "runs" / (
+                f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}"
             )
-            _, counts = build_counts(corpus, int(config["max_context_len"]))
-            for lr in config["lrs"]:
-                cell = _spamlang_cell(counts, int(vocab_size), float(lr), int(seed), config)
-                traj = cell.pop("trajectory")
-                if traj is not None:
-                    cell_dir = run_dir / "runs" / (
-                        f"v{vocab_size}_lr{lr:g}_seed{seed}"
-                    )
-                    cell_dir.mkdir(parents=True, exist_ok=True)
-                    traj.to_csv(cell_dir / "trajectory.csv")
-                cells.append(cell)
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            traj.to_csv(cell_dir / "trajectory.csv")
+        cells.append(cell)
 
     with open(run_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -635,6 +695,35 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
     return summary
 
 
+def _bottleneck_cell(shared, seed, rank, is_baseline):
+    """One (seed, rank) run on the shared counts: its row and its trajectory
+    (None if diverged)."""
+    config, counts, val_counts = shared
+    tc = _train_config({**config, "seed": seed, "head_rank": None if is_baseline else rank})
+    row = {
+        "rank": rank,
+        "head": "full" if is_baseline else "factored",
+        "seed": seed,
+        "baseline": int(is_baseline),
+    }
+    try:
+        result = train(counts, tc, val_counts=val_counts)
+    except TrainingDivergedError as exc:
+        row.update(
+            status="diverged",
+            final_train_loss=float("nan"),
+            final_val_loss=float("nan"),
+            diverged_step=exc.step,
+        )
+        return row, None
+    row.update(
+        status="ok",
+        final_train_loss=result.trajectory.final_train_loss,
+        final_val_loss=result.trajectory.final_val_loss,
+    )
+    return row, result.trajectory
+
+
 def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     """Validation-loss trend against the head rank on one shared corpus."""
     ranks = [int(r) for r in config["ranks"]]
@@ -657,44 +746,22 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     if val_part is not None:
         val_counts, _ = counts_for_table(val_part, table, mcl)
 
-    rows = []
-    trajectories = {}
     variants = [(r, False) for r in ranks]
     if config["include_full_baseline"]:
         variants.append((width, True))
-    for seed in [int(s) for s in config["seeds"]]:
-        for rank, is_baseline in variants:
-            tc = _train_config(
-                {**config, "seed": seed, "head_rank": None if is_baseline else rank}
-            )
-            label = f"{'full' if is_baseline else 'rank' + str(rank)}_seed{seed}"
-            row = {
-                "rank": rank,
-                "head": "full" if is_baseline else "factored",
-                "seed": seed,
-                "baseline": int(is_baseline),
-            }
-            try:
-                result = train(counts, tc, val_counts=val_counts)
-            except TrainingDivergedError as exc:
-                row.update(
-                    status="diverged",
-                    final_train_loss=float("nan"),
-                    final_val_loss=float("nan"),
-                    diverged_step=exc.step,
-                )
-                rows.append(row)
-                continue
-            run_sub = run_dir / "runs" / label
-            run_sub.mkdir(parents=True, exist_ok=True)
-            result.trajectory.to_csv(run_sub / "trajectory.csv")
-            trajectories[label] = result.trajectory
-            row.update(
-                status="ok",
-                final_train_loss=result.trajectory.final_train_loss,
-                final_val_loss=result.trajectory.final_val_loss,
-            )
-            rows.append(row)
+    tasks = [(int(seed), rank, is_baseline)
+             for seed in config["seeds"] for rank, is_baseline in variants]
+    rows = []
+    trajectories = {}
+    for row, traj in _map_cells(_bottleneck_cell, (config, counts, val_counts), tasks):
+        rows.append(row)
+        if traj is None:
+            continue
+        label = f"{'full' if row['baseline'] else 'rank' + str(row['rank'])}_seed{row['seed']}"
+        run_sub = run_dir / "runs" / label
+        run_sub.mkdir(parents=True, exist_ok=True)
+        traj.to_csv(run_sub / "trajectory.csv")
+        trajectories[label] = traj
 
     with open(run_dir / "bottleneck.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

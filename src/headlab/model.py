@@ -42,6 +42,11 @@ class TrainingDivergedError(RuntimeError):
         self.loss_value = loss_value
         self.max_abs_logit = max_abs_logit
 
+    def __reduce__(self):
+        # rebuilt from its fields: a sweep worker's error must unpickle in the
+        # parent, or the pool's result thread dies and the sweep hangs
+        return type(self), (self.step, self.loss_value, self.max_abs_logit)
+
 
 class CheckpointError(RuntimeError):
     """A checkpoint file has a bad magic string, dimensions, or payload size."""

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from headlab import cli
 from headlab import corpus as corpus_mod
 from headlab import verify as vf
-from headlab.model import TrainConfig, TrainingDivergedError
+from headlab.model import TrainConfig, TrainingDivergedError, load_checkpoint
 
 
 def run(args):
@@ -262,7 +264,8 @@ TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 class TestTrainConfigKeys:
     @pytest.fixture()
     def seen(self, monkeypatch):
-        """Every TrainConfig that reaches `train`; training itself is skipped."""
+        """Every TrainConfig that reaches `train`; training itself is skipped.
+        The spy appends in this process, so the sweep cells run serially."""
         configs = []
 
         def spy(data, tc, **kwargs):
@@ -270,6 +273,7 @@ class TestTrainConfigKeys:
             raise TrainingDivergedError(0, float("nan"), float("nan"))
 
         monkeypatch.setattr(cli, "train", spy)
+        monkeypatch.setattr(cli, "_pool_workers", lambda: 1)
         return configs
 
     @pytest.mark.parametrize("kind, size_args", [
@@ -316,6 +320,124 @@ class TestTrainConfigKeys:
         tc = seen[0]
         assert (tc.steps, tc.lr, tc.update_h) == (12, 1.0, False)
         assert type(tc.steps) is int and type(tc.lr) is float
+
+
+    @pytest.mark.parametrize("value", ["False", "2", "1.0", '"true"'])
+    def test_bool_field_refuses_other_values(self, value, tmp_path, capsys):
+        args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "4",
+                "--corpus.seq_len", "5", "--steps", "3", "--update_h", value]
+        assert run(args) == cli.EXIT_USAGE
+        assert "update_h" in capsys.readouterr().err
+
+    def test_json_false_keeps_the_rows_fixed(self, tmp_path):
+        args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "4",
+                "--corpus.seq_len", "5", "--steps", "3", "--update_h", "false",
+                "--snapshot_steps", "[0]"]
+        assert run(args) == 0
+        start = load_checkpoint(tmp_path / "train" / "checkpoint_step0.bin")
+        end = load_checkpoint(tmp_path / "train" / "checkpoint.bin")
+        assert np.array_equal(start.h, end.h)
+        assert not np.array_equal(start.head.w, end.head.w)
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _cell_with_pid(shared, i):
+    return shared * i, os.getpid()
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The worker count of every fork pool created; the pools still run."""
+    ctx = multiprocessing.get_context("fork")
+    made = []
+    real = ctx.Pool
+
+    def spy(processes, *args, **kwargs):
+        made.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(ctx, "Pool", spy)
+    return made
+
+
+class TestSweepPool:
+    SPAM_GRID = [
+        "--vocab_sizes", "[8]", "--lrs", "[1e7,0.02]", "--seeds", "[0,1]", "--width", "4",
+        "--steps", "60", "--seq_len", "12", "--eval_every", "30", "--warmup_steps", "0",
+        "--schedule", "constant", "--optimizer", "gd",
+    ]
+    BOTTLENECK_GRID = [
+        "[0,1]" if arg == "[0]" else arg for arg in TINY_BOTTLENECK
+    ]
+
+    @pytest.mark.parametrize("kind, args, cells", [
+        ("spamlang-sweep", SPAM_GRID, 4),
+        ("bottleneck-sweep", BOTTLENECK_GRID, 6),
+    ])
+    def test_one_and_two_workers_write_identical_files(
+        self, kind, args, cells, pools, monkeypatch, tmp_path
+    ):
+        trees = []
+        for limit in (1, 2):
+            monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+            out = tmp_path / f"workers{limit}"
+            assert run([kind, "--out", str(out)] + args) == 0
+            trees.append(_tree(out))
+        assert pools == [2]
+        assert trees[0] == trees[1]
+        names = {path.name for path in trees[0]}
+        assert {"summary.json", "config.json"} <= names
+        assert any(n.endswith(".svg") for n in names) and any(n.endswith(".csv") for n in names)
+        summary = json.loads(next(b for p, b in trees[0].items() if p.name == "summary.json"))
+        assert summary.get("num_cells", summary.get("num_runs")) == cells
+        if kind == "spamlang-sweep":
+            assert summary["num_diverged"] == 2
+
+    @pytest.mark.parametrize("cpus, env, workers", [
+        (2, {}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+        (3, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+    ])
+    def test_pool_workers_leave_room_for_blas_threads(self, cpus, env, workers, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for var in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert cli._pool_workers() == workers
+
+    @pytest.mark.parametrize("tasks, limit, workers", [
+        (1, 4, None), (3, 1, None), (0, 2, None), (3, 2, 2), (2, 8, 2), (5, 3, 3),
+    ])
+    def test_worker_count(self, tasks, limit, workers, pools, monkeypatch):
+        monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+        results = cli._map_cells(_cell_with_pid, 10, [(i,) for i in range(tasks)])
+        assert [value for value, _ in results] == [10 * i for i in range(tasks)]
+        pids = {pid for _, pid in results}
+        if workers is None:
+            assert pools == [] and pids <= {os.getpid()}
+        else:
+            assert pools == [workers] and os.getpid() not in pids
+
+    @pytest.mark.parametrize("limit, made", [(1, []), (2, [2])])
+    def test_cell_error_exits_usage(self, limit, made, pools, monkeypatch, tmp_path, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("a cell failed on purpose")
+
+        monkeypatch.setattr(cli, "train", broken)
+        monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+        code = run(["bottleneck-sweep", "--out", str(tmp_path)] + TINY_BOTTLENECK)
+        assert code == cli.EXIT_USAGE
+        assert pools == made
+        assert "a cell failed on purpose" in capsys.readouterr().err
 
 
 class TestSpamlangSweep:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -259,6 +260,9 @@ class TestTrain:
             md.train(counts, cfg)
         assert exc.value.step >= 0
         assert not np.isfinite(exc.value.loss_value) or exc.value.max_abs_logit > 0
+        # it crosses a sweep worker's process boundary intact
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert (type(back), str(back), back.step) == (type(exc.value), str(exc.value), exc.value.step)
 
     def test_snapshots_and_cosine_schedule(self):
         rng = np.random.default_rng(17)

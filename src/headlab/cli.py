@@ -608,7 +608,8 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
     with open(run_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["vocab_size", "lr", "seed", "status", "final_loss", "top1_weighted", "entropy_floor"]
+            ["vocab_size", "lr", "seed", "status", "final_loss", "top1_weighted", "entropy_floor",
+             "diverged_step"]
         )
         for cell in cells:
             writer.writerow(
@@ -620,6 +621,7 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
                     repr(cell["final_loss"]),
                     repr(cell["top1_weighted"]),
                     repr(cell["entropy_floor"]),
+                    cell.get("diverged_step", ""),
                 ]
             )
 
@@ -766,7 +768,8 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     with open(run_dir / "bottleneck.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["rank", "head", "seed", "baseline", "status", "final_train_loss", "final_val_loss"]
+            ["rank", "head", "seed", "baseline", "status", "final_train_loss", "final_val_loss",
+             "diverged_step"]
         )
         for row in rows:
             writer.writerow(
@@ -778,6 +781,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
                     row["status"],
                     repr(row["final_train_loss"]),
                     repr(row["final_val_loss"]),
+                    row.get("diverged_step", ""),
                 ]
             )
 

@@ -4,7 +4,8 @@ A corpus is a list of token-id sequences over a vocabulary of size V.
 Counting walks every position of every sequence: the context key is the
 preceding prefix truncated to its last `max_context_len` tokens (the first
 position has the empty context), and the observed next token increments the
-corresponding cell of a dense C x V count matrix.
+corresponding cell of a C x V count matrix. Almost every cell is zero, so the
+matrix is stored as its sorted nonzero (row, column, count) triplets.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from functools import cached_property
 
 import numpy as np
 
-# Dense count matrices only; refuse corpora whose C x V float64 matrix would
-# exceed this many bytes.
+# Counts are stored sparsely, but `diagnose` and the dense reference paths
+# form C x V float64 matrices: refuse corpora where one would exceed this
+# many bytes.
 MAX_DENSE_BYTES = 2 * 1024**3
 DEFAULT_CONTEXT_LEN = 16
 
 
 class ContextOverflowError(RuntimeError):
-    """A corpus's dense C x V count matrix would exceed the byte limit."""
+    """A corpus's C x V float64 matrix would exceed the byte limit."""
 
 
 class CorpusFormatError(ValueError):
@@ -82,16 +84,22 @@ class ContextTable:
 
 @dataclass
 class CountMatrix:
-    """Next-token counts N, their row-normalized form, and context weights.
+    """Next-token counts N of C contexts over V tokens, as nonzero triplets.
 
-    `weights[i]` is the fraction of all counted tokens that occurred in
-    context i. For a matrix restricted to a subset of contexts (a batch),
-    `row_ids` records the rows' identities in the full table.
+    `rows`, `cols` and `n` list the nonzero cells in row-major order;
+    `row_sums[i]` is the count of context i, which is always positive, and
+    `weights[i] = row_sums[i] / total` the fraction of all counted tokens
+    that occurred in it. For a matrix restricted to a subset of contexts (a
+    batch), `row_ids` records the rows' identities in the full table.
+    `to_dense` rebuilds the C x V matrix for readers that need every cell.
     """
 
-    counts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    n: np.ndarray
+    row_sums: np.ndarray
+    vocab_size: int
     total: int
-    normalized: np.ndarray
     weights: np.ndarray
     row_ids: np.ndarray | None = None
 
@@ -112,26 +120,35 @@ class CountMatrix:
         if np.any(row_sums <= 0):
             raise ValueError("every context row must have a positive count sum")
         total = int(counts.sum())
-        normalized = counts / row_sums[:, None]
-        weights = row_sums / total
         if row_ids is not None:
             row_ids = np.asarray(row_ids, dtype=np.int64)
             if row_ids.shape != (counts.shape[0],):
                 raise ValueError("row_ids length must match the number of rows")
-        return cls(counts, total, normalized, weights, row_ids)
+        rows, cols = np.nonzero(counts)
+        return cls(rows, cols, counts[rows, cols], row_sums, counts.shape[1], total,
+                   row_sums / total, row_ids)
 
     @property
     def num_contexts(self) -> int:
-        return self.counts.shape[0]
+        return self.row_sums.shape[0]
 
     @property
-    def vocab_size(self) -> int:
-        return self.counts.shape[1]
+    def shape(self) -> tuple:
+        return (self.num_contexts, self.vocab_size)
 
     @cached_property
-    def nonzero(self):
-        """(rows, cols) of the nonzero counts in row-major order, found once."""
-        return np.nonzero(self.counts)
+    def targets(self) -> np.ndarray:
+        """Per-row argmax of the counts, ties toward the lowest token id."""
+        order = np.lexsort((self.cols, -self.n, self.rows))
+        return self.cols[order[np.searchsorted(self.rows, np.arange(self.num_contexts))]]
+
+    def to_dense(self, normalized: bool = False) -> np.ndarray:
+        """The C x V count matrix, or with `normalized` every count divided by
+        its row sum (the empirical next-token distributions)."""
+        out = np.zeros((self.num_contexts, self.vocab_size),
+                       dtype=np.float64 if normalized else np.int64)
+        out[self.rows, self.cols] = self.n / self.row_sums[self.rows] if normalized else self.n
+        return out
 
 
 def gen_spamlang(vocab_size: int, num_seqs: int, seq_len: int, seed: int) -> Corpus:
@@ -216,17 +233,10 @@ def _count_matrix(rows, tokens, vocab_size: int, keep_row_ids: bool = True) -> C
     if row_ids.size * vocab_size * 8 > MAX_DENSE_BYTES:
         raise ContextOverflowError(f"{row_ids.size} contexts x {vocab_size} tokens exceed "
                                    f"{MAX_DENSE_BYTES} bytes as a dense float64 matrix")
-    # write only the nonzero cells: a batch's rows are almost all zeros, and
-    # untouched zero pages cost neither time nor resident memory
-    cells, cell_counts = np.unique(local * vocab_size + tokens, return_counts=True)
+    cells, n = np.unique(local * vocab_size + tokens, return_counts=True)
     row_sums = np.bincount(local)
-    n = np.zeros((row_ids.size, vocab_size), dtype=np.int64)
-    n.ravel()[cells] = cell_counts
-    normalized = np.zeros(n.shape)
-    normalized.ravel()[cells] = cell_counts / row_sums[cells // vocab_size]
-    return CountMatrix(
-        n, tokens.size, normalized, row_sums / tokens.size, row_ids if keep_row_ids else None
-    )
+    return CountMatrix(cells // vocab_size, cells % vocab_size, n, row_sums, vocab_size,
+                       tokens.size, row_sums / tokens.size, row_ids if keep_row_ids else None)
 
 
 def build_counts(corpus: Corpus, max_context_len: int = DEFAULT_CONTEXT_LEN):
@@ -302,17 +312,17 @@ def counts_for_table(
 
 def row_entropies(counts: CountMatrix) -> np.ndarray:
     """Per-context next-token entropy (nats) of the normalized rows."""
-    rows, cols = counts.nonzero
-    p = counts.normalized[rows, cols]
-    h = np.bincount(rows, weights=p * np.log(p), minlength=counts.num_contexts)
+    rows = counts.rows
+    p = counts.n / counts.row_sums[rows]
+    plogp = p * np.log(p)
+    h = np.bincount(rows, weights=plogp, minlength=counts.num_contexts)
     # a sum of one or two terms rounds the same in any order; rows with more
-    # are summed densely, so every row keeps numpy's pairwise rounding of
-    # the dense formula (entropies such as log 4 sit exactly on bin edges)
+    # are summed as dense rows, so every row keeps numpy's pairwise rounding
+    # of the dense formula (entropies such as log 4 sit exactly on bin edges)
     multi = np.flatnonzero(np.bincount(rows, minlength=counts.num_contexts) > 2)
-    p = counts.normalized[multi]
-    nz = p > 0
-    contrib = np.zeros_like(p)
-    contrib[nz] = p[nz] * np.log(p[nz])
+    sel = np.isin(rows, multi)
+    contrib = np.zeros((multi.size, counts.vocab_size))
+    contrib[np.searchsorted(multi, rows[sel]), counts.cols[sel]] = plogp[sel]
     h[multi] = contrib.sum(axis=1)
     np.negative(h, out=h)
     # rounding can leave -0.0 or tiny negatives on one-hot rows

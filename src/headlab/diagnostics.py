@@ -41,9 +41,7 @@ class RankCurve:
 
 def token_occurrences(counts: CountMatrix):
     """All counted (context row, next token) occurrences, with multiplicity."""
-    rows, cols = np.nonzero(counts.counts)
-    reps = counts.counts[rows, cols]
-    return np.repeat(rows, reps), np.repeat(cols, reps)
+    return np.repeat(counts.rows, counts.n), np.repeat(counts.cols, counts.n)
 
 
 def per_token_gradient_matrix(p: np.ndarray, occ_rows, occ_cols) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, ContextTable, CountMatrix, batch_counts
-from .linalg import as_matrix, softmax_rows
+from .linalg import as_matrix
 
 CHECKPOINT_MAGIC = b"MLMCKPT1"
 
@@ -25,9 +25,11 @@ CHECKPOINT_MAGIC = b"MLMCKPT1"
 # must be made interior before taking logs.
 INTERIOR_SMOOTHING = 1e-6
 
-# Size of one row block of logits in the evaluation pass (`loss`, trajectory
-# points); the block row count follows from the vocabulary size.
-EVAL_BLOCK_BYTES = 8 * 1024**2
+# Bytes of logits in one row block of `_row_block_pass`, the one kernel behind
+# every pass over the logits (loss, top-1, gradients). A fixed constant, so
+# the block row count follows from V alone: blocked sums round differently
+# for another block size, and reruns stay bit-identical on any machine.
+BLOCK_BYTES = 512 * 1024
 
 
 class TrainingDivergedError(RuntimeError):
@@ -274,16 +276,15 @@ def logits(params: ModelParams) -> np.ndarray:
 
 
 def probs_and_loss(counts: CountMatrix, logit_matrix: np.ndarray):
-    """Softmax probabilities and the count-weighted cross-entropy, in one pass.
+    """Softmax probabilities and the count-weighted cross-entropy, in one
+    dense pass: the reference `_row_block_pass` is tested against.
 
     Cells with a zero count contribute exactly zero regardless of the logit
     value, so the loss equals the per-token average negative log-likelihood.
     """
     lm = np.asarray(logit_matrix, dtype=np.float64)
-    if lm.shape != counts.counts.shape:
-        raise ValueError(
-            f"logit shape {lm.shape} does not match counts shape {counts.counts.shape}"
-        )
+    if lm.shape != counts.shape:
+        raise ValueError(f"logit shape {lm.shape} does not match counts shape {counts.shape}")
     # non-finite logits are allowed to flow through: the caller inspects the
     # returned loss for divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -292,7 +293,7 @@ def probs_and_loss(counts: CountMatrix, logit_matrix: np.ndarray):
         z = e.sum(axis=1, keepdims=True)
         p = e / z
         logp = shifted - np.log(z)
-        loss_value = -float((counts.counts * logp).sum()) / counts.total
+        loss_value = -float((counts.to_dense() * logp).sum()) / counts.total
     return p, loss_value
 
 
@@ -300,135 +301,131 @@ def loss_from_logits(counts: CountMatrix, logit_matrix: np.ndarray) -> float:
     """The loss of `probs_and_loss`, summed over the nonzero counts only and
     without forming the probabilities."""
     lm = np.array(logit_matrix, dtype=np.float64)
-    if lm.shape != counts.counts.shape:
-        raise ValueError(
-            f"logit shape {lm.shape} does not match counts shape {counts.counts.shape}"
-        )
-    i, j = counts.nonzero
-    return -_nonzero_logp_sum(lm, i, j, counts.counts[i, j])[0] / counts.total
+    if lm.shape != counts.shape:
+        raise ValueError(f"logit shape {lm.shape} does not match counts shape {counts.shape}")
+    cells = counts.rows * counts.vocab_size + counts.cols
+    return -_softmax_block(lm, cells, counts.rows, counts.n)[2] / counts.total
 
 
 def loss(counts: CountMatrix, params: ModelParams) -> float:
-    return _blocked_eval(counts, params)[0]
+    return -_row_block_pass(counts, params.h, params.head)[0] / counts.total
 
 
-def _blocked_eval(counts: CountMatrix, params: ModelParams, with_top1: bool = False):
-    """Loss, and optionally top-1 accuracy, over row blocks of the logits.
+def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, want: str = "loss"):
+    """One pass over row blocks of the logits of the counted rows.
 
-    Each block holds about EVAL_BLOCK_BYTES of logits, so no C x V temporary
-    is formed. Per block the loss takes n_ij * log p_ij over the nonzero
-    counts only, with log p computed as in `probs_and_loss`; the top-1 argmax
-    runs over the same normalized probabilities as `_top1_from_probs`, so
-    ties break identically. Returns (loss, Top1Accuracy or None).
+    `h` holds every context row; with `counts.row_ids` the counted rows are
+    gathered from it block by block. Each block holds about BLOCK_BYTES of
+    logits h_b W^T, turned in place into exp(logits - row max) with row
+    normalizers z by `_softmax_block`. `want` selects what is read off it:
+    - "loss": the sum of n log p over the block's triplets;
+    - "top1": the same sum, and the argmax of e / z (the probabilities of
+      `softmax_rows`, so ties break the same) against `counts.targets`;
+    - "grad": g_b = e * (w / z) with n / N subtracted at the triplets, from
+      which gh_b = g_b W and the V x D sum of g_b^T h_b (gW, or the effective
+      head gradient behind gA and gB) are accumulated. No C x V gradient is
+      formed.
+    Returns (sum of n log p or None, max |row max|, top-1 matches or None,
+    Gradients or None). A row's normalizer is non-finite exactly when its
+    max is, so a non-finite max |row max| signals divergence, and then equals
+    max |logit|.
     """
-    c, v = counts.counts.shape
-    if (counts.row_ids is None and params.num_contexts != c) or params.vocab_size != v:
+    c, v = counts.shape
+    if (counts.row_ids is None and h.shape[0] != c) or head.vocab_size != v:
         raise ValueError(
-            f"model shape ({params.num_contexts}, {params.vocab_size}) does not match "
-            f"counts shape {counts.counts.shape}"
+            f"model shape ({h.shape[0]}, {head.vocab_size}) does not match counts shape {counts.shape}"
         )
-    block = max(1, EVAL_BLOCK_BYTES // (8 * v))
-    nz_rows, nz_cols = counts.nonzero
-    nz_bounds = np.searchsorted(nz_rows, np.arange(0, c + block, block))
-    logp_sum = 0.0
-    match = np.empty(c, dtype=bool) if with_top1 else None
-    for b, lo in enumerate(range(0, c, block)):
-        rows = slice(lo, lo + block)
-        h = params.h[rows] if counts.row_ids is None else params.h[counts.row_ids[rows]]
-        nz = slice(nz_bounds[b], nz_bounds[b + 1])
-        i, j = nz_rows[nz], nz_cols[nz]
-        lm = _effective_logits(h, params.head)
-        block_sum, z = _nonzero_logp_sum(lm, i - lo, j, counts.counts[i, j])
-        logp_sum += block_sum
-        if with_top1:
-            with np.errstate(over="ignore", invalid="ignore"):
+    block = max(1, BLOCK_BYTES // (8 * v))
+    starts = range(0, c, block)
+    bounds = np.searchsorted(counts.rows, [*starts, c])
+    cells = counts.rows * v + counts.cols
+    grad = want == "grad"
+    logp_sum = None if grad else 0.0
+    max_abs = 0.0
+    match = np.empty(c, dtype=bool) if want == "top1" else None
+    if grad:
+        factored = isinstance(head, FactoredHead)
+        q = counts.n / counts.total
+        gh = np.empty((c, h.shape[1]))
+        gw = np.zeros((v, h.shape[1]))
+    # a diverged pass lets non-finite values flow through; the caller reads max_abs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, nz_lo, nz_hi in zip(starts, bounds[:-1], bounds[1:]):
+            rows, nz = slice(lo, lo + block), slice(nz_lo, nz_hi)
+            h_b = h[rows] if counts.row_ids is None else h[counts.row_ids[rows]]
+            lm = _effective_logits(h_b, head)
+            if grad:
+                z, row_max, _ = _softmax_block(lm)
+                lm *= counts.weights[rows, None] / z
+                lm.reshape(-1)[cells[nz] - lo * v] -= q[nz]
+                gh[rows] = (lm @ head.a) @ head.b if factored else lm @ head.w
+                gw += lm.T @ h_b
+            else:
+                z, row_max, block_sum = _softmax_block(
+                    lm, cells[nz] - lo * v, counts.rows[nz] - lo, counts.n[nz]
+                )
+                logp_sum += block_sum
+            if match is not None:
                 lm /= z
-            match[rows] = lm.argmax(axis=1) == counts.normalized[rows].argmax(axis=1)
-    top1 = _top1_from_match(counts, match) if with_top1 else None
-    return -logp_sum / counts.total, top1
+                match[rows] = lm.argmax(axis=1) == counts.targets[rows]
+            max_abs = np.maximum(max_abs, np.abs(row_max).max())
+    grads = None
+    if grad:
+        grads = (Gradients(h=gh, a=gw @ head.b.T, b=head.a.T @ gw) if factored
+                 else Gradients(h=gh, w=gw))
+    return logp_sum, float(max_abs), match, grads
 
 
-def _nonzero_logp_sum(lm: np.ndarray, i, j, n):
-    """Sum of n * log softmax(lm)[i, j] over the given cells, with log p
-    computed as in `probs_and_loss`. Overwrites `lm` with exp(lm - row max)
-    and returns (sum, row normalizers z as a column)."""
+def _softmax_block(lm: np.ndarray, cells=None, i=None, n=None):
+    """Overwrite the C-ordered logits `lm` with exp(lm - row max).
+
+    Returns the row normalizers z and the row maxima (as columns) and, given
+    the flat indices `cells` of some cells, their rows `i` and counts `n`,
+    the sum of n * log softmax(lm) over those cells, with log p computed as
+    in `probs_and_loss` (else None).
+    """
     # non-finite logits flow through to a non-finite sum, as in probs_and_loss
     with np.errstate(over="ignore", invalid="ignore"):
-        lm -= lm.max(axis=1, keepdims=True)
-        shifted = lm[i, j]
+        row_max = lm.max(axis=1, keepdims=True)
+        lm -= row_max
+        shifted = None if n is None else lm.reshape(-1)[cells]
         np.exp(lm, out=lm)
         z = lm.sum(axis=1, keepdims=True)
-        logp = shifted - np.log(z[i, 0])
-        return float((n * logp).sum()), z
+        if n is None:
+            return z, row_max, None
+        logp = shifted - np.log(z[:, 0])[i]
+        return z, row_max, float((n * logp).sum())
 
 
 def entropy_floor(counts: CountMatrix) -> float:
     """Weighted entropy of the empirical rows: the unconstrained loss optimum."""
-    n = counts.counts
-    nz = n > 0
-    val = float((n[nz] * np.log(counts.normalized[nz])).sum())
+    n = counts.n
+    val = float((n * np.log(n / counts.row_sums[counts.rows])).sum())
     return -val / counts.total
 
 
 def smoothed_log_target(counts: CountMatrix, delta: float = INTERIOR_SMOOTHING) -> np.ndarray:
     """Log of the normalized rows mixed with uniform: a finite logit target."""
     v = counts.vocab_size
-    return np.log((1.0 - delta) * counts.normalized + delta / v)
+    return np.log((1.0 - delta) * counts.to_dense(normalized=True) + delta / v)
 
 
 def logit_gradient(counts: CountMatrix, p: np.ndarray) -> np.ndarray:
-    """Loss gradient with respect to the logits, given probabilities `p`.
+    """Loss gradient with respect to the logits, given probabilities `p`: the
+    dense reference of `_row_block_pass`'s gradient.
 
     Rows are weighted by the context weights; every row sums to zero because
     both `p` and the normalized counts are row-stochastic.
     """
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != counts.counts.shape:
+    if p.shape != counts.shape:
         raise ValueError("probability shape does not match counts shape")
-    return counts.weights[:, None] * (p - counts.normalized)
-
-
-def _grads_from_logit_gradient(h: np.ndarray, head, g: np.ndarray) -> Gradients:
-    if isinstance(head, FactoredHead):
-        gh = (g @ head.a) @ head.b
-        gw_eff = g.T @ h  # (V, D)
-        ga = gw_eff @ head.b.T
-        gb = head.a.T @ gw_eff
-        return Gradients(h=gh, a=ga, b=gb)
-    gh = g @ head.w
-    gw = g.T @ h
-    return Gradients(h=gh, w=gw)
+    return counts.weights[:, None] * (p - counts.to_dense(normalized=True))
 
 
 def param_gradients(counts: CountMatrix, params: ModelParams) -> Gradients:
     """Exact analytic gradients for the representations and the head."""
-    p, _ = probs_and_loss(counts, _logits_for_counts(counts, params))
-    g = logit_gradient(counts, p)
-    return _grads_from_logit_gradient(params.h, params.head, g)
-
-
-def _logits_for_counts(counts: CountMatrix, params: ModelParams) -> np.ndarray:
-    """Logits for the rows the counts refer to (all rows, or a batch subset)."""
-    if counts.row_ids is None:
-        return logits(params)
-    return _effective_logits(params.h[counts.row_ids], params.head)
-
-
-def _fused_logit_gradient(counts: CountMatrix, h: np.ndarray, head):
-    """In-place softmax pass producing the logit gradient, or None on a
-    non-finite normalizer (the divergence signal). Arithmetic is identical to
-    the logit_gradient(softmax(logits)) composition."""
-    lm = _effective_logits(h, head)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lm -= lm.max(axis=1, keepdims=True)
-        np.exp(lm, out=lm)
-        z = lm.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(z)):
-            return None
-        lm /= z
-        lm -= counts.normalized
-        lm *= counts.weights[:, None]
-    return lm
+    return _row_block_pass(counts, params.h, params.head, "grad")[3]
 
 
 def _head_matrix_step(params: ModelParams, grads: Gradients) -> np.ndarray:
@@ -501,10 +498,6 @@ class Top1Accuracy(tuple):
         return self[1]
 
 
-def _top1_from_probs(counts: CountMatrix, p: np.ndarray) -> Top1Accuracy:
-    return _top1_from_match(counts, p.argmax(axis=1) == counts.normalized.argmax(axis=1))
-
-
 def _top1_from_match(counts: CountMatrix, match: np.ndarray) -> Top1Accuracy:
     weighted = float(min((counts.weights * match).sum(), 1.0))
     unweighted = float(match.mean())
@@ -516,8 +509,7 @@ def top1_accuracy(counts: CountMatrix, params: ModelParams) -> Top1Accuracy:
 
     Ties break toward the lowest token id on both sides.
     """
-    p = softmax_rows(_logits_for_counts(counts, params))
-    return _top1_from_probs(counts, p)
+    return _top1_from_match(counts, _row_block_pass(counts, params.h, params.head, "top1")[2])
 
 
 def _lr_at(config: TrainConfig, step: int) -> float:
@@ -614,12 +606,15 @@ def _eval_point(
     params: ModelParams,
     val_counts: CountMatrix | None,
 ) -> TrajectoryPoint:
-    train_loss, top1 = _blocked_eval(counts, params, with_top1=True)
+    logp_sum, _, match, _ = _row_block_pass(counts, params.h, params.head, "top1")
     val_loss = None
     if val_counts is not None:
         val_loss = loss(val_counts, params)
     return TrajectoryPoint(
-        step=step, train_loss=train_loss, val_loss=val_loss, top1_acc=top1.weighted
+        step=step,
+        train_loss=-logp_sum / counts.total,
+        val_loss=val_loss,
+        top1_acc=_top1_from_match(counts, match).weighted,
     )
 
 
@@ -680,7 +675,6 @@ def train(
     for step in range(config.steps):
         if config.batch_sequences is None:
             step_counts = counts
-            h_rows = None
         else:
             k = min(config.batch_sequences, num_seqs)
             if epoch_order is None or epoch_pos + k > num_seqs:
@@ -691,18 +685,12 @@ def train(
             step_counts = batch_counts(
                 dataset.corpus, dataset.table, batch, dataset.max_context_len
             )
-            h_rows = step_counts.row_ids
 
-        h_active = params.h if h_rows is None else params.h[h_rows]
-        g = _fused_logit_gradient(step_counts, h_active, params.head)
-        if g is None:
-            logit_matrix = _effective_logits(h_active, params.head)
-            _, bad_loss = probs_and_loss(step_counts, logit_matrix)
-            with np.errstate(invalid="ignore"):
-                max_abs = float(np.abs(logit_matrix).max())
-            raise TrainingDivergedError(step, bad_loss, max_abs)
-        grads = _grads_from_logit_gradient(h_active, params.head, g)
-        optimizer.step(params, grads, _lr_at(config, step), h_rows=h_rows)
+        _, max_abs, _, grads = _row_block_pass(step_counts, params.h, params.head, "grad")
+        if not math.isfinite(max_abs):
+            # a gradient pass skips the loss sum; only a diverged step pays for one
+            raise TrainingDivergedError(step, loss(step_counts, params), max_abs)
+        optimizer.step(params, grads, _lr_at(config, step), h_rows=step_counts.row_ids)
 
         done = step + 1
         if done % config.eval_every == 0 or done == config.steps:

@@ -244,11 +244,11 @@ def construct_top1(counts: CountMatrix, epsilon: float) -> ModelParams:
     if v < 2:
         raise ValueError("need a vocabulary of at least 2")
     w = _unit_circle_head(v)
-    targets = counts.normalized.argmax(axis=1)
+    normalized = counts.to_dense(normalized=True)
     h = np.zeros((counts.num_contexts, 2))
     cache: dict = {}
-    for i, k in enumerate(targets):
-        t = float(counts.normalized[i, k])
+    for i, k in enumerate(counts.targets):
+        t = float(normalized[i, k])
         alpha = cache.get(t)
         if alpha is None:
             alpha = _solve_scale(v, t, epsilon)
@@ -285,11 +285,8 @@ def verify_top1_reachability(
         counts = CountMatrix.from_counts(n)
         params = construct_top1(counts, epsilon)
         probs = linalg.softmax_rows(logits(params))
-        targets = counts.normalized.argmax(axis=1)
-        devs = np.abs(
-            probs[np.arange(counts.num_contexts), targets]
-            - counts.normalized[np.arange(counts.num_contexts), targets]
-        )
+        cells = (np.arange(counts.num_contexts), counts.targets)
+        devs = np.abs(probs[cells] - counts.to_dense(normalized=True)[cells])
         margin = epsilon - float(devs.max())
         margins.append(margin)
         details.append(
@@ -346,7 +343,7 @@ def verify_error_rank_floor(
         c = min(64, n_unique + int(rng.integers(0, 9)))
         counts, tokens = _plant_unique_structure(rng, c, v, n_unique)
         p = _interior_stochastic(rng, c, v)
-        diff = p - counts.normalized
+        diff = p - counts.to_dense(normalized=True)
         bound = min(n_unique, v - 1)
         rank_qr = linalg.qr_rank(diff, rank_tol)
         rank_svd = _svd_rank(diff, rank_tol)
@@ -400,12 +397,12 @@ def unique_batch_contexts(counts: CountMatrix, batch: CountMatrix):
     """
     if batch.row_ids is None:
         raise ValueError("batch counts must carry row_ids")
-    batch_support = (batch.counts > 0).sum(axis=1)
-    full_support = (counts.counts[batch.row_ids] > 0).sum(axis=1)
+    batch_support = np.bincount(batch.rows, minlength=batch.num_contexts)
+    full_support = np.bincount(counts.rows, minlength=counts.num_contexts)[batch.row_ids]
     candidate = np.flatnonzero((batch_support == 1) & (full_support >= 2))
     rows, tokens, seen = [], [], set()
     for i in candidate:
-        tok = int(batch.counts[i].argmax())
+        tok = int(batch.targets[i])
         if tok in seen:
             continue
         seen.add(tok)
@@ -458,7 +455,8 @@ def verify_batch_rank_floor(
     if rows.size == 0:
         out["skipped"] = True
         return out
-    cross = counts.normalized[rows][:, tokens]
+    normalized = counts.to_dense(normalized=True)
+    cross = normalized[rows][:, tokens]
     connected = _connected(cross > 0)
     out["connected"] = bool(connected)
     if not connected:
@@ -469,9 +467,10 @@ def verify_batch_rank_floor(
     out["bound"] = int(bound)
     largest_held = None
     batch_full_rows = batch.row_ids
+    batch_normalized = batch.to_dense(normalized=True)
     for delta in deltas:
-        p = (1.0 - delta) * counts.normalized + delta / v
-        diff = p[batch_full_rows] - batch.normalized
+        p = (1.0 - delta) * normalized + delta / v
+        diff = p[batch_full_rows] - batch_normalized
         rank_qr = linalg.qr_rank(diff, rank_tol)
         rank_svd = _svd_rank(diff, rank_tol)
         held = rank_qr >= bound and rank_svd >= bound
@@ -480,7 +479,7 @@ def verify_batch_rank_floor(
             largest_held = delta
         if delta == assert_delta:
             out["held_at_assert_delta"] = bool(held)
-            inf_err = np.abs(p[rows] - counts.normalized[rows]).max()
+            inf_err = np.abs(p[rows] - normalized[rows]).max()
             out["max_inf_error_at_assert"] = float(inf_err)
     out["largest_held_delta"] = largest_held
     return out
@@ -559,7 +558,7 @@ def verify_update_residual_gap(instances: int = 100, seed: int = 0) -> Verificat
         # a violation
         delta_rank = linalg.qr_rank(delta, 1e-8)
         p = linalg.softmax_rows(logits(params))
-        raw = p - counts.normalized
+        raw = p - counts.to_dense(normalized=True)
         weighted = counts.weights[:, None] * raw
         gap_raw = linalg.best_rank_k_residual(raw, 2 * d)
         gap_weighted = linalg.best_rank_k_residual(weighted, 2 * d)

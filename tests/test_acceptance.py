@@ -185,9 +185,10 @@ def test_criterion_04_top1_construction():
     counts = cp.CountMatrix.from_counts(n)
     params = vf.construct_top1(counts, epsilon=1e-3)
     probs = linalg.softmax_rows(md.logits(params))
-    targets = counts.normalized.argmax(axis=1)
+    normalized = counts.to_dense(normalized=True)
+    targets = normalized.argmax(axis=1)
     idx = np.arange(64)
-    corner_dev = float(np.abs(probs[idx, targets] - counts.normalized[idx, targets]).max())
+    corner_dev = float(np.abs(probs[idx, targets] - normalized[idx, targets]).max())
     elapsed = time.monotonic() - started
     report(
         "criterion 4: width-2 top-1 construction at epsilon 1e-3",

@@ -393,8 +393,16 @@ class TestSweepPool:
         assert any(n.endswith(".svg") for n in names) and any(n.endswith(".csv") for n in names)
         summary = json.loads(next(b for p, b in trees[0].items() if p.name == "summary.json"))
         assert summary.get("num_cells", summary.get("num_runs")) == cells
-        if kind == "spamlang-sweep":
-            assert summary["num_diverged"] == 2
+        diverged = 2 if kind == "spamlang-sweep" else 0
+        assert summary["num_diverged"] == diverged
+        # a diverged cell reads back the step it failed at; an ok cell a blank
+        table = "sweep.csv" if kind == "spamlang-sweep" else "bottleneck.csv"
+        rows = list(csv.DictReader(
+            next(b for p, b in trees[0].items() if p.name == table).decode().splitlines()
+        ))
+        steps = [int(row["diverged_step"]) for row in rows if row["status"] == "diverged"]
+        assert len(steps) == diverged and all(0 <= step < 60 for step in steps)
+        assert all(row["diverged_step"] == "" for row in rows if row["status"] == "ok")
 
     @pytest.mark.parametrize("cpus, env, workers", [
         (2, {}, 1),

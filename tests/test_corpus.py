@@ -17,7 +17,8 @@ def brute_force_counts(sequences, vocab_size, max_context_len):
 
 
 def counts_as_dict(table, counts):
-    return {key: counts.counts[i].tolist() for key, i in table.index.items()}
+    n = counts.to_dense()
+    return {key: n[i].tolist() for key, i in table.index.items()}
 
 
 class TestSpamlang:
@@ -91,7 +92,7 @@ class TestBuildCounts:
         c = cp.Corpus(vocab_size=2, sequences=[[0, 1]])
         table, counts = cp.build_counts(c, max_context_len=4)
         assert table.contexts == [(), (0,)]
-        assert counts.counts.tolist() == [[1, 0], [0, 1]]
+        assert counts.to_dense().tolist() == [[1, 0], [0, 1]]
         assert counts.total == 2
 
     def test_spamlang_nonempty_rows_one_hot(self):
@@ -101,7 +102,7 @@ class TestBuildCounts:
         assert counts_as_dict(table, counts) == oracle
         for key, rid in table.index.items():
             if key:
-                row = counts.counts[rid]
+                row = counts.to_dense()[rid]
                 assert (row > 0).sum() == 1
 
     def test_total_is_token_count(self):
@@ -122,13 +123,13 @@ class TestBuildCounts:
     def test_zero_pattern_shared_by_normalized(self):
         c = cp.gen_zipf_bigram(9, 1.3, 15, 10, seed=19)
         _, counts = cp.build_counts(c, 1)
-        assert np.array_equal(counts.counts == 0, counts.normalized == 0)
+        assert np.array_equal(counts.to_dense() == 0, counts.to_dense(normalized=True) == 0)
 
     def test_weights_and_rows_sum_to_one(self):
         c = cp.gen_zipf_bigram(9, 1.3, 15, 10, seed=23)
         _, counts = cp.build_counts(c, 2)
         assert abs(counts.weights.sum() - 1.0) < 1e-12
-        assert np.abs(counts.normalized.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(counts.to_dense(normalized=True).sum(axis=1) - 1.0).max() < 1e-12
 
     def test_sequence_order_insensitive_up_to_row_permutation(self):
         c = cp.gen_zipf_bigram(6, 1.2, 10, 8, seed=29)
@@ -152,7 +153,7 @@ class TestBatchCounts:
         c = cp.gen_zipf_bigram(6, 1.2, 8, 9, seed=31)
         table, full = cp.build_counts(c, 2)
         batch = cp.batch_counts(c, table, range(8), 2)
-        assert np.array_equal(batch.counts, full.counts)
+        assert np.array_equal(batch.to_dense(), full.to_dense())
         assert np.array_equal(batch.row_ids, np.arange(full.num_contexts))
 
     def test_single_spamlang_sequence_rows_one_hot(self):
@@ -160,7 +161,7 @@ class TestBatchCounts:
         table, _ = cp.build_counts(c, 3)
         batch = cp.batch_counts(c, table, [2], 3)
         symbol = int(c.sequences[2][0])
-        for row in batch.counts:
+        for row in batch.to_dense():
             assert row[symbol] == row.sum()
 
     def test_partition_additivity(self):
@@ -168,10 +169,10 @@ class TestBatchCounts:
         table, full = cp.build_counts(c, 2)
         b1 = cp.batch_counts(c, table, range(5), 2)
         b2 = cp.batch_counts(c, table, range(5, 12), 2)
-        merged = np.zeros_like(full.counts)
-        merged[b1.row_ids] += b1.counts
-        merged[b2.row_ids] += b2.counts
-        assert np.array_equal(merged, full.counts)
+        merged = np.zeros_like(full.to_dense())
+        merged[b1.row_ids] += b1.to_dense()
+        merged[b2.row_ids] += b2.to_dense()
+        assert np.array_equal(merged, full.to_dense())
 
     def test_empty_batch_rejected(self):
         c = cp.gen_spamlang(4, 3, 5, seed=1)

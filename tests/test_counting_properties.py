@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from headlab import corpus as cp
 
-PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=150)
 
 
 def reference_index(sequences, max_context_len):
@@ -73,7 +73,7 @@ def test_build_counts_matches_loop(case):
     assert table.index == index
     assert table.keys.shape == (len(index), mcl)
     assert np.array_equal(rows, np.arange(len(index)))
-    assert np.array_equal(counts.counts, n)
+    assert np.array_equal(counts.to_dense(), n)
     assert counts.row_ids is None
 
 
@@ -88,7 +88,7 @@ def test_batch_counts_matches_loop(case):
     rows, n, skipped = reference_counts(chosen, v, mcl, reference_index(seqs, mcl))
     assert skipped == 0
     assert np.array_equal(got.row_ids, rows)
-    assert np.array_equal(got.counts, n)
+    assert np.array_equal(got.to_dense(), n)
 
 
 @PROPERTY_SETTINGS
@@ -105,7 +105,7 @@ def test_counts_for_table_matches_loop(case):
     got, got_skipped = cp.counts_for_table(cp.Corpus(v, held), table, held_mcl)
     assert got_skipped == skipped
     assert np.array_equal(got.row_ids, rows)
-    assert np.array_equal(got.counts, n)
+    assert np.array_equal(got.to_dense(), n)
 
 
 @PROPERTY_SETTINGS
@@ -123,8 +123,9 @@ def test_batch_of_another_corpus_is_refused(case):
 
 def dense_unique_continuations(counts):
     """Single-continuation rows and their tokens, read from the dense counts."""
-    rows = np.flatnonzero((counts.counts > 0).sum(axis=1) == 1)
-    return rows, counts.counts[rows].argmax(axis=1)
+    n = counts.to_dense()
+    rows = np.flatnonzero((n > 0).sum(axis=1) == 1)
+    return rows, n[rows].argmax(axis=1)
 
 
 def assert_stats_csv_matches_dense_path(corpus, mcl, prefix_sizes, tmp_dir):
@@ -167,7 +168,7 @@ def test_generated_corpus_stats_match_dense_path(corpus, tmp_path):
 
 def dense_row_entropies(counts):
     """-sum p log p over each full dense row (the formula `row_entropies` keeps)."""
-    p = counts.normalized
+    p = counts.to_dense(normalized=True)
     contrib = np.zeros_like(p)
     nz = p > 0
     contrib[nz] = p[nz] * np.log(p[nz])

@@ -36,7 +36,7 @@ class TestGradientRankCurve:
         # gradient rows are all ~0 and the measured rank collapses
         corpus = cp.Corpus(3, [[1] * 6] * 4)
         _, counts = cp.build_counts(corpus, 1)
-        h = np.log((1 - 1e-8) * counts.normalized + 1e-8 / 3)
+        h = np.log((1 - 1e-8) * counts.to_dense(normalized=True) + 1e-8 / 3)
         params = md.ModelParams(h, md.FullHead(np.eye(3)))
         curve = dg.gradient_rank_curve(counts, params, [4, 16], seed=0)
         assert all(rank == 0 for _, rank, _ in curve.points)

@@ -1,0 +1,101 @@
+"""Property tests: the row-block softmax kernel behind `loss`, `top1_accuracy`
+and `param_gradients` against the dense oracle
+`logit_gradient(probs_and_loss(...))`, and the memory held by triplet counts."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from headlab import corpus as cp
+from headlab import model as md
+
+PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=200)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(counts, params, block rows): full or factored heads, full-table or
+    batch counts with `row_ids`, and blocks larger than C or not dividing it.
+
+    Parameters are quarter integers, so every logit is exact in any
+    summation order; small counts and duplicated head rows make argmax ties
+    on both sides common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = draw(st.integers(2, 9))
+    d = draw(st.integers(1, 4))
+    c_table = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        row_ids = np.flatnonzero(rng.random(c_table) < 0.6)
+        if row_ids.size == 0:
+            row_ids = np.array([c_table - 1])
+    else:
+        row_ids = None
+    c = c_table if row_ids is None else row_ids.size
+    n = rng.integers(0, 4, size=(c, v))
+    n[n.sum(axis=1) == 0, rng.integers(v)] = 1
+    counts = cp.CountMatrix.from_counts(n, row_ids=row_ids)
+
+    def quarters(*shape):
+        return rng.integers(-4, 5, size=shape) / 4.0
+
+    if draw(st.booleans()):
+        r = draw(st.integers(1, d))
+        head = md.FactoredHead(quarters(v, r), quarters(r, d))
+        rows = head.a
+    else:
+        head = md.FullHead(quarters(v, d))
+        rows = head.w
+    if draw(st.booleans()):
+        rows[1] = rows[0]  # two tokens with equal logits in every row
+    params = md.ModelParams(quarters(c_table, d), head)
+    return counts, params, draw(st.integers(1, c + 2))
+
+
+def dense_oracle(counts, params):
+    """(loss, top-1 matches, Gradients) through C x V matrices."""
+    h = params.h if counts.row_ids is None else params.h[counts.row_ids]
+    p, loss_value = md.probs_and_loss(counts, md.logits(md.ModelParams(h, params.head)))
+    match = p.argmax(axis=1) == counts.to_dense(normalized=True).argmax(axis=1)
+    g = md.logit_gradient(counts, p)
+    head = params.head
+    if isinstance(head, md.FactoredHead):
+        gw_eff = g.T @ h
+        grads = md.Gradients(h=(g @ head.a) @ head.b, a=gw_eff @ head.b.T, b=head.a.T @ gw_eff)
+    else:
+        grads = md.Gradients(h=g @ head.w, w=g.T @ h)
+    return loss_value, match, grads
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_row_block_kernel_matches_dense_oracle(case):
+    counts, params, block_rows = case
+    want_loss, match, want = dense_oracle(counts, params)
+    with mock.patch.object(md, "BLOCK_BYTES", block_rows * 8 * counts.vocab_size):
+        got_loss = md.loss(counts, params)
+        top1 = md.top1_accuracy(counts, params)
+        got = md.param_gradients(counts, params)
+    assert abs(got_loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+    assert top1 == (float(min((counts.weights * match).sum(), 1.0)), float(match.mean()))
+    for name in ("h", "w", "a", "b"):
+        expected = getattr(want, name)
+        if expected is None:
+            assert getattr(got, name) is None
+        else:
+            assert getattr(got, name).shape == expected.shape
+            np.testing.assert_allclose(getattr(got, name), expected, rtol=1e-10, atol=1e-13)
+
+
+def test_counts_hold_no_dense_array():
+    corpus = cp.gen_zipf_bigram(64, 1.0, 64, 32, seed=0)
+    table, full = cp.build_counts(corpus, 16)
+    batch = cp.batch_counts(corpus, table, range(0, 64, 2), 16)
+    for counts in (full, batch):
+        counts.targets  # the cached per-row argmax is held too
+        c, v = counts.shape
+        arrays = [a for a in vars(counts).values() if isinstance(a, np.ndarray)]
+        assert c * v > 20 * (counts.n.size + c)
+        assert all(a.size < c * v for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 8 * (3 * counts.n.size + 4 * c)

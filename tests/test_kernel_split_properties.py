@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from headlab import linalg
 from headlab import model as md
 
-PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=200)
 
 
 @st.composite

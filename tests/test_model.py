@@ -21,13 +21,14 @@ def random_counts(rng, c, v, interior=False):
 def scalar_loss_oracle(counts, logit_matrix):
     """Per-occurrence python-loop reference: average negative log-probability."""
     total = 0.0
-    c, v = counts.counts.shape
+    n = counts.to_dense()
+    c, v = n.shape
     for i in range(c):
         row = logit_matrix[i]
         mx = max(row)
         z = sum(math.exp(x - mx) for x in row)
         for j in range(v):
-            reps = int(counts.counts[i, j])
+            reps = int(n[i, j])
             if reps:
                 total += reps * -(row[j] - mx - math.log(z))
     return total / counts.total
@@ -59,7 +60,7 @@ def matched_params(counts):
     """Width-V parameters whose probabilities equal the normalized counts
     (requires interior counts)."""
     v = counts.vocab_size
-    h = np.log(counts.normalized)
+    h = np.log(counts.to_dense(normalized=True))
     return md.ModelParams(h, md.FullHead(np.eye(v)))
 
 
@@ -119,7 +120,7 @@ class TestLogitGradient:
     def test_matched_probs_give_zero(self):
         rng = np.random.default_rng(4)
         counts = random_counts(rng, 5, 6)
-        g = md.logit_gradient(counts, counts.normalized.copy())
+        g = md.logit_gradient(counts, counts.to_dense(normalized=True).copy())
         assert np.abs(g).max() == 0.0
 
     def test_rows_sum_to_zero(self):
@@ -245,7 +246,7 @@ class TestTrain:
         lr = 0.3
         init = md.init_params(5, 7, 3, seed=11)
         p, _ = md.probs_and_loss(counts, md.logits(init))
-        expected_w = init.head.w - lr * (p - counts.normalized).T @ (
+        expected_w = init.head.w - lr * (p - counts.to_dense(normalized=True)).T @ (
             counts.weights[:, None] * init.h
         )
         cfg = md.TrainConfig(steps=1, lr=lr, width=3, optimizer="gd", eval_every=1, seed=11)
@@ -339,7 +340,7 @@ class TestTop1Accuracy:
 
     def test_reversed_logits_score_zero(self):
         counts = cp.CountMatrix.from_counts(np.array([[5, 3, 2], [1, 6, 3]]))
-        params = md.ModelParams(-np.log(counts.normalized), md.FullHead(np.eye(3)))
+        params = md.ModelParams(-np.log(counts.to_dense(normalized=True)), md.FullHead(np.eye(3)))
         acc = md.top1_accuracy(counts, params)
         assert acc.weighted == 0.0
         assert acc.unweighted == 0.0

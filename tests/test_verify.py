@@ -72,7 +72,7 @@ class TestConstructTop1:
     def test_interior_target_by_direct_evaluation(self):
         # one context whose top token holds 0.9 of the mass, V = 5
         counts = cp.CountMatrix.from_counts(np.array([[90, 4, 3, 2, 1]]))
-        target = counts.normalized[0, 0]
+        target = counts.to_dense(normalized=True)[0, 0]
         params = vf.construct_top1(counts, epsilon=1e-3)
         probs = linalg.softmax_rows(md.logits(params))
         assert abs(probs[0, 0] - target) < 1e-3
@@ -98,7 +98,7 @@ class TestErrorRankFloor:
         counts = cp.CountMatrix.from_counts(n)
         p = rng.uniform(0.05, 1.0, size=(v, v))
         p /= p.sum(axis=1, keepdims=True)
-        assert linalg.qr_rank(p - counts.normalized) >= v - 1
+        assert linalg.qr_rank(p - counts.to_dense(normalized=True)) >= v - 1
 
     def test_single_unique_token(self):
         rng = np.random.default_rng(17)
@@ -106,7 +106,7 @@ class TestErrorRankFloor:
         counts = cp.CountMatrix.from_counts(n)
         p = rng.uniform(0.1, 1.0, size=(2, 3))
         p /= p.sum(axis=1, keepdims=True)
-        assert linalg.qr_rank(p - counts.normalized) >= 1
+        assert linalg.qr_rank(p - counts.to_dense(normalized=True)) >= 1
 
     def test_small_battery_clean_with_positive_submatrix_margin(self):
         res = vf.verify_error_rank_floor(instances=60, seed=19)
@@ -128,8 +128,8 @@ class TestBatchRankFloor:
         assert rows.size == 2
         assert sorted(tokens.tolist()) == [2, 3]
         delta = 1e-3
-        p = (1 - delta) * counts.normalized + delta / 4
-        diff = p[batch.row_ids] - batch.normalized
+        p = (1 - delta) * counts.to_dense(normalized=True) + delta / 4
+        diff = p[batch.row_ids] - batch.to_dense(normalized=True)
         sub = diff[[list(batch.row_ids).index(r) for r in rows]][:, tokens]
         # 2x2 minor is nonsingular by direct determinant
         det = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
@@ -169,8 +169,8 @@ class TestUpdateResidualGap:
         params = md.init_params(v, v, d, rng=rng)
         delta = md.first_order_logit_update(counts, params)
         assert linalg.qr_rank(delta, 1e-8) <= 2 * d
-        p = linalg.softmax_rows(md.logits(params))
-        for residual in (p - counts.normalized, counts.weights[:, None] * (p - counts.normalized)):
+        raw = linalg.softmax_rows(md.logits(params)) - counts.to_dense(normalized=True)
+        for residual in (raw, counts.weights[:, None] * raw):
             gap = linalg.best_rank_k_residual(residual, 2 * d)
             assert gap > 0
             assert np.linalg.norm(delta - residual) > gap

@@ -13,9 +13,10 @@ from headlab import build_counts, gen_zipf_bigram, svg
 from headlab.diagnostics import (
     coefficient_profile,
     compression_report,
+    eckart_young_gap,
     gradient_rank_curve,
 )
-from headlab.model import TrainConfig, train
+from headlab.model import TrainConfig, logit_gradient, logits, probs_and_loss, train
 
 OUT = Path("demos_out")
 OUT.mkdir(exist_ok=True)
@@ -29,13 +30,17 @@ cfg = TrainConfig(
 result = train(counts, cfg)
 params = result.params
 
-report = compression_report(counts, params)
+# the softmax and the logit gradient, formed once for every measurement
+p, _ = probs_and_loss(counts, logits(params))
+g = logit_gradient(counts, p)
+
+report = compression_report(g, params.head)
 print(f"V=512, width=8 model after {cfg.steps} steps")
 print(f"  lost gradient norm fraction : {report.lost_fraction:.4f}")
 print(f"  cosine(row, surviving part) : {report.cosine_mean:.4f} +- {report.cosine_std:.4f}")
-print(f"  best rank-2D residual bound : {report.eckart_young_gap:.6f}")
+print(f"  best rank-2D residual bound : {eckart_young_gap(g, cfg.width):.6f}")
 
-curve = gradient_rank_curve(counts, params, [4, 16, 64, 256, 1024], seed=1)
+curve = gradient_rank_curve(counts, p, [4, 16, 64, 256, 1024], seed=1)
 print("  per-token gradient rank curve:")
 for tokens, rank, max_rank in curve.points:
     print(f"    {tokens:5d} tokens -> rank {rank:4d} (cap {max_rank})")
@@ -52,8 +57,8 @@ svg.line_plot(
     logx=True,
 )
 
-# the report carries the gradient and its part in the kernel it measured
-profile = coefficient_profile(report.g, report.lost)
+# the report carries the gradient's part in the kernel it measured
+profile = coefficient_profile(g, report.lost)
 profile.to_csv(OUT / "coefficient_profile.csv")
 print("  coefficient profile: observed-token mean %.2e (full) vs %.2e (destroyed part)"
       % (profile.full_mean[0], profile.proj_mean[0]))

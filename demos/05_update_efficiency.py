@@ -10,7 +10,7 @@ from pathlib import Path
 
 from headlab import build_counts, gen_zipf_bigram, svg
 from headlab.diagnostics import update_efficiency
-from headlab.model import TrainConfig, train
+from headlab.model import TrainConfig, logit_gradient, logits, probs_and_loss, train
 
 OUT = Path("demos_out")
 OUT.mkdir(exist_ok=True)
@@ -24,7 +24,9 @@ cfg = TrainConfig(
 params = train(counts, cfg).params
 
 alphas = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]
-curve = update_efficiency(counts, params, alphas)
+lm = logits(params)
+p, base_loss = probs_and_loss(counts, lm)
+curve = update_efficiency(counts, lm, base_loss, logit_gradient(counts, p), params.head, alphas)
 print(f"{'alpha':>8} {'logit dir':>12} {'hidden dir':>12} {'ratio':>8}")
 for a, d1, d2 in zip(curve.fractions, curve.delta_logit, curve.delta_hidden):
     ratio = d1 / d2 if d2 < 0 else float("inf")

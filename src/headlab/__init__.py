@@ -33,7 +33,6 @@ from .diagnostics import (
     eckart_young_gap,
     gradient_rank_curve,
     kernel_cosine,
-    lost_norm_fraction,
     update_efficiency,
 )
 from .linalg import (
@@ -58,7 +57,6 @@ from .model import (
     TrainResult,
     Trajectory,
     entropy_floor,
-    exact_logit_update,
     first_order_logit_update,
     init_params,
     load_checkpoint,

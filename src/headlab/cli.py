@@ -47,6 +47,9 @@ from .model import (
     TrainingDivergedError,
     entropy_floor,
     load_checkpoint,
+    logit_gradient,
+    logits,
+    probs_and_loss,
     save_checkpoint,
     top1_accuracy,
     train,
@@ -462,6 +465,26 @@ def run_train(config: dict, run_dir: Path) -> dict:
     return summary
 
 
+def _diagnose_cell(shared, part):
+    """One of diagnose's independent measurements, on the logits, `p` and `g`
+    the parent formed once. Every result is small: the compression cell
+    reduces the gradient's kernel part to its coefficient profile."""
+    config, counts, params, lm, base_loss, p, g = shared
+    if part == "gap":
+        return diagnostics.eckart_young_gap(g, params.width)
+    if part == "rank_curve":
+        sizes = [int(k) for k in config["token_counts"] if int(k) <= counts.total]
+        return diagnostics.gradient_rank_curve(counts, p, sizes, seed=int(config["seed"]))
+    if part == "compression":
+        report = diagnostics.compression_report(g, params.head)
+        profile = diagnostics.coefficient_profile(g, report.lost)
+        report.lost = None
+        return report, profile
+    return diagnostics.update_efficiency(
+        counts, lm, base_loss, g, params.head, config["fractions"]
+    )
+
+
 def run_diagnose(config: dict, run_dir: Path) -> dict:
     if not config["checkpoint"]:
         raise UsageError("diagnose needs a checkpoint path")
@@ -473,10 +496,17 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
             f"checkpoint dimensions (C={params.h.shape[0]}, V={params.vocab_size}) do not "
             f"match the corpus counts (C={counts.num_contexts}, V={counts.vocab_size})"
         )
-    seed = int(config["seed"])
+    lm = logits(params)
+    p, base_loss = probs_and_loss(counts, lm)
+    g = logit_gradient(counts, p)
+    # the exact SVD of the gap is the longest part: first, so that one worker
+    # runs it while the other runs the rest
+    gap, curve, (report, profile), curve_eff = _map_cells(
+        _diagnose_cell,
+        (config, counts, params, lm, base_loss, p, g),
+        [("gap",), ("rank_curve",), ("compression",), ("efficiency",)],
+    )
 
-    sizes = [int(k) for k in config["token_counts"] if int(k) <= counts.total]
-    curve = diagnostics.gradient_rank_curve(counts, params, sizes, seed=seed)
     curve.to_csv(run_dir / "rank_curve.csv")
     svg.line_plot(
         run_dir / "rank_curve.svg",
@@ -490,11 +520,9 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
         logx=True,
     )
 
-    report = diagnostics.compression_report(counts, params)
-    report.to_csv(run_dir / "compression.csv")
+    report.to_csv(run_dir / "compression.csv", gap)
     report.per_row_to_csv(run_dir / "per_row_lost.csv")
 
-    profile = diagnostics.coefficient_profile(report.g, report.lost)
     profile.to_csv(run_dir / "coefficient_profile.csv")
     positions = list(range(1, len(profile.full_mean) + 1))
     svg.line_plot(
@@ -511,7 +539,6 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
         logx=True,
     )
 
-    curve_eff = diagnostics.update_efficiency(counts, params, config["fractions"])
     curve_eff.to_csv(run_dir / "efficiency.csv")
     svg.line_plot(
         run_dir / "efficiency.svg",
@@ -529,7 +556,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
         "lost_fraction": report.lost_fraction,
         "cosine_mean": report.cosine_mean,
         "cosine_std": report.cosine_std,
-        "eckart_young_gap": report.eckart_young_gap,
+        "eckart_young_gap": gap,
         "zero_gradient": report.zero_gradient,
     }
     _write_json(run_dir / "summary.json", summary)

@@ -190,8 +190,9 @@ def gen_zipf_bigram(
         raise ValueError("need num_seqs >= 1 and seq_len >= 1")
     rng = np.random.default_rng(seed)
     trans = zipf_transition_matrix(vocab_size, exponent, rng)
-    cdf = np.cumsum(trans, axis=1)
-    cdf[:, -1] = 1.0
+    # each token is the count of a CDF's entries <= u; the last entry, 1.0,
+    # exceeds every u, so only the body before it is searched
+    body = np.cumsum(trans[:, :-1], axis=1)
     init_cdf = np.cumsum(zipf_weights(vocab_size, exponent))
     init_cdf[-1] = 1.0
 
@@ -199,11 +200,23 @@ def gen_zipf_bigram(
     u = rng.random(num_seqs)
     tokens[:, 0] = np.searchsorted(init_cdf, u, side="right")
     for t in range(1, seq_len):
-        rows = cdf[tokens[:, t - 1]]
-        u = rng.random(num_seqs)
-        tokens[:, t] = (rows <= u[:, None]).sum(axis=1)
-    np.clip(tokens, 0, vocab_size - 1, out=tokens)
+        tokens[:, t] = _count_at_most(body, tokens[:, t - 1], rng.random(num_seqs))
     return Corpus(vocab_size=vocab_size, sequences=list(tokens), seed=seed)
+
+
+def _count_at_most(rows: np.ndarray, which: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each i, how many entries of rows[which[i]] are <= u[i].
+
+    A right bisection run on every i at once; each row of `rows` must be
+    nondecreasing, as a cumulative sum of nonnegative weights is.
+    """
+    lo = np.zeros(len(which), dtype=np.int64)
+    size = rows.shape[1] + 1  # the count lies in [lo, lo + size)
+    while size > 1:
+        half = size // 2
+        lo += half * (rows[which, lo + half - 1] <= u)
+        size -= half
+    return lo
 
 
 def _token_keys(corpus: Corpus, max_context_len: int):

@@ -1,10 +1,12 @@
 """Measurement battery for head-gradient compression.
 
-Every probe is a pure, read-only function over a counted corpus and a model
-snapshot: per-token gradient rank curves, the fraction of the logit-gradient
-norm falling into the kernel of the head, cosine alignment with the retained
-part, sorted coefficient profiles, update-direction efficiency, and the
-unavoidable low-rank residual of the parameter-induced logit update.
+Every probe is a pure, read-only function over a counted corpus and the
+logits, softmax probabilities or logit gradient of a model snapshot, which
+the caller forms once: per-token gradient rank curves, the fraction of the
+logit-gradient norm falling into the kernel of the head, cosine alignment
+with the retained part, sorted coefficient profiles, update-direction
+efficiency, and the unavoidable low-rank residual of the parameter-induced
+logit update.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ import numpy as np
 
 from . import linalg
 from .corpus import CountMatrix
-from .model import (
-    ModelParams,
-    logit_gradient,
-    logits,
-    loss_from_logits,
-    probs_and_loss,
-)
+from .model import loss_from_logits
 
 
 @dataclass
@@ -53,12 +49,13 @@ def per_token_gradient_matrix(p: np.ndarray, occ_rows, occ_cols) -> np.ndarray:
 
 def gradient_rank_curve(
     counts: CountMatrix,
-    params: ModelParams,
+    p,
     token_counts,
     seed: int = 0,
     rank_tol: float = linalg.DEFAULT_RANK_TOL,
 ) -> RankCurve:
-    """Rank of the stacked per-token gradient rows at growing sample sizes.
+    """Rank of the stacked per-token gradient rows at growing sample sizes,
+    given the model's softmax probabilities `p`.
 
     For each requested size a token subset is drawn without replacement from
     all counted occurrences.
@@ -70,7 +67,6 @@ def gradient_rank_curve(
         raise ValueError(
             f"requested {sizes[-1]} tokens but the corpus holds {counts.total}"
         )
-    p, _ = probs_and_loss(counts, logits(params))
     occ_rows, occ_cols = token_occurrences(counts)
     rng = np.random.default_rng(seed)
     curve = RankCurve()
@@ -80,22 +76,6 @@ def gradient_rank_curve(
         rank = linalg.qr_rank(m, rank_tol)
         curve.points.append((k, rank, min(k, counts.vocab_size)))
     return curve
-
-
-def lost_norm_fraction(
-    g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL
-) -> float:
-    """Fraction of ||g||_F that lies in the kernel of the head transpose.
-
-    This is exactly the part of the logit gradient that cannot reach any
-    parameter below the head. Defined as 0 for an all-zero gradient.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    total = np.linalg.norm(g)
-    if total == 0.0:
-        return 0.0
-    _, lost = linalg.kernel_split(g, head.matrix, rank_tol)
-    return float(np.linalg.norm(lost) / total)
 
 
 def kernel_cosine(g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL):
@@ -117,18 +97,17 @@ def kernel_cosine(g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL):
 
 @dataclass
 class CompressionReport:
-    """Kernel-compression figures, with the gradient `g` and its part `lost` in ker(W^T)."""
+    """Kernel-compression figures, with the gradient's part `lost` in ker(W^T)."""
 
     lost_fraction: float
     cosine_mean: float
     cosine_std: float
-    eckart_young_gap: float
     per_row_lost: np.ndarray
     zero_gradient: bool = False
-    g: np.ndarray | None = field(default=None, repr=False)
     lost: np.ndarray | None = field(default=None, repr=False)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, eckart_young_gap: float) -> None:
+        """One row of the figures, with the gradient's `eckart_young_gap`."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -139,7 +118,7 @@ class CompressionReport:
                     repr(self.lost_fraction),
                     repr(self.cosine_mean),
                     repr(self.cosine_std),
-                    repr(self.eckart_young_gap),
+                    repr(eckart_young_gap),
                     int(self.zero_gradient),
                 ]
             )
@@ -153,22 +132,20 @@ class CompressionReport:
 
 
 def compression_report(
-    counts: CountMatrix, params: ModelParams, rank_tol: float = linalg.DEFAULT_RANK_TOL
+    g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL
 ) -> CompressionReport:
-    """Full kernel-compression measurement at the current parameters.
+    """Kernel-compression measurement of the logit gradient `g` under `head`.
 
     The stacked lost fraction follows the Frobenius form; a per-row series is
     included, with zero rows reported as 0 and flagged through
     `zero_gradient` when the whole gradient vanishes. All figures read one
     kernel split of the gradient.
     """
-    p, _ = probs_and_loss(counts, logits(params))
-    g = logit_gradient(counts, p)
+    g = np.asarray(g, dtype=np.float64)
     total = np.linalg.norm(g)
-    gap = linalg.best_rank_k_residual(g, 2 * params.width)
     if total == 0.0:
-        return CompressionReport(0.0, 0.0, 0.0, gap, np.zeros(len(g)), True, g, np.zeros_like(g))
-    kept, lost = linalg.kernel_split(g, params.head.matrix, rank_tol)
+        return CompressionReport(0.0, 0.0, 0.0, np.zeros(len(g)), True, np.zeros_like(g))
+    kept, lost = linalg.kernel_split(g, head.matrix, rank_tol)
     row_norms = np.linalg.norm(g, axis=1)
     nz = row_norms > 0
     per_row = np.zeros(g.shape[0])
@@ -178,9 +155,7 @@ def compression_report(
         lost_fraction=float(np.linalg.norm(lost) / total),
         cosine_mean=float(cos.mean()),
         cosine_std=float(cos.std()),
-        eckart_young_gap=gap,
         per_row_lost=per_row,
-        g=g,
         lost=lost,
     )
 
@@ -249,25 +224,23 @@ class EfficiencyCurve:
 
 
 def update_efficiency(
-    counts: CountMatrix, params: ModelParams, fractions
+    counts: CountMatrix, lm, base_loss: float, g, head, fractions
 ) -> EfficiencyCurve:
-    """Loss change when moving the logits by a norm fraction in two directions.
+    """Loss change when moving the logits `lm` by a norm fraction in two directions.
 
-    Direction one is the (negated, unit-Frobenius) logit gradient; direction
-    two is the logit-space image of a hidden-state gradient step. Both moves
-    spend the same budget alpha * ||logits||_F, and the loss is evaluated
-    directly on the perturbed logits.
+    `base_loss` is the loss at `lm` and `g` its logit gradient. Direction one
+    is the (negated, unit-Frobenius) logit gradient; direction two is the
+    logit-space image of a hidden-state gradient step through `head`. Both
+    moves spend the same budget alpha * ||logits||_F, and the loss is
+    evaluated directly on the perturbed logits.
     """
     fractions = [float(a) for a in fractions]
     if any(a <= 0 or a > 1 for a in fractions):
         raise ValueError("fractions must lie in (0, 1]")
-    lm = logits(params)
-    p, base = probs_and_loss(counts, lm)
-    g = logit_gradient(counts, p)
     gnorm = np.linalg.norm(g)
     if gnorm == 0.0:
         raise ValueError("logit gradient has zero norm")
-    wm = params.head.matrix
+    wm = head.matrix
     hidden_dir = (g @ wm) @ wm.T
     hnorm = np.linalg.norm(hidden_dir)
     if hnorm == 0.0:
@@ -277,8 +250,8 @@ def update_efficiency(
     budget = np.linalg.norm(lm)
     delta1, delta2 = [], []
     for a in fractions:
-        delta1.append(loss_from_logits(counts, lm + a * budget * d1) - base)
-        delta2.append(loss_from_logits(counts, lm + a * budget * d2) - base)
+        delta1.append(loss_from_logits(counts, lm + a * budget * d1) - base_loss)
+        delta2.append(loss_from_logits(counts, lm + a * budget * d2) - base_loss)
     return EfficiencyCurve(fractions, delta1, delta2)
 
 

@@ -458,29 +458,6 @@ def first_order_logit_update(
     return delta
 
 
-def exact_logit_update(
-    counts: CountMatrix,
-    params: ModelParams,
-    lr: float,
-    update_h: bool = True,
-    update_head: bool = True,
-) -> np.ndarray:
-    """(logits(params - lr * grad) - logits(params)) / lr, computed exactly."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    grads = param_gradients(counts, params)
-    stepped = params.copy()
-    if update_h:
-        stepped.h -= lr * grads.h
-    if update_head:
-        if isinstance(stepped.head, FactoredHead):
-            stepped.head.a -= lr * grads.a
-            stepped.head.b -= lr * grads.b
-        else:
-            stepped.head.w -= lr * grads.w
-    return (logits(stepped) - logits(params)) / lr
-
-
 class Top1Accuracy(tuple):
     """(weighted, unweighted) argmax agreement between model and counts."""
 

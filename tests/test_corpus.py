@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from headlab import corpus as cp
+from reference import gen_zipf_bigram_dense
 
 
 def brute_force_counts(sequences, vocab_size, max_context_len):
@@ -85,6 +88,38 @@ class TestZipfBigram:
         expected = np.sort(cp.zipf_weights(9, 1.2))
         for row in table:
             assert np.allclose(np.sort(row), expected)
+
+
+@settings(settings.get_profile("deterministic"), max_examples=150)
+@given(
+    vocab_size=st.integers(2, 300),
+    exponent=st.sampled_from([1e-9, 0.5, 1.0, 1.2, 1.3, 2.0, 8.0]) | st.floats(0.01, 4.0),
+    num_seqs=st.integers(1, 40),
+    seq_len=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(vocab_size=2048, exponent=1.0, num_seqs=64, seq_len=16, seed=0)
+def test_zipf_sampler_matches_dense_comparison(vocab_size, exponent, num_seqs, seq_len, seed):
+    fast = cp.gen_zipf_bigram(vocab_size, exponent, num_seqs, seq_len, seed)
+    dense = gen_zipf_bigram_dense(vocab_size, exponent, num_seqs, seq_len, seed)
+    assert np.array_equal(np.array(fast.sequences), np.array(dense.sequences))
+
+
+@settings(settings.get_profile("deterministic"), max_examples=200)
+@given(
+    width=st.integers(1, 12),
+    num_rows=st.integers(1, 5),
+    draws=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bisection_counts_ties_like_the_dense_comparison(width, num_rows, draws, seed):
+    # small integer rows, so that u often equals an entry, or several
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.integers(0, 6, size=(num_rows, width)), axis=1).astype(np.float64)
+    which = rng.integers(0, num_rows, size=draws)
+    u = rng.integers(-1, 7, size=draws).astype(np.float64)
+    dense = (rows[which] <= u[:, None]).sum(axis=1)
+    assert np.array_equal(cp._count_at_most(rows, which, u), dense)
 
 
 class TestBuildCounts:

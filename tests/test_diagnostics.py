@@ -5,6 +5,12 @@ from headlab import corpus as cp
 from headlab import diagnostics as dg
 from headlab import linalg
 from headlab import model as md
+from reference import logit_state, lost_norm_fraction
+
+
+def efficiency(counts, params, fractions):
+    lm, base_loss, _, g = logit_state(counts, params)
+    return dg.update_efficiency(counts, lm, base_loss, g, params.head, fractions)
 
 
 def svd_rank(m, tol=1e-6):
@@ -28,7 +34,7 @@ class TestGradientRankCurve:
         corpus = cp.gen_zipf_bigram(8, 1.1, 6, 8, seed=1)
         _, counts = cp.build_counts(corpus, 1)
         params = md.init_params(counts.num_contexts, 8, 3, rng=rng)
-        curve = dg.gradient_rank_curve(counts, params, [1], seed=3)
+        curve = dg.gradient_rank_curve(counts, logit_state(counts, params)[2], [1], seed=3)
         assert curve.points == [(1, 1, 1)]
 
     def test_fitted_model_has_vanishing_rank(self):
@@ -38,7 +44,7 @@ class TestGradientRankCurve:
         _, counts = cp.build_counts(corpus, 1)
         h = np.log((1 - 1e-8) * counts.to_dense(normalized=True) + 1e-8 / 3)
         params = md.ModelParams(h, md.FullHead(np.eye(3)))
-        curve = dg.gradient_rank_curve(counts, params, [4, 16], seed=0)
+        curve = dg.gradient_rank_curve(counts, logit_state(counts, params)[2], [4, 16], seed=0)
         assert all(rank == 0 for _, rank, _ in curve.points)
 
     def test_random_model_rank_saturates(self):
@@ -46,8 +52,8 @@ class TestGradientRankCurve:
         _, counts = cp.build_counts(corpus, 1)
         params = md.init_params(counts.num_contexts, 64, 8, seed=9)
         sizes = [8, 32, 64, 256]
-        curve = dg.gradient_rank_curve(counts, params, sizes, seed=11)
-        p, _ = md.probs_and_loss(counts, md.logits(params))
+        p = logit_state(counts, params)[2]
+        curve = dg.gradient_rank_curve(counts, p, sizes, seed=11)
         occ_r, occ_c = dg.token_occurrences(counts)
         rng = np.random.default_rng(11)
         for k, rank, max_rank in curve.points:
@@ -63,8 +69,9 @@ class TestGradientRankCurve:
         corpus = cp.gen_spamlang(4, 2, 5, seed=2)
         _, counts = cp.build_counts(corpus, 1)
         params = md.init_params(counts.num_contexts, 4, 2, seed=1)
+        p = logit_state(counts, params)[2]
         with pytest.raises(ValueError):
-            dg.gradient_rank_curve(counts, params, [counts.total + 1], seed=0)
+            dg.gradient_rank_curve(counts, p, [counts.total + 1], seed=0)
 
 
 class TestLostNormFraction:
@@ -72,24 +79,24 @@ class TestLostNormFraction:
         rng = np.random.default_rng(13)
         head = md.FullHead(rng.normal(size=(6, 6)))
         g = rng.normal(size=(4, 6))
-        assert dg.lost_norm_fraction(g, head) == 0.0
+        assert lost_norm_fraction(g, head) == 0.0
 
     def test_rows_inside_kernel_lose_everything(self):
         rng = np.random.default_rng(14)
         w = rng.normal(size=(10, 3))
         basis = linalg.kernel_basis(w)
         g = rng.normal(size=(5, basis.shape[1])) @ basis.T
-        assert dg.lost_norm_fraction(g, md.FullHead(w)) == pytest.approx(1.0, abs=1e-12)
+        assert lost_norm_fraction(g, md.FullHead(w)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_gradient_defined_as_zero(self):
         head = md.FullHead(np.eye(4))
-        assert dg.lost_norm_fraction(np.zeros((3, 4)), head) == 0.0
+        assert lost_norm_fraction(np.zeros((3, 4)), head) == 0.0
 
     def test_isotropic_split(self):
         rng = np.random.default_rng(15)
         v, d = 256, 8
         fractions = [
-            dg.lost_norm_fraction(rng.standard_normal((64, v)), md.FullHead(rng.standard_normal((v, d))))
+            lost_norm_fraction(rng.standard_normal((64, v)), md.FullHead(rng.standard_normal((v, d))))
             for _ in range(5)
         ]
         assert abs(np.mean(fractions) - np.sqrt(1 - d / v)) < 0.02
@@ -99,8 +106,8 @@ class TestLostNormFraction:
         w = rng.normal(size=(12, 4))
         mix = rng.normal(size=(4, 4)) + 4 * np.eye(4)
         g = rng.normal(size=(6, 12))
-        f1 = dg.lost_norm_fraction(g, md.FullHead(w))
-        f2 = dg.lost_norm_fraction(g, md.FullHead(w @ mix))
+        f1 = lost_norm_fraction(g, md.FullHead(w))
+        f2 = lost_norm_fraction(g, md.FullHead(w @ mix))
         assert abs(f1 - f2) < 1e-10
 
 
@@ -140,12 +147,10 @@ class TestKernelCosine:
 class TestCompressionReport:
     def test_per_row_orthogonal_split(self, trained_zipf_256):
         counts, params = trained_zipf_256
-        report = dg.compression_report(counts, params)
-        p, _ = md.probs_and_loss(counts, md.logits(params))
-        g = md.logit_gradient(counts, p)
+        g = logit_state(counts, params)[3]
+        report = dg.compression_report(g, params.head)
         lost = linalg.project_rows_onto_span(g, linalg.kernel_basis(params.head.matrix))
         kept = g - lost
-        assert np.array_equal(report.g, g)
         assert np.abs(report.lost - lost).max() <= 1e-12 * np.linalg.norm(g)
         norms = np.linalg.norm(g, axis=1)
         nz = norms > 0
@@ -160,10 +165,11 @@ class TestCompressionReport:
         # uniform targets with zero logits make the gradient exactly zero
         counts = cp.CountMatrix.from_counts(np.array([[2, 2], [2, 2]]))
         params = md.ModelParams(np.zeros((2, 2)), md.FullHead(np.eye(2)))
-        report = dg.compression_report(counts, params)
+        g = logit_state(counts, params)[3]
+        report = dg.compression_report(g, params.head)
         assert report.zero_gradient
         assert report.lost_fraction == 0.0
-        assert np.all(report.lost == 0.0) and report.lost.shape == report.g.shape
+        assert np.all(report.lost == 0.0) and report.lost.shape == g.shape
 
 
 class TestCoefficientProfile:
@@ -193,8 +199,8 @@ class TestCoefficientProfile:
 
     def test_trained_model_pattern(self, trained_zipf_256):
         counts, params = trained_zipf_256
-        report = dg.compression_report(counts, params)
-        prof = dg.coefficient_profile(report.g, report.lost)
+        g = logit_state(counts, params)[3]
+        prof = dg.coefficient_profile(g, dg.compression_report(g, params.head).lost)
         # the observed-token coefficient keeps its negative sign after projection
         assert prof.full_mean[0] < 0
         assert prof.proj_mean[0] < 0
@@ -209,7 +215,7 @@ class TestUpdateEfficiency:
         counts = cp.CountMatrix.from_counts(rng.integers(1, 6, size=(5, 6)))
         q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         params = md.ModelParams(rng.normal(size=(5, 6)), md.FullHead(q))
-        curve = dg.update_efficiency(counts, params, [1e-3, 1e-2, 1e-1])
+        curve = efficiency(counts, params, [1e-3, 1e-2, 1e-1])
         for d1, d2 in zip(curve.delta_logit, curve.delta_hidden):
             assert abs(d1 - d2) < 1e-8
 
@@ -217,18 +223,16 @@ class TestUpdateEfficiency:
         rng = np.random.default_rng(23)
         counts = cp.CountMatrix.from_counts(rng.integers(0, 4, size=(6, 8)) + 1)
         params = md.init_params(6, 8, 3, rng=rng)
-        lm = md.logits(params)
-        p, _ = md.probs_and_loss(counts, lm)
-        g = md.logit_gradient(counts, p)
+        lm, base_loss, _, g = logit_state(counts, params)
         alpha = 1e-5
-        curve = dg.update_efficiency(counts, params, [alpha])
+        curve = dg.update_efficiency(counts, lm, base_loss, g, params.head, [alpha])
         predicted = -alpha * np.linalg.norm(lm) * np.linalg.norm(g)
         assert curve.delta_logit[0] < 0
         assert curve.delta_logit[0] == pytest.approx(predicted, rel=1e-2)
 
     def test_logit_direction_never_worse(self, trained_zipf_256):
         counts, params = trained_zipf_256
-        curve = dg.update_efficiency(counts, params, [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
+        curve = efficiency(counts, params, [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
         for d1, d2 in zip(curve.delta_logit, curve.delta_hidden):
             assert d1 <= d2
 
@@ -236,7 +240,7 @@ class TestUpdateEfficiency:
         counts = cp.CountMatrix.from_counts(np.array([[1, 1]]))
         params = md.init_params(1, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            dg.update_efficiency(counts, params, [0.0])
+            efficiency(counts, params, [0.0])
 
 
 class TestEckartYoungGap:

@@ -7,9 +7,7 @@ instances.
 """
 
 from .corpus import (
-    AssumptionStats,
     ContextOverflowError,
-    ContextTable,
     Corpus,
     CorpusFormatError,
     CountMatrix,
@@ -24,20 +22,14 @@ from .corpus import (
     save_corpus,
 )
 from .diagnostics import (
-    CoefficientProfile,
-    CompressionReport,
-    EfficiencyCurve,
-    RankCurve,
     coefficient_profile,
     compression_report,
     eckart_young_gap,
     gradient_rank_curve,
-    kernel_cosine,
     update_efficiency,
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
-    SvdConvergenceError,
     best_rank_k_residual,
     kernel_split,
     log_softmax_rows,
@@ -50,12 +42,9 @@ from .model import (
     Dataset,
     FactoredHead,
     FullHead,
-    Gradients,
     ModelParams,
     TrainConfig,
     TrainingDivergedError,
-    TrainResult,
-    Trajectory,
     entropy_floor,
     first_order_logit_update,
     init_params,
@@ -71,7 +60,6 @@ from .model import (
     train,
 )
 from .verify import (
-    VerificationResult,
     batch_rank_floor_suite,
     construct_top1,
     verify_batch_rank_floor,

@@ -54,6 +54,7 @@ from .model import (
     top1_accuracy,
     train,
 )
+from .tables import write_csv, write_json
 
 OUTPUT_ROOT_ENV = "HEADLAB_OUT"
 
@@ -271,11 +272,7 @@ def _out_root(explicit=None) -> Path:
 def _prepare_dir(out_root: Path, config: dict, kind: str) -> Path:
     run_dir = out_root / str(config.get("name") or kind)
     run_dir.mkdir(parents=True, exist_ok=True)
-    sidecar = dict(config)
-    sidecar["experiment"] = kind
-    with open(run_dir / "config.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "config.json", {**config, "experiment": kind})
     return run_dir
 
 
@@ -396,10 +393,10 @@ def _map_cells(cell, shared, tasks: list) -> list:
     return results
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_table(path, columns, rows) -> None:
+    """One CSV line per row dict, its values in `columns` order; a key the
+    row lacks is a blank cell."""
+    write_csv(path, columns, ([row.get(k) for k in columns] for row in rows))
 
 
 def _trajectory_svg(path, trajectory, title: str) -> None:
@@ -432,7 +429,7 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
         "unique_context_count": stats.unique_context_count,
         "unique_next_token_count": stats.unique_next_token_count,
     }
-    _write_json(run_dir / "summary.json", summary)
+    write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -461,7 +458,7 @@ def run_train(config: dict, run_dir: Path) -> dict:
         "val_tokens_skipped": skipped,
         "checkpoint": str(run_dir / "checkpoint.bin"),
     }
-    _write_json(run_dir / "summary.json", summary)
+    write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -473,8 +470,9 @@ def _diagnose_cell(shared, part):
     if part == "gap":
         return diagnostics.eckart_young_gap(g, params.width)
     if part == "rank_curve":
-        sizes = [int(k) for k in config["token_counts"] if int(k) <= counts.total]
-        return diagnostics.gradient_rank_curve(counts, p, sizes, seed=int(config["seed"]))
+        return diagnostics.gradient_rank_curve(
+            counts, p, config["token_counts"], seed=int(config["seed"])
+        )
     if part == "compression":
         report = diagnostics.compression_report(g, params.head)
         profile = diagnostics.coefficient_profile(g, report.lost)
@@ -496,6 +494,12 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
             f"checkpoint dimensions (C={params.h.shape[0]}, V={params.vocab_size}) do not "
             f"match the corpus counts (C={counts.num_contexts}, V={counts.vocab_size})"
         )
+    sizes = [int(k) for k in config["token_counts"] if int(k) <= counts.total]
+    if not sizes:
+        raise UsageError(
+            f"no entry of token_counts {config['token_counts']} fits the corpus's "
+            f"{counts.total} tokens"
+        )
     lm = logits(params)
     p, base_loss = probs_and_loss(counts, lm)
     g = logit_gradient(counts, p)
@@ -503,7 +507,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
     # runs it while the other runs the rest
     gap, curve, (report, profile), curve_eff = _map_cells(
         _diagnose_cell,
-        (config, counts, params, lm, base_loss, p, g),
+        ({**config, "token_counts": sizes}, counts, params, lm, base_loss, p, g),
         [("gap",), ("rank_curve",), ("compression",), ("efficiency",)],
     )
 
@@ -559,7 +563,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
         "eckart_young_gap": gap,
         "zero_gradient": report.zero_gradient,
     }
-    _write_json(run_dir / "summary.json", summary)
+    write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -574,7 +578,7 @@ def run_verify(config: dict, run_dir: Path) -> dict:
         res.write_instances_csv(run_dir / f"{check_id}_instances.csv")
         summary["checks"][check_id] = res.to_json_dict()
     summary["total_violations"] = sum(r.violations for r in results.values())
-    _write_json(run_dir / "summary.json", summary)
+    write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -632,42 +636,32 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
             traj.to_csv(cell_dir / "trajectory.csv")
         cells.append(cell)
 
-    with open(run_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["vocab_size", "lr", "seed", "status", "final_loss", "top1_weighted", "entropy_floor",
-             "diverged_step"]
-        )
-        for cell in cells:
-            writer.writerow(
-                [
-                    cell["vocab_size"],
-                    repr(cell["lr"]),
-                    cell["seed"],
-                    cell["status"],
-                    repr(cell["final_loss"]),
-                    repr(cell["top1_weighted"]),
-                    repr(cell["entropy_floor"]),
-                    cell.get("diverged_step", ""),
-                ]
-            )
+    _write_table(
+        run_dir / "sweep.csv",
+        ["vocab_size", "lr", "seed", "status", "final_loss", "top1_weighted", "entropy_floor",
+         "diverged_step"],
+        cells,
+    )
 
-    # final-loss table, averaged over seeds (Fig-5-style V x lr grid)
+    # final loss averaged over the seeds, per (V, lr) with an ok cell: the
+    # table and the plot of the Fig-5-style V x lr grid
     lrs = [float(x) for x in config["lrs"]]
     vocab_sizes = [int(v) for v in config["vocab_sizes"]]
-    with open(run_dir / "final_loss_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vocab_size"] + [repr(lr) for lr in lrs])
-        for v in vocab_sizes:
-            row = [v]
-            for lr in lrs:
-                vals = [
-                    c["final_loss"]
-                    for c in cells
-                    if c["vocab_size"] == v and c["lr"] == lr and c["status"] == "ok"
-                ]
-                row.append(repr(float(np.mean(vals))) if vals else "")
-            writer.writerow(row)
+    means = {}
+    for v in vocab_sizes:
+        for lr in lrs:
+            vals = [
+                c["final_loss"]
+                for c in cells
+                if c["vocab_size"] == v and c["lr"] == lr and c["status"] == "ok"
+            ]
+            if vals:
+                means[v, lr] = float(np.mean(vals))
+    write_csv(
+        run_dir / "final_loss_table.csv",
+        ["vocab_size"] + lrs,
+        [[v] + [means.get((v, lr)) for lr in lrs] for v in vocab_sizes],
+    )
 
     # best learning rate per (V, seed)
     best = {}
@@ -677,13 +671,11 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
         key = (cell["vocab_size"], cell["seed"])
         if key not in best or cell["final_loss"] < best[key]["final_loss"]:
             best[key] = cell
-    with open(run_dir / "best_per_cell.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vocab_size", "seed", "best_lr", "final_loss", "top1_weighted"])
-        for (v, seed), cell in sorted(best.items()):
-            writer.writerow(
-                [v, seed, repr(cell["lr"]), repr(cell["final_loss"]), repr(cell["top1_weighted"])]
-            )
+    _write_table(
+        run_dir / "best_per_cell.csv",
+        ["vocab_size", "seed", "best_lr", "final_loss", "top1_weighted"],
+        [{**cell, "best_lr": cell["lr"]} for _, cell in sorted(best.items())],
+    )
 
     pairs = [(v, cell["final_loss"]) for (v, _), cell in sorted(best.items())]
     spearman = float("nan")
@@ -691,17 +683,8 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
         spearman = float(scipy.stats.spearmanr([p[0] for p in pairs], [p[1] for p in pairs]).statistic)
     series = []
     for lr in lrs:
-        xs, ys = [], []
-        for v in vocab_sizes:
-            vals = [
-                c["final_loss"]
-                for c in cells
-                if c["vocab_size"] == v and c["lr"] == lr and c["status"] == "ok"
-            ]
-            if vals:
-                xs.append(v)
-                ys.append(float(np.mean(vals)))
-        series.append((f"lr={lr:g}", xs, ys))
+        xs = [v for v in vocab_sizes if (v, lr) in means]
+        series.append((f"lr={lr:g}", xs, [means[v, lr] for v in xs]))
     svg.line_plot(
         run_dir / "final_loss.svg",
         series,
@@ -720,7 +703,7 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
         "num_cells": len(cells),
         "num_diverged": sum(1 for c in cells if c["status"] != "ok"),
     }
-    _write_json(run_dir / "summary.json", summary)
+    write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -769,11 +752,14 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         int(config["corpus_seed"]),
     )
     train_part, val_part = _split_corpus(corpus, float(config["val_fraction"]))
+    if val_part is None:
+        raise UsageError(
+            f"val_fraction {config['val_fraction']} leaves no validation sequences of "
+            f"{len(corpus.sequences)}; bottleneck-sweep ranks the heads by validation loss"
+        )
     mcl = int(config["max_context_len"])
     table, counts = build_counts(train_part, mcl)
-    val_counts = None
-    if val_part is not None:
-        val_counts, _ = counts_for_table(val_part, table, mcl)
+    val_counts, _ = counts_for_table(val_part, table, mcl)
 
     variants = [(r, False) for r in ranks]
     if config["include_full_baseline"]:
@@ -792,25 +778,12 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         traj.to_csv(run_sub / "trajectory.csv")
         trajectories[label] = traj
 
-    with open(run_dir / "bottleneck.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["rank", "head", "seed", "baseline", "status", "final_train_loss", "final_val_loss",
-             "diverged_step"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["rank"],
-                    row["head"],
-                    row["seed"],
-                    row["baseline"],
-                    row["status"],
-                    repr(row["final_train_loss"]),
-                    repr(row["final_val_loss"]),
-                    row.get("diverged_step", ""),
-                ]
-            )
+    _write_table(
+        run_dir / "bottleneck.csv",
+        ["rank", "head", "seed", "baseline", "status", "final_train_loss", "final_val_loss",
+         "diverged_step"],
+        rows,
+    )
 
     factored = [r for r in rows if r["head"] == "factored" and r["status"] == "ok"]
     spearman = float("nan")
@@ -827,27 +800,19 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     for seed in [int(s) for s in config["seeds"]]:
         lo = trajectories.get(f"rank{ranks[0]}_seed{seed}")
         hi = trajectories.get(f"rank{ranks[-1]}_seed{seed}")
-        if lo is None or hi is None or lo.final_val_loss is None:
+        if lo is None or hi is None:
             continue
         target = lo.final_val_loss
-        reach = next(
-            (p.step for p in hi.points if p.val_loss is not None and p.val_loss <= target),
-            None,
-        )
+        reach = next((p.step for p in hi.points if p.val_loss <= target), None)
         if reach and reach > 0:
             speedups.append(int(config["steps"]) / reach)
-    val_series = []
-    for seed in [int(s) for s in config["seeds"]]:
-        for rank in ranks:
-            traj = trajectories.get(f"rank{rank}_seed{seed}")
-            if traj is not None and seed == int(config["seeds"][0]):
-                val_series.append(
-                    (
-                        f"r={rank}",
-                        [p.step for p in traj.points],
-                        [p.val_loss for p in traj.points],
-                    )
-                )
+    # the factored heads of the first seed
+    val_series = [
+        (f"r={rank}", [p.step for p in traj.points], [p.val_loss for p in traj.points])
+        for seed in config["seeds"][:1]
+        for rank in ranks
+        if (traj := trajectories.get(f"rank{rank}_seed{int(seed)}")) is not None
+    ]
     svg.line_plot(
         run_dir / "val_loss.svg",
         val_series,
@@ -863,7 +828,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         "num_runs": len(rows),
         "num_diverged": sum(1 for r in rows if r["status"] != "ok"),
     }
-    _write_json(run_dir / "summary.json", summary)
+    write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -892,7 +857,7 @@ def run_report(config: dict, run_dir: Path) -> dict:
         svg.line_plot(out, series, title=str(path.parent.name), xlabel="step", ylabel="loss")
         written.append(str(out))
     summary = {"plots": written}
-    _write_json(run_dir / "summary.json", summary)
+    write_json(run_dir / "summary.json", summary)
     return summary
 
 

@@ -10,11 +10,12 @@ matrix is stored as its sorted nonzero (row, column, count) triplets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .tables import write_csv
 
 # Counts are stored sparsely, but `diagnose` and the dense reference paths
 # form C x V float64 matrices: refuse corpora where one would exceed this
@@ -369,7 +370,7 @@ class AssumptionStats:
         for lo, hi, wgt in zip(
             self.entropy_bin_edges[:-1], self.entropy_bin_edges[1:], self.entropy_bin_weights
         ):
-            rows.append(("entropy_bin", f"{float(lo)!r}:{float(hi)!r}", repr(float(wgt))))
+            rows.append(("entropy_bin", f"{float(lo)!r}:{float(hi)!r}", wgt))
         return rows
 
 
@@ -411,11 +412,7 @@ def assumption_stats(
 
 
 def write_stats_csv(path, stats: AssumptionStats) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stat", "key", "value"])
-        for row in stats.to_csv_rows():
-            writer.writerow(row)
+    write_csv(path, ["stat", "key", "value"], stats.to_csv_rows())
 
 
 def save_corpus(path, corpus: Corpus) -> None:

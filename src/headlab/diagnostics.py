@@ -11,7 +11,6 @@ logit update.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from . import linalg
 from .corpus import CountMatrix
 from .model import loss_from_logits
+from .tables import write_csv
 
 
 @dataclass
@@ -28,11 +28,7 @@ class RankCurve:
     points: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["token_count", "rank", "max_rank"])
-            for count, rank, max_rank in self.points:
-                writer.writerow([count, rank, max_rank])
+        write_csv(path, ["token_count", "rank", "max_rank"], self.points)
 
 
 def token_occurrences(counts: CountMatrix):
@@ -61,6 +57,8 @@ def gradient_rank_curve(
     all counted occurrences.
     """
     sizes = [int(k) for k in token_counts]
+    if not sizes:
+        raise ValueError("token_counts must not be empty")
     if sizes != sorted(sizes) or any(k < 1 for k in sizes):
         raise ValueError("token_counts must be positive and ascending")
     if sizes[-1] > counts.total:
@@ -108,27 +106,15 @@ class CompressionReport:
 
     def to_csv(self, path, eckart_young_gap: float) -> None:
         """One row of the figures, with the gradient's `eckart_young_gap`."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["lost_fraction", "cosine_mean", "cosine_std", "eckart_young_gap", "zero_gradient"]
-            )
-            writer.writerow(
-                [
-                    repr(self.lost_fraction),
-                    repr(self.cosine_mean),
-                    repr(self.cosine_std),
-                    repr(eckart_young_gap),
-                    int(self.zero_gradient),
-                ]
-            )
+        write_csv(
+            path,
+            ["lost_fraction", "cosine_mean", "cosine_std", "eckart_young_gap", "zero_gradient"],
+            [[self.lost_fraction, self.cosine_mean, self.cosine_std, eckart_young_gap,
+              int(self.zero_gradient)]],
+        )
 
     def per_row_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "lost_fraction"])
-            for i, val in enumerate(self.per_row_lost):
-                writer.writerow([i, repr(float(val))])
+        write_csv(path, ["row", "lost_fraction"], enumerate(self.per_row_lost))
 
 
 def compression_report(
@@ -175,19 +161,12 @@ class CoefficientProfile:
     proj_std: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["position", "full_mean", "full_std", "proj_mean", "proj_std"])
-            for i in range(len(self.full_mean)):
-                writer.writerow(
-                    [
-                        i + 1,
-                        repr(float(self.full_mean[i])),
-                        repr(float(self.full_std[i])),
-                        repr(float(self.proj_mean[i])),
-                        repr(float(self.proj_std[i])),
-                    ]
-                )
+        write_csv(
+            path,
+            ["position", "full_mean", "full_std", "proj_mean", "proj_std"],
+            zip(range(1, len(self.full_mean) + 1),
+                self.full_mean, self.full_std, self.proj_mean, self.proj_std),
+        )
 
 
 def coefficient_profile(g_full, g_proj) -> CoefficientProfile:
@@ -216,11 +195,11 @@ class EfficiencyCurve:
     delta_hidden: list
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "delta_logit", "delta_hidden"])
-            for a, d1, d2 in zip(self.fractions, self.delta_logit, self.delta_hidden):
-                writer.writerow([repr(float(a)), repr(float(d1)), repr(float(d2))])
+        write_csv(
+            path,
+            ["alpha", "delta_logit", "delta_hidden"],
+            zip(self.fractions, self.delta_logit, self.delta_hidden),
+        )
 
 
 def update_efficiency(

@@ -9,7 +9,6 @@ empirical next-token distributions; its gradients are analytic and exact.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, ContextTable, CountMatrix, batch_counts
 from .linalg import as_matrix
+from .tables import write_csv
 
 CHECKPOINT_MAGIC = b"MLMCKPT1"
 
@@ -178,8 +178,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.warmup_steps > self.steps:
-            raise ValueError("warmup_steps must not exceed steps")
+        if not 0 <= self.warmup_steps <= self.steps:
+            raise ValueError("warmup_steps must lie in [0, steps]")
         if self.eval_every < 1:
             raise ValueError("eval_every must be positive")
         if self.batch_sequences is not None and self.batch_sequences < 1:
@@ -199,18 +199,8 @@ class Trajectory:
     points: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "train_loss", "val_loss", "top1_acc"])
-            for p in self.points:
-                writer.writerow(
-                    [
-                        p.step,
-                        repr(p.train_loss),
-                        "" if p.val_loss is None else repr(p.val_loss),
-                        "" if p.top1_acc is None else repr(p.top1_acc),
-                    ]
-                )
+        rows = [[p.step, p.train_loss, p.val_loss, p.top1_acc] for p in self.points]
+        write_csv(path, ["step", "train_loss", "val_loss", "top1_acc"], rows)
 
     @property
     def final_train_loss(self) -> float:

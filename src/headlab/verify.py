@@ -22,9 +22,7 @@ Checks covered:
 
 from __future__ import annotations
 
-import csv
 import inspect
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +41,7 @@ from .model import (
     loss_from_logits,
     smoothed_log_target,
 )
+from .tables import write_csv, write_json
 
 RANK_TOL = linalg.DEFAULT_RANK_TOL
 
@@ -72,26 +71,15 @@ class VerificationResult:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def write_instances_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if not self.details:
-                writer.writerow(["instance"])
-                return
-            keys = list(self.details[0].keys())
-            writer.writerow(["instance"] + keys)
-            for i, det in enumerate(self.details):
-                writer.writerow([i] + [_csv_cell(det[k]) for k in keys])
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+        keys = list(self.details[0]) if self.details else []
+        write_csv(
+            path,
+            ["instance"] + keys,
+            ([i] + [det[k] for k in keys] for i, det in enumerate(self.details)),
+        )
 
 
 def _finish(check_id, seed, details, margins, skipped=0) -> VerificationResult:

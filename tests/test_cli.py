@@ -108,6 +108,12 @@ class TestTrainCommand:
         )
         assert code == cli.EXIT_NUMERIC
 
+    def test_negative_warmup_exits_usage(self, tmp_path, capsys):
+        code = run(["train", "--out", str(tmp_path), "--steps", "20", "--schedule", "cosine",
+                    "--warmup_steps", "-5"])
+        assert code == cli.EXIT_USAGE
+        assert "warmup_steps" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def trained(tmp_path):
@@ -487,6 +493,20 @@ class TestSweepPool:
         assert pools == made
         assert "hidden-state update direction has zero norm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("limit", [1, 2])
+    @pytest.mark.parametrize("token_counts", ["[]", "[100000]"])
+    def test_diagnose_without_usable_token_counts_exits_usage(
+        self, token_counts, limit, trained, pools, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+        args = _diag_args(trained, "no_sizes")
+        args[args.index("[1,8,32,128]")] = token_counts
+        assert run(args) == cli.EXIT_USAGE
+        assert pools == []
+        total = corpus_mod.build_counts(corpus_mod.gen_zipf_bigram(16, 1.2, 24, 12, 4), 1)[1].total
+        err = capsys.readouterr().err
+        assert "token_counts" in err and f"{total} tokens" in err
+
 
 class TestSpamlangSweep:
     def test_zero_lr_cell_keeps_initial_loss(self, tmp_path):
@@ -547,6 +567,26 @@ class TestBottleneckSweep:
         assert all(row["head"] == "full" for row in baseline_rows)
         assert all(row["status"] == "ok" for row in rows)
         assert all(row["final_val_loss"] not in ("", "nan") for row in rows)
+
+    # 0.01 of 24 sequences rounds to no validation sequence
+    @pytest.mark.parametrize("fraction", ["0", "0.01"])
+    def test_no_validation_sequences_refused_before_training(
+        self, fraction, monkeypatch, tmp_path, capsys
+    ):
+        calls = []
+        real = cli.train
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", spy)
+        monkeypatch.setattr(cli, "_pool_workers", lambda: 1)
+        code = run(["bottleneck-sweep", "--out", str(tmp_path), "--val_fraction", fraction]
+                   + TINY_BOTTLENECK)
+        assert code == cli.EXIT_USAGE
+        assert calls == []
+        assert "val_fraction" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -72,6 +72,8 @@ class TestGradientRankCurve:
         p = logit_state(counts, params)[2]
         with pytest.raises(ValueError):
             dg.gradient_rank_curve(counts, p, [counts.total + 1], seed=0)
+        with pytest.raises(ValueError, match="empty"):
+            dg.gradient_rank_curve(counts, p, [], seed=0)
 
 
 class TestLostNormFraction:

@@ -277,6 +277,10 @@ class TestTrain:
         steps = [p.step for p in result.trajectory.points]
         assert steps == sorted(set(steps))
 
+    def test_negative_warmup_refused(self):
+        with pytest.raises(ValueError, match="warmup_steps"):
+            md.TrainConfig(steps=10, lr=0.1, width=2, schedule="cosine", warmup_steps=-5)
+
     def test_freeze_flags(self):
         rng = np.random.default_rng(18)
         counts = random_counts(rng, 4, 5)

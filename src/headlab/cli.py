@@ -19,11 +19,9 @@ import csv
 import inspect
 import json
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import MISSING, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +52,7 @@ from .model import (
     top1_accuracy,
     train,
 )
+from .parallel import _map_cells
 from .tables import write_csv, write_json
 
 OUTPUT_ROOT_ENV = "HEADLAB_OUT"
@@ -340,57 +339,6 @@ def _train_config(cfg: dict) -> TrainConfig:
         for f in fields(TrainConfig)
         if f.name in cfg
     })
-
-
-# OpenBLAS's thread-count variables, in the order it reads them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _pool_workers() -> int:
-    """How many cells can run at once: the usable CPUs over the BLAS threads
-    of each cell. Unless a thread variable says otherwise, OpenBLAS runs one
-    thread per CPU, and two workers would then oversubscribe every core."""
-    cpus = len(os.sched_getaffinity(0))
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
-
-
-_worker_cell = None  # set in each pool worker by _install_cell, never in the parent
-
-
-def _install_cell(cell) -> None:
-    global _worker_cell
-    _worker_cell = cell
-
-
-def _run_installed_cell(task):
-    return _worker_cell(*task)
-
-
-def _map_cells(cell, shared, tasks: list) -> list:
-    """[cell(shared, *task) for task in tasks], in task order.
-
-    The cells run in a fork pool of min(len(tasks), _pool_workers()) workers,
-    or in this process when that is one. `shared` (the config, count
-    matrices) reaches the workers through fork and is never pickled; only the
-    task tuples and the results are. Workers keep the parent's BLAS thread
-    setting, so the results equal the serial ones at that setting.
-    """
-    run = partial(cell, shared)
-    workers = min(len(tasks), _pool_workers())
-    if workers <= 1:
-        return [run(*task) for task in tasks]
-    with multiprocessing.get_context("fork").Pool(
-        workers, initializer=_install_cell, initargs=(run,)
-    ) as pool:
-        results = pool.map(_run_installed_cell, tasks, chunksize=1)
-        # close and join, so that the workers' rusage reaches this process
-        pool.close()
-        pool.join()
-    return results
 
 
 def _write_table(path, columns, rows) -> None:
@@ -739,6 +687,8 @@ def _bottleneck_cell(shared, seed, rank, is_baseline):
 def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     """Validation-loss trend against the head rank on one shared corpus."""
     ranks = [int(r) for r in config["ranks"]]
+    if not ranks:
+        raise UsageError("ranks must name at least one head rank")
     if ranks != sorted(ranks):
         raise UsageError("ranks must be ascending")
     width = int(config["width"])

@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, ContextTable, CountMatrix, batch_counts
 from .linalg import as_matrix
+from .parallel import map_threads
 from .tables import write_csv
 
 CHECKPOINT_MAGIC = b"MLMCKPT1"
@@ -30,6 +31,12 @@ INTERIOR_SMOOTHING = 1e-6
 # the block row count follows from V alone: blocked sums round differently
 # for another block size, and reruns stay bit-identical on any machine.
 BLOCK_BYTES = 512 * 1024
+
+# Contiguous runs of whole row blocks that one `_row_block_pass` is cut into,
+# each run on its own thread where the CPU budget allows. A fixed count, for
+# the same reason as BLOCK_BYTES: the shards' sums are combined in shard
+# order, so the thread count never changes a bit.
+SHARDS = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -315,10 +322,13 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, want: str = "loss"
       which gh_b = g_b W and the V x D sum of g_b^T h_b (gW, or the effective
       head gradient behind gA and gB) are accumulated. No C x V gradient is
       formed.
-    Returns (sum of n log p or None, max |row max|, top-1 matches or None,
-    Gradients or None). A row's normalizer is non-finite exactly when its
-    max is, so a non-finite max |row max| signals divergence, and then equals
-    max |logit|.
+    The blocks are cut into SHARDS contiguous runs of whole blocks, run by
+    `_row_block_shard` on up to `parallel.cpu_budget()` threads; their sums
+    are combined in shard order, so the result is the same at any thread
+    count. Returns (sum of n log p or None, max |row max|, top-1 matches or
+    None, Gradients or None). A row's normalizer is non-finite exactly when
+    its max is, so a non-finite max |row max| signals divergence, and then
+    equals max |logit|.
     """
     c, v = counts.shape
     if (counts.row_ids is None and h.shape[0] != c) or head.vocab_size != v:
@@ -326,44 +336,71 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, want: str = "loss"
             f"model shape ({h.shape[0]}, {head.vocab_size}) does not match counts shape {counts.shape}"
         )
     block = max(1, BLOCK_BYTES // (8 * v))
-    starts = range(0, c, block)
-    bounds = np.searchsorted(counts.rows, [*starts, c])
-    cells = counts.rows * v + counts.cols
+    blocks = -(-c // block)
+    cuts = [min(c, block * (blocks * k // SHARDS)) for k in range(SHARDS + 1)]
+    grad = want == "grad"
+    match = None
+    if want == "top1":
+        counts.targets  # filled here: the shards only read the cached argmax
+        match = np.empty(c, dtype=bool)
+    gh = np.empty((c, h.shape[1])) if grad else None
+    shards = map_threads(_row_block_shard, [
+        (counts, h, head, want, range(lo, hi, block), gh, match)
+        for lo, hi in zip(cuts, cuts[1:]) if lo < hi
+    ])
+    logp_sum = None if grad else sum(s[0] for s in shards)
+    max_abs = np.max([0.0, *(s[1] for s in shards)])  # NaN-propagating
+    grads = None
+    if grad:
+        gw = shards[0][2]
+        for shard in shards[1:]:
+            gw += shard[2]
+        grads = (Gradients(h=gh, a=gw @ head.b.T, b=head.a.T @ gw)
+                 if isinstance(head, FactoredHead) else Gradients(h=gh, w=gw))
+    return logp_sum, float(max_abs), match, grads
+
+
+def _row_block_shard(counts: CountMatrix, h, head, want: str, starts: range, gh, match):
+    """`_row_block_pass` over the row blocks that begin at `starts`, a
+    range(lo, hi, block rows).
+
+    Writes the rows lo:hi of `gh` ("grad") or of `match` ("top1") and returns
+    (sum of n log p or None, max |row max|, this shard's V x D gW term or
+    None). Runs on a kernel thread, so it calls no public headlab function:
+    the benchmark's tracer keeps one span stack, and a span recorded here
+    would nest under whatever the main thread is running.
+    """
+    v, block = counts.vocab_size, starts.step
+    bounds = np.searchsorted(counts.rows, [*starts, starts.stop])
     grad = want == "grad"
     logp_sum = None if grad else 0.0
     max_abs = 0.0
-    match = np.empty(c, dtype=bool) if want == "top1" else None
     if grad:
         factored = isinstance(head, FactoredHead)
-        q = counts.n / counts.total
-        gh = np.empty((c, h.shape[1]))
         gw = np.zeros((v, h.shape[1]))
-    # a diverged pass lets non-finite values flow through; the caller reads max_abs
+    # a diverged pass lets non-finite values flow through; the caller reads
+    # max_abs. The error state is per thread, so each shard sets its own.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, nz_lo, nz_hi in zip(starts, bounds[:-1], bounds[1:]):
             rows, nz = slice(lo, lo + block), slice(nz_lo, nz_hi)
+            i = counts.rows[nz] - lo
+            cells = i * v + counts.cols[nz]
             h_b = h[rows] if counts.row_ids is None else h[counts.row_ids[rows]]
             lm = _effective_logits(h_b, head)
             if grad:
                 z, row_max, _ = _softmax_block(lm)
                 lm *= counts.weights[rows, None] / z
-                lm.reshape(-1)[cells[nz] - lo * v] -= q[nz]
+                lm.reshape(-1)[cells] -= counts.n[nz] / counts.total
                 gh[rows] = (lm @ head.a) @ head.b if factored else lm @ head.w
                 gw += lm.T @ h_b
             else:
-                z, row_max, block_sum = _softmax_block(
-                    lm, cells[nz] - lo * v, counts.rows[nz] - lo, counts.n[nz]
-                )
+                z, row_max, block_sum = _softmax_block(lm, cells, i, counts.n[nz])
                 logp_sum += block_sum
             if match is not None:
                 lm /= z
                 match[rows] = lm.argmax(axis=1) == counts.targets[rows]
             max_abs = np.maximum(max_abs, np.abs(row_max).max())
-    grads = None
-    if grad:
-        grads = (Gradients(h=gh, a=gw @ head.b.T, b=head.a.T @ gw) if factored
-                 else Gradients(h=gh, w=gw))
-    return logp_sum, float(max_abs), match, grads
+    return logp_sum, max_abs, gw if grad else None
 
 
 def _softmax_block(lm: np.ndarray, cells=None, i=None, n=None):

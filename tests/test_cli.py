@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from headlab import cli
+from headlab import cli, parallel
 from headlab import corpus as corpus_mod
+from headlab import model
 from headlab import verify as vf
 from headlab.model import TrainConfig, TrainingDivergedError, load_checkpoint, save_checkpoint
 
@@ -282,7 +283,7 @@ class TestTrainConfigKeys:
             raise TrainingDivergedError(0, float("nan"), float("nan"))
 
         monkeypatch.setattr(cli, "train", spy)
-        monkeypatch.setattr(cli, "_pool_workers", lambda: 1)
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
         return configs
 
     @pytest.mark.parametrize("kind, size_args", [
@@ -391,7 +392,7 @@ class TestSweepPool:
     ):
         trees = []
         for limit in (1, 2):
-            monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+            monkeypatch.setattr(parallel, "cpu_budget", lambda: limit)
             out = tmp_path / f"workers{limit}"
             assert run([kind, "--out", str(out)] + args) == 0
             trees.append(_tree(out))
@@ -425,18 +426,18 @@ class TestSweepPool:
     ])
     def test_pool_workers_leave_room_for_blas_threads(self, cpus, env, workers, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        for var in cli._BLAS_THREAD_VARS:
+        for var in parallel._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert cli._pool_workers() == workers
+        assert parallel.cpu_budget() == workers
 
     @pytest.mark.parametrize("tasks, limit, workers", [
         (1, 4, None), (3, 1, None), (0, 2, None), (3, 2, 2), (2, 8, 2), (5, 3, 3),
     ])
     def test_worker_count(self, tasks, limit, workers, pools, monkeypatch):
-        monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
-        results = cli._map_cells(_cell_with_pid, 10, [(i,) for i in range(tasks)])
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: limit)
+        results = parallel._map_cells(_cell_with_pid, 10, [(i,) for i in range(tasks)])
         assert [value for value, _ in results] == [10 * i for i in range(tasks)]
         pids = {pid for _, pid in results}
         if workers is None:
@@ -450,7 +451,7 @@ class TestSweepPool:
             raise ValueError("a cell failed on purpose")
 
         monkeypatch.setattr(cli, "train", broken)
-        monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: limit)
         code = run(["bottleneck-sweep", "--out", str(tmp_path)] + TINY_BOTTLENECK)
         assert code == cli.EXIT_USAGE
         assert pools == made
@@ -468,7 +469,7 @@ class TestSweepPool:
     ):
         trees = []
         for limit in (1, 2):
-            monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+            monkeypatch.setattr(parallel, "cpu_budget", lambda: limit)
             assert run(_diag_args(trained, f"workers{limit}")) == 0
             trees.append(_tree(trained / f"workers{limit}"))
         # four measurements on two workers; only the run name in config.json differs
@@ -488,7 +489,7 @@ class TestSweepPool:
         params = load_checkpoint(path)
         params.head.w[:] = 0.0
         save_checkpoint(path, params)
-        monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: limit)
         assert run(_diag_args(trained, "zero_head")) == cli.EXIT_USAGE
         assert pools == made
         assert "hidden-state update direction has zero norm" in capsys.readouterr().err
@@ -498,7 +499,7 @@ class TestSweepPool:
     def test_diagnose_without_usable_token_counts_exits_usage(
         self, token_counts, limit, trained, pools, monkeypatch, capsys
     ):
-        monkeypatch.setattr(cli, "_pool_workers", lambda: limit)
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: limit)
         args = _diag_args(trained, "no_sizes")
         args[args.index("[1,8,32,128]")] = token_counts
         assert run(args) == cli.EXIT_USAGE
@@ -581,12 +582,40 @@ class TestBottleneckSweep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "train", spy)
-        monkeypatch.setattr(cli, "_pool_workers", lambda: 1)
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
         code = run(["bottleneck-sweep", "--out", str(tmp_path), "--val_fraction", fraction]
                    + TINY_BOTTLENECK)
         assert code == cli.EXIT_USAGE
         assert calls == []
         assert "val_fraction" in capsys.readouterr().err
+
+    def test_empty_ranks_refused_before_training(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
+        args = list(TINY_BOTTLENECK)
+        args[args.index("[2,6]")] = "[]"
+        assert run(["bottleneck-sweep", "--out", str(tmp_path)] + args) == cli.EXIT_USAGE
+        assert calls == []
+        assert "ranks" in capsys.readouterr().err
+
+    def test_sweep_after_threaded_train_equals_serial_run(self, two_cpus, monkeypatch, tmp_path):
+        """A train on kernel threads, then a forked sweep in the same process:
+        the sweep completes and writes the files of a fresh serial run."""
+        monkeypatch.setattr(model, "BLOCK_BYTES", 4 * 8 * 24)  # several blocks per pass
+        train_args = ["train", "--out", str(tmp_path / "threads"), "--width", "4",
+                      "--steps", "20", "--eval_every", "10", "--corpus.vocab_size", "24",
+                      "--corpus.num_seqs", "24", "--corpus.seq_len", "12",
+                      "--max_context_len", "1"]
+        monkeypatch.setattr(parallel, "_executor", None)
+        assert run(train_args) == 0
+        assert parallel._executor is not None  # the train ran on threads
+        grid = TestSweepPool.BOTTLENECK_GRID
+        assert run(["bottleneck-sweep", "--out", str(tmp_path / "threads")] + grid) == 0
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
+        assert run(["bottleneck-sweep", "--out", str(tmp_path / "serial")] + grid) == 0
+        threaded = _tree(tmp_path / "threads" / "bottleneck")
+        assert threaded == _tree(tmp_path / "serial" / "bottleneck")
 
 
 class TestReportCommand:

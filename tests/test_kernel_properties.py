@@ -1,6 +1,7 @@
 """Property tests: the row-block softmax kernel behind `loss`, `top1_accuracy`
 and `param_gradients` against the dense oracle
-`logit_gradient(probs_and_loss(...))`, and the memory held by triplet counts."""
+`logit_gradient(probs_and_loss(...))` and against itself on one and two
+threads, and the memory held by triplet counts."""
 
 from unittest import mock
 
@@ -10,14 +11,16 @@ from hypothesis import strategies as st
 
 from headlab import corpus as cp
 from headlab import model as md
+from headlab import parallel
 
 PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=200)
 
 
 @st.composite
 def kernel_cases(draw):
-    """(counts, params, block rows): full or factored heads, full-table or
-    batch counts with `row_ids`, and blocks larger than C or not dividing it.
+    """(counts, params, block rows, shards): full or factored heads,
+    full-table or batch counts with `row_ids`, blocks larger than C or not
+    dividing it, and fewer blocks than shards.
 
     Parameters are quarter integers, so every logit is exact in any
     summation order; small counts and duplicated head rows make argmax ties
@@ -50,7 +53,15 @@ def kernel_cases(draw):
     if draw(st.booleans()):
         rows[1] = rows[0]  # two tokens with equal logits in every row
     params = md.ModelParams(quarters(c_table, d), head)
-    return counts, params, draw(st.integers(1, c + 2))
+    return counts, params, draw(st.integers(1, c + 2)), draw(st.integers(1, 4))
+
+
+def kernel_layout(counts, block_rows, shards):
+    """Patches giving `_row_block_pass` blocks of `block_rows` rows and
+    `shards` shards."""
+    return mock.patch.multiple(
+        md, BLOCK_BYTES=block_rows * 8 * counts.vocab_size, SHARDS=shards
+    )
 
 
 def dense_oracle(counts, params):
@@ -71,9 +82,9 @@ def dense_oracle(counts, params):
 @PROPERTY_SETTINGS
 @given(kernel_cases())
 def test_row_block_kernel_matches_dense_oracle(case):
-    counts, params, block_rows = case
+    counts, params, block_rows, shards = case
     want_loss, match, want = dense_oracle(counts, params)
-    with mock.patch.object(md, "BLOCK_BYTES", block_rows * 8 * counts.vocab_size):
+    with kernel_layout(counts, block_rows, shards):
         got_loss = md.loss(counts, params)
         top1 = md.top1_accuracy(counts, params)
         got = md.param_gradients(counts, params)
@@ -86,6 +97,35 @@ def test_row_block_kernel_matches_dense_oracle(case):
         else:
             assert getattr(got, name).shape == expected.shape
             np.testing.assert_allclose(getattr(got, name), expected, rtol=1e-10, atol=1e-13)
+
+
+def _pass_bytes(result):
+    """Every value `_row_block_pass` returns, as bytes."""
+    logp_sum, max_abs, match, grads = result
+    parts = [np.float64(max_abs).tobytes()]
+    if logp_sum is not None:
+        parts.append(np.float64(logp_sum).tobytes())
+    if match is not None:
+        parts.append(match.tobytes())
+    if grads is not None:
+        parts += [getattr(grads, name).tobytes() for name in ("h", "w", "a", "b")
+                  if getattr(grads, name) is not None]
+    return b"|".join(parts)
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_row_block_kernel_is_bit_identical_on_one_and_two_threads(case):
+    counts, params, block_rows, shards = case
+    with kernel_layout(counts, block_rows, shards):
+        for want in ("loss", "top1", "grad"):
+            results = []
+            for budget in (1, 2):
+                with mock.patch.object(parallel, "cpu_budget", lambda: budget):
+                    results.append(_pass_bytes(
+                        md._row_block_pass(counts, params.h, params.head, want)
+                    ))
+            assert results[0] == results[1], want
 
 
 def test_counts_hold_no_dense_array():

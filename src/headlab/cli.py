@@ -283,6 +283,9 @@ def _make_corpus(spec, default_seed=0):
         return load_corpus(spec)
     if not isinstance(spec, dict):
         raise UsageError("corpus must be a path or a generator object")
+    unknown = sorted(set(spec) - set(GEN_CORPUS_DEFAULTS))
+    if unknown:
+        raise UsageError(f"unknown corpus key(s): {', '.join(unknown)}")
     spec = {**GEN_CORPUS_DEFAULTS, "seed": default_seed, **spec}
     kind = spec["kind"]
     vocab_size = int(spec["vocab_size"])
@@ -322,6 +325,9 @@ _FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _cast_field(name: str, type_name: str, value):
+    # int(8.9) is 8, so a fraction would train other than config.json says
+    if type_name == "int" and isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"{name} must be a whole number, got {value!r}")
     if type_name != "bool":
         return _FIELD_TYPES[type_name](value)
     # bool("False") is True, so only JSON true/false and 0/1 are accepted
@@ -530,6 +536,53 @@ def run_verify(config: dict, run_dir: Path) -> dict:
     return summary
 
 
+def _train_cell(row, data, tc, val_counts, measures):
+    """Train one sweep cell. Returns its row, completed with its status and
+    each of `measures` (name -> function of the TrainResult), and its
+    trajectory.
+
+    A cell diverged when a loss turns non-finite, or when its final train
+    loss ends above its step-0 train loss (its `diverged_step` is then the
+    first eval step above step 0's loss). A diverged cell has NaN measures
+    and no trajectory.
+    """
+    try:
+        result = train(data, tc, val_counts=val_counts)
+    except TrainingDivergedError as exc:
+        diverged_step = exc.step
+    else:
+        points = result.trajectory.points
+        above = [p.step for p in points[1:] if p.train_loss > points[0].train_loss]
+        diverged_step = above[0] if points[-1].train_loss > points[0].train_loss else None
+    if diverged_step is not None:
+        nan = {name: float("nan") for name in measures}
+        return {**row, "status": "diverged", **nan, "diverged_step": diverged_step}, None
+    done = {name: measure(result) for name, measure in measures.items()}
+    return {**row, "status": "ok", **done}, result.trajectory
+
+
+def _run_cells(run_dir, cell, shared, tasks, label):
+    """Every sweep cell through `parallel._map_cells`; writes the trajectory of
+    each cell that did not diverge to runs/<label(row)>/trajectory.csv.
+    Returns the rows in task order and the trajectories by label."""
+    rows, trajectories = [], {}
+    for row, traj in _map_cells(cell, shared, tasks):
+        rows.append(row)
+        if traj is not None:
+            cell_dir = run_dir / "runs" / label(row)
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            traj.to_csv(cell_dir / "trajectory.csv")
+            trajectories[label(row)] = traj
+    return rows, trajectories
+
+
+def _spearman(xs, ys) -> float:
+    """Spearman's rank correlation; NaN unless `xs` holds two distinct values."""
+    if len(set(xs)) < 2:
+        return float("nan")
+    return float(scipy.stats.spearmanr(xs, ys).statistic)
+
+
 def _spamlang_cell(config, vocab_size, seed, lr):
     """One (V, seed, lr) cell: its row and its trajectory (None if diverged)."""
     # the corpus depends only on (V, seed): cells stay independent of the
@@ -538,29 +591,11 @@ def _spamlang_cell(config, vocab_size, seed, lr):
         vocab_size, int(config["seqs_per_symbol"]) * vocab_size, int(config["seq_len"]), seed
     )
     _, counts = build_counts(corpus, int(config["max_context_len"]))
-    tc = _train_config({**config, "lr": lr, "seed": seed})
-    cell = {
-        "vocab_size": vocab_size,
-        "lr": lr,
-        "seed": seed,
-        "entropy_floor": entropy_floor(counts),
-    }
-    try:
-        result = train(counts, tc)
-    except TrainingDivergedError as exc:
-        cell.update(
-            status="diverged",
-            final_loss=float("nan"),
-            top1_weighted=float("nan"),
-            diverged_step=exc.step,
-        )
-        return cell, None
-    cell.update(
-        status="ok",
-        final_loss=result.trajectory.final_train_loss,
-        top1_weighted=top1_accuracy(counts, result.params).weighted,
-    )
-    return cell, result.trajectory
+    row = {"vocab_size": vocab_size, "lr": lr, "seed": seed, "entropy_floor": entropy_floor(counts)}
+    return _train_cell(row, counts, _train_config({**config, "lr": lr, "seed": seed}), None, {
+        "final_loss": lambda result: result.trajectory.final_train_loss,
+        "top1_weighted": lambda result: top1_accuracy(counts, result.params).weighted,
+    })
 
 
 def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
@@ -574,15 +609,10 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
         for seed in config["seeds"]
         for lr in config["lrs"]
     ]
-    cells = []
-    for cell, traj in _map_cells(_spamlang_cell, config, tasks):
-        if traj is not None:
-            cell_dir = run_dir / "runs" / (
-                f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}"
-            )
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            traj.to_csv(cell_dir / "trajectory.csv")
-        cells.append(cell)
+    cells, _ = _run_cells(
+        run_dir, _spamlang_cell, config, tasks,
+        lambda cell: f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}",
+    )
 
     _write_table(
         run_dir / "sweep.csv",
@@ -625,10 +655,8 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
         [{**cell, "best_lr": cell["lr"]} for _, cell in sorted(best.items())],
     )
 
-    pairs = [(v, cell["final_loss"]) for (v, _), cell in sorted(best.items())]
-    spearman = float("nan")
-    if len({v for v, _ in pairs}) > 1:
-        spearman = float(scipy.stats.spearmanr([p[0] for p in pairs], [p[1] for p in pairs]).statistic)
+    ranked = sorted(best.items())
+    spearman = _spearman([v for (v, _), _ in ranked], [cell["final_loss"] for _, cell in ranked])
     series = []
     for lr in lrs:
         xs = [v for v in vocab_sizes if (v, lr) in means]
@@ -666,22 +694,10 @@ def _bottleneck_cell(shared, seed, rank, is_baseline):
         "seed": seed,
         "baseline": int(is_baseline),
     }
-    try:
-        result = train(counts, tc, val_counts=val_counts)
-    except TrainingDivergedError as exc:
-        row.update(
-            status="diverged",
-            final_train_loss=float("nan"),
-            final_val_loss=float("nan"),
-            diverged_step=exc.step,
-        )
-        return row, None
-    row.update(
-        status="ok",
-        final_train_loss=result.trajectory.final_train_loss,
-        final_val_loss=result.trajectory.final_val_loss,
-    )
-    return row, result.trajectory
+    return _train_cell(row, counts, tc, val_counts, {
+        "final_train_loss": lambda result: result.trajectory.final_train_loss,
+        "final_val_loss": lambda result: result.trajectory.final_val_loss,
+    })
 
 
 def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
@@ -716,17 +732,10 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         variants.append((width, True))
     tasks = [(int(seed), rank, is_baseline)
              for seed in config["seeds"] for rank, is_baseline in variants]
-    rows = []
-    trajectories = {}
-    for row, traj in _map_cells(_bottleneck_cell, (config, counts, val_counts), tasks):
-        rows.append(row)
-        if traj is None:
-            continue
-        label = f"{'full' if row['baseline'] else 'rank' + str(row['rank'])}_seed{row['seed']}"
-        run_sub = run_dir / "runs" / label
-        run_sub.mkdir(parents=True, exist_ok=True)
-        traj.to_csv(run_sub / "trajectory.csv")
-        trajectories[label] = traj
+    rows, trajectories = _run_cells(
+        run_dir, _bottleneck_cell, (config, counts, val_counts), tasks,
+        lambda row: f"{'full' if row['baseline'] else 'rank' + str(row['rank'])}_seed{row['seed']}",
+    )
 
     _write_table(
         run_dir / "bottleneck.csv",
@@ -736,13 +745,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     )
 
     factored = [r for r in rows if r["head"] == "factored" and r["status"] == "ok"]
-    spearman = float("nan")
-    if len({r["rank"] for r in factored}) > 1:
-        spearman = float(
-            scipy.stats.spearmanr(
-                [r["rank"] for r in factored], [r["final_val_loss"] for r in factored]
-            ).statistic
-        )
+    spearman = _spearman([r["rank"] for r in factored], [r["final_val_loss"] for r in factored])
 
     # tokens-to-match ratio: how much sooner the widest head reaches the
     # narrowest head's final validation loss (full-batch, so steps ~ tokens)

@@ -83,6 +83,26 @@ class FullHead:
     def copy(self) -> "FullHead":
         return FullHead(self.w.copy())
 
+    @property
+    def parts(self) -> dict:
+        """The trainable matrices, keyed by their `Gradients` field."""
+        return {"w": self.w}
+
+    def logits(self, h: np.ndarray) -> np.ndarray:
+        return h @ self.w.T
+
+    def pullback(self, g: np.ndarray) -> np.ndarray:
+        """The rows' gradient g W from the logit gradient `g`."""
+        return g @ self.w
+
+    def part_grads(self, gw: np.ndarray) -> dict:
+        """The parts' gradients from the V x D effective head gradient."""
+        return {"w": gw}
+
+    def matrix_step(self, grads: "Gradients") -> np.ndarray:
+        """First-order change of the head matrix under a unit-lr step."""
+        return grads.w
+
 
 @dataclass
 class FactoredHead:
@@ -115,6 +135,22 @@ class FactoredHead:
 
     def copy(self) -> "FactoredHead":
         return FactoredHead(self.a.copy(), self.b.copy())
+
+    @property
+    def parts(self) -> dict:
+        return {"a": self.a, "b": self.b}
+
+    def logits(self, h: np.ndarray) -> np.ndarray:
+        return (h @ self.b.T) @ self.a.T
+
+    def pullback(self, g: np.ndarray) -> np.ndarray:
+        return (g @ self.a) @ self.b
+
+    def part_grads(self, gw: np.ndarray) -> dict:
+        return {"a": gw @ self.b.T, "b": self.a.T @ gw}
+
+    def matrix_step(self, grads: "Gradients") -> np.ndarray:
+        return grads.a @ self.b + self.a @ grads.b
 
 
 @dataclass
@@ -258,18 +294,12 @@ def init_params(
     return ModelParams(h, FactoredHead(a, b))
 
 
-def _effective_logits(h: np.ndarray, head) -> np.ndarray:
+def logits(params: ModelParams) -> np.ndarray:
+    """Pre-softmax scores, one row per context."""
     # overflow of diverging parameters is allowed through; the training loop
     # detects it downstream
     with np.errstate(over="ignore"):
-        if isinstance(head, FactoredHead):
-            return (h @ head.b.T) @ head.a.T
-        return h @ head.w.T
-
-
-def logits(params: ModelParams) -> np.ndarray:
-    """Pre-softmax scores, one row per context."""
-    return _effective_logits(params.h, params.head)
+        return params.head.logits(params.h)
 
 
 def probs_and_loss(counts: CountMatrix, logit_matrix: np.ndarray):
@@ -355,8 +385,7 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, want: str = "loss"
         gw = shards[0][2]
         for shard in shards[1:]:
             gw += shard[2]
-        grads = (Gradients(h=gh, a=gw @ head.b.T, b=head.a.T @ gw)
-                 if isinstance(head, FactoredHead) else Gradients(h=gh, w=gw))
+        grads = Gradients(h=gh, **head.part_grads(gw))
     return logp_sum, float(max_abs), match, grads
 
 
@@ -376,7 +405,6 @@ def _row_block_shard(counts: CountMatrix, h, head, want: str, starts: range, gh,
     logp_sum = None if grad else 0.0
     max_abs = 0.0
     if grad:
-        factored = isinstance(head, FactoredHead)
         gw = np.zeros((v, h.shape[1]))
     # a diverged pass lets non-finite values flow through; the caller reads
     # max_abs. The error state is per thread, so each shard sets its own.
@@ -386,12 +414,12 @@ def _row_block_shard(counts: CountMatrix, h, head, want: str, starts: range, gh,
             i = counts.rows[nz] - lo
             cells = i * v + counts.cols[nz]
             h_b = h[rows] if counts.row_ids is None else h[counts.row_ids[rows]]
-            lm = _effective_logits(h_b, head)
+            lm = head.logits(h_b)
             if grad:
                 z, row_max, _ = _softmax_block(lm)
                 lm *= counts.weights[rows, None] / z
                 lm.reshape(-1)[cells] -= counts.n[nz] / counts.total
-                gh[rows] = (lm @ head.a) @ head.b if factored else lm @ head.w
+                gh[rows] = head.pullback(lm)
                 gw += lm.T @ h_b
             else:
                 z, row_max, block_sum = _softmax_block(lm, cells, i, counts.n[nz])
@@ -455,14 +483,6 @@ def param_gradients(counts: CountMatrix, params: ModelParams) -> Gradients:
     return _row_block_pass(counts, params.h, params.head, "grad")[3]
 
 
-def _head_matrix_step(params: ModelParams, grads: Gradients) -> np.ndarray:
-    """First-order change of the effective head matrix under a unit-lr step."""
-    head = params.head
-    if isinstance(head, FactoredHead):
-        return grads.a @ head.b + head.a @ grads.b
-    return grads.w
-
-
 def first_order_logit_update(
     counts: CountMatrix,
     params: ModelParams,
@@ -481,7 +501,7 @@ def first_order_logit_update(
     if update_h:
         delta -= grads.h @ wm.T
     if update_head:
-        delta -= params.h @ _head_matrix_step(params, grads).T
+        delta -= params.h @ params.head.matrix_step(grads).T
     return delta
 
 
@@ -529,79 +549,46 @@ def _lr_at(config: TrainConfig, step: int) -> float:
     return config.lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-class _PlainGd:
-    def __init__(self, config: TrainConfig):
-        self.config = config
-
-    def step(self, params: ModelParams, grads: Gradients, lr: float, h_rows=None):
-        cfg = self.config
-        if cfg.update_h:
-            if h_rows is None:
-                params.h -= lr * grads.h
-            else:
-                params.h[h_rows] -= lr * grads.h
-        if cfg.update_head:
-            head = params.head
-            if isinstance(head, FactoredHead):
-                head.a -= lr * grads.a
-                head.b -= lr * grads.b
-            else:
-                head.w -= lr * grads.w
-
-
-class _Adam:
-    """Adam with bias correction; moment rows of H are only touched when the
+class _Optimizer:
+    """Plain gradient descent, or Adam with bias correction, over H and the
+    head's parts. Adam's moment rows of H are only touched when the
     corresponding context appears in the step's batch."""
 
     def __init__(self, config: TrainConfig, params: ModelParams):
         self.config = config
         self.t = 0
-        self.m = {}
-        self.v = {}
-        self._init_slot("h", params.h)
-        head = params.head
-        if isinstance(head, FactoredHead):
-            self._init_slot("a", head.a)
-            self._init_slot("b", head.b)
-        else:
-            self._init_slot("w", head.w)
+        moments = self._parts(params) if config.optimizer == "adam" else {}
+        self.m = {name: np.zeros_like(p) for name, p in moments.items()}
+        self.v = {name: np.zeros_like(p) for name, p in moments.items()}
 
-    def _init_slot(self, name: str, ref: np.ndarray):
-        self.m[name] = np.zeros_like(ref)
-        self.v[name] = np.zeros_like(ref)
-
-    def _update(self, name: str, target: np.ndarray, grad: np.ndarray, lr: float, rows=None):
+    def _parts(self, params: ModelParams) -> dict:
+        """The matrices this optimizer moves, keyed by their `Gradients` field."""
         cfg = self.config
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
-        if rows is None:
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad**2
-            target -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
-        else:
-            m = b1 * self.m[name][rows] + (1.0 - b1) * grad
-            v = b2 * self.v[name][rows] + (1.0 - b2) * grad**2
-            self.m[name][rows] = m
-            self.v[name][rows] = v
-            target[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        return {
+            **({"h": params.h} if cfg.update_h else {}),
+            **(params.head.parts if cfg.update_head else {}),
+        }
 
     def step(self, params: ModelParams, grads: Gradients, lr: float, h_rows=None):
         cfg = self.config
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         self.t += 1
-        if cfg.update_h:
-            self._update("h", params.h, grads.h, lr, rows=h_rows)
-        if cfg.update_head:
-            head = params.head
-            if isinstance(head, FactoredHead):
-                self._update("a", head.a, grads.a, lr)
-                self._update("b", head.b, grads.b, lr)
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        for name, target in self._parts(params).items():
+            rows = h_rows if name == "h" and h_rows is not None else slice(None)
+            grad = getattr(grads, name)
+            if cfg.optimizer == "gd":
+                target[rows] -= lr * grad
             else:
-                self._update("w", head.w, grads.w, lr)
+                # a view of the whole slot, or a copy of the batch's rows
+                m, v = self.m[name][rows], self.v[name][rows]
+                m *= b1
+                m += (1.0 - b1) * grad
+                v *= b2
+                v += (1.0 - b2) * grad**2
+                self.m[name][rows], self.v[name][rows] = m, v
+                target[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
 
 
 def _eval_point(
@@ -664,7 +651,7 @@ def train(
         if params.width != config.width:
             raise ValueError("explicit params width does not match the config")
 
-    optimizer = _Adam(config, params) if config.optimizer == "adam" else _PlainGd(config)
+    optimizer = _Optimizer(config, params)
     wanted_snapshots = set(int(s) for s in snapshot_steps)
     trajectory = Trajectory()
     snapshots = []
@@ -715,17 +702,11 @@ def save_checkpoint(path, params: ModelParams) -> None:
     c, d = params.h.shape
     v = head.vocab_size
     r = head.rank if isinstance(head, FactoredHead) else 0
-    blobs = [np.ascontiguousarray(params.h, dtype="<f8").tobytes()]
-    if isinstance(head, FactoredHead):
-        blobs.append(np.ascontiguousarray(head.a, dtype="<f8").tobytes())
-        blobs.append(np.ascontiguousarray(head.b, dtype="<f8").tobytes())
-    else:
-        blobs.append(np.ascontiguousarray(head.w, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<4q", c, v, d, r))
-        for blob in blobs:
-            fh.write(blob)
+        for mat in (params.h, *head.parts.values()):
+            fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from . import linalg
 from .corpus import Corpus, CountMatrix, batch_counts, build_counts, gen_zipf_bigram
@@ -178,8 +179,6 @@ def _solve_scale(v: int, target: float, epsilon: float):
 
     The probability is continuous and increasing in the scale, from 1/V at 0
     toward 1; a geometric scan brackets the target and bisection refines it.
-    A fine grid scan backs up the bracketing if the evaluated probabilities
-    ever decrease (they should not).
     """
     cos_gaps = np.cos(2.0 * np.pi * np.arange(v) / v) - 1.0
     tol = epsilon / 2.0
@@ -189,22 +188,11 @@ def _solve_scale(v: int, target: float, epsilon: float):
     if abs(p0 - target) < tol:
         return 0.0
     lo, hi = 0.0, 1.0
-    prev = p0
-    monotone = True
     for _ in range(600):
         p = _top1_prob(hi, cos_gaps)
-        if p < prev - 1e-12:
-            monotone = False
-            break
-        prev = p
         if p >= target or p >= 1.0 - tol:
             break
         lo, hi = hi, hi * 2.0
-    if not monotone:
-        # fall back to a dense scan; only continuity is needed
-        grid = np.geomspace(1e-6, hi, 20000)
-        probs = np.array([_top1_prob(a, cos_gaps) for a in grid])
-        return float(grid[np.argmin(np.abs(probs - target))])
     if target >= 1.0 - tol:
         return hi
     for _ in range(300):
@@ -357,25 +345,6 @@ def verify_error_rank_floor(
     return _finish("error_rank_floor", seed, details, margins)
 
 
-def _connected(adjacency: np.ndarray) -> bool:
-    k = adjacency.shape[0]
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if adjacency[i, j] or adjacency[j, i]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(k)}) == 1
-
-
 def unique_batch_contexts(counts: CountMatrix, batch: CountMatrix):
     """Rows with one in-batch continuation that have several in the full data.
 
@@ -445,7 +414,7 @@ def verify_batch_rank_floor(
         return out
     normalized = counts.to_dense(normalized=True)
     cross = normalized[rows][:, tokens]
-    connected = _connected(cross > 0)
+    connected = scipy.sparse.csgraph.connected_components(cross > 0, directed=False)[0] == 1
     out["connected"] = bool(connected)
     if not connected:
         out["skipped"] = True

@@ -35,14 +35,10 @@ def exact_logit_update(counts, params, lr, update_h=True, update_head=True):
         raise ValueError("lr must be positive")
     grads = md.param_gradients(counts, params)
     stepped = params.copy()
-    if update_h:
-        stepped.h -= lr * grads.h
-    if update_head:
-        if isinstance(stepped.head, md.FactoredHead):
-            stepped.head.a -= lr * grads.a
-            stepped.head.b -= lr * grads.b
-        else:
-            stepped.head.w -= lr * grads.w
+    parts = {**({"h": stepped.h} if update_h else {}),
+             **(stepped.head.parts if update_head else {})}
+    for name, mat in parts.items():
+        mat -= lr * getattr(grads, name)
     return (md.logits(stepped) - md.logits(params)) / lr
 
 

@@ -183,6 +183,13 @@ class TestDiagnoseCommand:
         args[idx + 1] = "32"
         assert run(args) == cli.EXIT_USAGE
 
+    def test_unknown_corpus_key_is_usage_error(self, trained, capsys):
+        args = _diag_args(trained, "d5")
+        args[args.index("--corpus.vocab_size")] = "--corpus.vocab_sze"
+        assert run(args) == cli.EXIT_USAGE
+        assert "vocab_sze" in capsys.readouterr().err
+        assert not (trained / "d5" / "summary.json").exists()
+
 
 class TestVerifyCommand:
     TINY = [
@@ -325,12 +332,23 @@ class TestTrainConfigKeys:
 
     def test_json_numbers_are_cast_to_field_types(self, seen, tmp_path):
         args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "6",
-                "--corpus.seq_len", "5", "--steps", "12.0", "--lr", "1", "--update_h", "0"]
+                "--corpus.seq_len", "5", "--steps", "12.0", "--lr", "1", "--update_h", "0",
+                "--eval_every", "1e3"]
         assert run(args) == cli.EXIT_NUMERIC
         tc = seen[0]
-        assert (tc.steps, tc.lr, tc.update_h) == (12, 1.0, False)
+        assert (tc.steps, tc.lr, tc.update_h, tc.eval_every) == (12, 1.0, False, 1000)
         assert type(tc.steps) is int and type(tc.lr) is float
 
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--width", "8.9"), ("--steps", "2.5"), ("--head_rank", "1.5"), ("--eval_every", "NaN"),
+    ])
+    def test_int_field_refuses_fractions(self, flag, value, tmp_path, capsys):
+        args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "4",
+                "--corpus.seq_len", "5", "--steps", "3", flag, value]
+        assert run(args) == cli.EXIT_USAGE
+        assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "train" / "summary.json").exists()
 
     @pytest.mark.parametrize("value", ["False", "2", "1.0", '"true"'])
     def test_bool_field_refuses_other_values(self, value, tmp_path, capsys):
@@ -537,6 +555,23 @@ class TestSpamlangSweep:
         summary = json.loads((tmp_path / "spamlang" / "summary.json").read_text())
         assert summary["num_diverged"] == 1
 
+    def test_loss_above_step_zero_is_diverged(self, tmp_path):
+        """Adam at lr=1e7 keeps every loss finite but ends far above where it
+        started: the cell is diverged, at the first eval above step 0."""
+        lrs = ["[1e7,0.02]" if arg == "[0.02]" else arg for arg in TINY_SPAM]
+        assert run(["spamlang-sweep", "--out", str(tmp_path)] + lrs) == 0
+        out = tmp_path / "spamlang"
+        with open(out / "sweep.csv") as fh:
+            rows = {row["lr"]: row for row in csv.DictReader(fh)}
+        bad = rows["10000000.0"]
+        assert (bad["status"], bad["final_loss"], bad["diverged_step"]) == ("diverged", "nan", "30")
+        assert rows["0.02"]["status"] == "ok"
+        assert not (out / "runs" / "v8_lr1e+07_seed0").exists()
+        with open(out / "final_loss_table.csv") as fh:
+            table = list(csv.DictReader(fh))
+        assert table[0]["10000000.0"] == "" and table[0]["0.02"] != ""
+        assert json.loads((out / "summary.json").read_text())["num_diverged"] == 1
+
     def test_rerun_bit_identical_and_cells_independent(self, tmp_path):
         assert run(["spamlang-sweep", "--out", str(tmp_path / "a")] + TINY_SPAM) == 0
         assert run(["spamlang-sweep", "--out", str(tmp_path / "b")] + TINY_SPAM) == 0
@@ -675,10 +710,12 @@ class TestArgHandling:
         assert run(["gen-corpus", "--out", str(tmp_path), "--config", str(cfg)]) == 1
         assert "seq_lenn" in capsys.readouterr().err
 
-    def test_nested_keys_are_not_checked(self, tmp_path):
+    def test_unknown_corpus_key_is_usage_error(self, tmp_path, capsys):
         args = ["train", "--out", str(tmp_path), "--steps", "2", "--corpus.num_seqs", "4",
-                "--corpus.seq_len", "5", "--corpus.extra", "1"]
-        assert run(args) == 0
+                "--corpus.seq_len", "5", "--corpus.vocab_sze", "10"]
+        assert run(args) == cli.EXIT_USAGE
+        assert "vocab_sze" in capsys.readouterr().err
+        assert not (tmp_path / "train" / "summary.json").exists()
 
     def test_sidecar_is_accepted_as_config(self, tmp_path):
         assert run(["gen-corpus", "--out", str(tmp_path / "a"), "--num_seqs", "4",

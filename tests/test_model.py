@@ -281,16 +281,36 @@ class TestTrain:
         with pytest.raises(ValueError, match="warmup_steps"):
             md.TrainConfig(steps=10, lr=0.1, width=2, schedule="cosine", warmup_steps=-5)
 
-    def test_freeze_flags(self):
+    @pytest.mark.parametrize("frozen", ["update_head", "update_h"])
+    @pytest.mark.parametrize("optimizer", ["gd", "adam"])
+    @pytest.mark.parametrize("head_rank", [None, 1], ids=["full", "factored"])
+    def test_freeze_flags(self, head_rank, optimizer, frozen):
         rng = np.random.default_rng(18)
         counts = random_counts(rng, 4, 5)
         cfg = md.TrainConfig(
-            steps=5, lr=0.1, width=2, optimizer="gd", eval_every=5, seed=2, update_head=False
+            steps=5, lr=0.1, width=2, head_rank=head_rank, optimizer=optimizer, eval_every=5,
+            seed=2, **{frozen: False}
         )
-        init = md.init_params(4, 5, 2, seed=2)
+        init = md.init_params(4, 5, 2, head_rank, seed=2)
         result = md.train(counts, cfg)
-        assert np.array_equal(result.params.head.w, init.head.w)
-        assert not np.array_equal(result.params.h, init.h)
+        after = {"h": result.params.h, **result.params.head.parts}
+        still = {"h"} if frozen == "update_h" else set(init.head.parts)
+        for name, before in {"h": init.h, **init.head.parts}.items():
+            assert np.array_equal(after[name], before) == (name in still), name
+
+    def test_first_adam_step_of_a_factored_head(self):
+        """Bias correction makes Adam's first step -lr * g / (|g| + eps)."""
+        rng = np.random.default_rng(21)
+        counts = random_counts(rng, 5, 6)
+        lr = 0.1
+        cfg = md.TrainConfig(steps=1, lr=lr, width=3, head_rank=2, optimizer="adam", seed=5)
+        init = md.init_params(5, 6, 3, 2, seed=5)
+        grads = md.param_gradients(counts, init)
+        result = md.train(counts, cfg)
+        after = {"h": result.params.h, **result.params.head.parts}
+        for name, before in {"h": init.h, **init.head.parts}.items():
+            g = getattr(grads, name)
+            assert rel_err(after[name] - before, -lr * g / (np.abs(g) + cfg.adam_eps)) < 1e-12
 
 
 class TestFirstOrderLogitUpdate:

@@ -235,5 +235,10 @@ def update_efficiency(
 
 
 def eckart_young_gap(residual_matrix, width: int) -> float:
-    """Unavoidable Frobenius error of any rank-2*width update against `residual_matrix`."""
+    """Unavoidable Frobenius error of any rank-2*width update against `residual_matrix`.
+
+    The tail of its singular values beyond the 2*width-th, from the top
+    eigenvalues of its Gram matrix, or from its exact SVD where that
+    difference cancels (`linalg.best_rank_k_residual`).
+    """
     return linalg.best_rank_k_residual(residual_matrix, 2 * int(width))

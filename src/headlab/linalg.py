@@ -13,6 +13,10 @@ import scipy.linalg
 # strict > comparison.
 DEFAULT_RANK_TOL = 1e-6
 
+# best_rank_k_residual's Gram form is trusted down to this share of the
+# squared Frobenius norm; a smaller tail is taken from the singular values.
+_GRAM_TAIL_FLOOR = 1e-6
+
 
 class SvdConvergenceError(RuntimeError):
     """The underlying SVD iteration exhausted its iteration budget."""
@@ -144,8 +148,30 @@ def best_rank_k_residual(m, k: int) -> float:
 
     Equals sqrt(sum of squared singular values beyond the k-th); 0 when k is
     at least min(rows, cols), ||m||_F when k = 0. Nonincreasing in k.
+
+    For 0 < k < min(rows, cols) the tail is ||m||_F^2 minus the top k
+    eigenvalues of the Gram matrix on the smaller side, with no SVD. That
+    difference carries an absolute error of about k * eps * ||m||_F^2, so
+    when the tail is at most `_GRAM_TAIL_FLOOR` of ||m||_F^2 it would cancel,
+    and the singular values are taken instead. Above that floor the error is
+    about k * eps * ||m||_F / (2 * sqrt(_GRAM_TAIL_FLOOR)), 7e-12 ||m||_F at
+    k = 64.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    s = singular_values(m)
+    a = as_matrix(m)
+    n = min(a.shape)
+    if 0 < k < n:
+        gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+        total = float(np.trace(gram))
+        # gram is symmetric: its transpose is the same matrix in the Fortran
+        # order LAPACK overwrites in place, with no copy
+        top = scipy.linalg.eigh(
+            gram.T, eigvals_only=True, subset_by_index=[n - k, n - 1], driver="evr",
+            overwrite_a=True, check_finite=False,
+        )
+        tail = total - float(np.sum(top))
+        if tail > _GRAM_TAIL_FLOOR * total:
+            return float(np.sqrt(tail))
+    s = singular_values(a)
     return float(np.sqrt(np.sum(s[k:] ** 2)))

@@ -368,6 +368,31 @@ class TestTrainConfigKeys:
         assert not np.array_equal(start.head.w, end.head.w)
 
 
+class TestIntegerKeys:
+    """The integer keys outside TrainConfig: a fraction is refused, a whole
+    float is taken as its integer."""
+
+    @pytest.mark.parametrize("args, key", [
+        (["train", "--corpus.num_seqs", "6", "--corpus.seq_len", "5", "--steps", "3",
+          "--max_context_len", "1.7"], "max_context_len"),
+        (["train", "--corpus.num_seqs", "8.9", "--corpus.seq_len", "5", "--steps", "3"],
+         "num_seqs"),
+        (["bottleneck-sweep", *TINY_BOTTLENECK, "--num_seqs", "24.5"], "num_seqs"),
+        (["spamlang-sweep", *TINY_SPAM, "--seqs_per_symbol", "2.5"], "seqs_per_symbol"),
+    ])
+    def test_fraction_exits_usage_naming_the_key(self, args, key, tmp_path, capsys):
+        assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE
+        assert f"{key} must be a whole number" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("summary.json"))
+
+    def test_whole_floats_are_taken_as_integers(self, tmp_path):
+        args = ["gen-corpus", "--out", str(tmp_path), "--vocab_size", "8", "--num_seqs", "8.0",
+                "--seq_len", "1e1", "--stats_prefix_sizes", "[1]"]
+        assert run(args) == 0
+        summary = json.loads((tmp_path / "corpus" / "summary.json").read_text())
+        assert (summary["num_sequences"], summary["num_tokens"]) == (8, 80)
+
+
 def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headlab import linalg
+
+PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=200)
 
 
 def jacobi_singular_values(a, sweeps=80, off_tol=1e-14):
@@ -274,3 +279,61 @@ class TestBestRankKResidual:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             linalg.best_rank_k_residual(np.eye(2), -1)
+
+
+@st.composite
+def residual_cases(draw):
+    """(m, k), 0 < k < min(m.shape): m = U diag(s) V^T of up to 40 x 40
+    whose squared singular values beyond the k-th hold about 10**e of
+    ||m||_F^2, e in [-14, 0], on both sides of the Gram form's floor."""
+    rows, cols = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    n = min(rows, cols)
+    k = draw(st.integers(1, n - 1))  # TestBestRankKResidual covers k = 0 and k >= n
+    share = 10.0 ** draw(st.floats(-14.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    head = rng.uniform(1.0, 2.0, size=k)
+    tail = rng.uniform(0.1, 1.0, size=n - k)
+    # at most 1, so that the tail stays below the head
+    tail *= min(1.0, np.sqrt(share * np.sum(head**2) / np.sum(tail**2)))
+    spectrum = np.sort(np.concatenate([head, tail]))[::-1]
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return scale * random_with_spectrum(rng, (rows, cols), spectrum), k
+
+
+@PROPERTY_SETTINGS
+@given(residual_cases())
+def test_best_rank_k_residual_matches_gesdd_tail(case):
+    m, k = case
+    s = np.linalg.svd(m, compute_uv=False)
+    expected = np.sqrt(np.sum(s[k:] ** 2))
+    assert abs(linalg.best_rank_k_residual(m, k) - expected) <= 1e-10 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_gram_form_skips_the_svd_unless_the_tail_cancels(transpose, monkeypatch):
+    """A random 300 x 256 matrix takes its tail from the 256 x 256 Gram
+    matrix alone; an exactly rank-16 one falls back to the singular values."""
+    svd_calls, gram_shapes = [], []
+    real_svd, real_eigh = linalg.singular_values, scipy.linalg.eigh
+
+    def svd_spy(m):
+        svd_calls.append(np.shape(m))
+        return real_svd(m)
+
+    def eigh_spy(a, *args, **kwargs):
+        gram_shapes.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "singular_values", svd_spy)
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
+    rng = np.random.default_rng(11)
+    orient = (lambda m: m.T) if transpose else (lambda m: m)
+    dense = orient(rng.normal(size=(300, 256)))
+    s = np.linalg.svd(dense, compute_uv=False)
+    assert linalg.best_rank_k_residual(dense, 16) == pytest.approx(
+        np.sqrt(np.sum(s[16:] ** 2)), rel=1e-12
+    )
+    assert svd_calls == [] and gram_shapes == [(256, 256)]
+    low_rank = orient(rng.normal(size=(300, 16)) @ rng.normal(size=(16, 256)))
+    assert linalg.best_rank_k_residual(low_rank, 16) < 1e-10 * np.linalg.norm(low_rank)
+    assert svd_calls == [low_rank.shape]

@@ -235,9 +235,33 @@ def _check_keys(kind: str, extra: dict, source: str) -> None:
         raise UsageError(f"unknown {kind} config key(s) in {source}: {', '.join(unknown)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_whole_numbers(config: dict, template: dict, prefix: str = "") -> None:
+    """Refuse a fraction under a key whose default is an integer or a list of
+    integers: int(8.9) is 8, so the run would differ from what config.json
+    records. Whole floats such as 8.0 and 1e3 pass."""
+    for key, default in template.items():
+        value, name = config.get(key), prefix + key
+        if isinstance(default, dict) and isinstance(value, dict):
+            _check_whole_numbers(value, default, f"{name}.")
+            continue
+        if _is_int(default):
+            values = [value]
+        elif isinstance(default, list) and default and all(map(_is_int, default)):
+            values = value if isinstance(value, list) else []
+        else:
+            continue
+        if any(isinstance(v, float) and not v.is_integer() for v in values):
+            raise UsageError(f"{name} must be a whole number, got {value!r}")
+
+
 def resolve_config(kind: str, config_path=None, overrides=None) -> dict:
     """Defaults, then the config file, then the overrides; unknown top-level
-    keys are refused (a run's own config.json sidecar is accepted back)."""
+    keys are refused (a run's own config.json sidecar is accepted back), and
+    so is a fraction where the default is whole."""
     if kind not in COMMANDS:
         raise UsageError(f"unknown experiment kind {kind!r}")
     config = copy.deepcopy(_DEFAULTS[kind])
@@ -258,6 +282,9 @@ def resolve_config(kind: str, config_path=None, overrides=None) -> dict:
     if overrides:
         _check_keys(kind, overrides, "the command line")
         config = _deep_merge(config, overrides)
+    # an inline corpus block takes gen-corpus's keys
+    corpus_block = {"corpus": GEN_CORPUS_DEFAULTS} if "corpus" in config else {}
+    _check_whole_numbers(config, {**_DEFAULTS[kind], **corpus_block})
     return config
 
 
@@ -288,9 +315,10 @@ def _make_corpus(spec, default_seed=0):
         raise UsageError(f"unknown corpus key(s): {', '.join(unknown)}")
     spec = {**GEN_CORPUS_DEFAULTS, "seed": default_seed, **spec}
     kind = spec["kind"]
-    vocab_size, num_seqs, seq_len, seed = (
-        _cast_field(key, "int", spec[key]) for key in ("vocab_size", "num_seqs", "seq_len", "seed")
-    )
+    vocab_size = int(spec["vocab_size"])
+    num_seqs = int(spec["num_seqs"])
+    seq_len = int(spec["seq_len"])
+    seed = int(spec["seed"])
     if kind == "spamlang":
         return corpus_mod.gen_spamlang(vocab_size, num_seqs, seq_len, seed)
     if kind == "zipf":
@@ -389,7 +417,7 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
 def run_train(config: dict, run_dir: Path) -> dict:
     corpus = _make_corpus(config["corpus"], default_seed=config["seed"])
     train_part, val_part = _split_corpus(corpus, float(config["val_fraction"]))
-    mcl = _cast_field("max_context_len", "int", config["max_context_len"])
+    mcl = int(config["max_context_len"])
     table, counts = build_counts(train_part, mcl)
     val_counts = None
     skipped = 0
@@ -424,7 +452,7 @@ def _diagnose_cell(shared, part):
         return diagnostics.eckart_young_gap(g, params.width)
     if part == "rank_curve":
         return diagnostics.gradient_rank_curve(
-            counts, p, config["token_counts"], seed=config["seed"]
+            counts, p, config["token_counts"], seed=int(config["seed"])
         )
     if part == "compression":
         report = diagnostics.compression_report(g, params.head)
@@ -445,9 +473,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
         raise UsageError("diagnose needs a checkpoint path")
     params = load_checkpoint(config["checkpoint"])
     corpus = _make_corpus(config["corpus"])
-    table, counts = build_counts(
-        corpus, _cast_field("max_context_len", "int", config["max_context_len"])
-    )
+    table, counts = build_counts(corpus, int(config["max_context_len"]))
     if params.h.shape[0] != counts.num_contexts or params.vocab_size != counts.vocab_size:
         raise CheckpointError(
             f"checkpoint dimensions (C={params.h.shape[0]}, V={params.vocab_size}) do not "
@@ -467,8 +493,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
     # split; each worker takes the next cell when it is free
     gap, curve, curve_eff, (report, profile) = _map_cells(
         _diagnose_cell,
-        ({**config, "token_counts": sizes, "seed": _cast_field("seed", "int", config["seed"])},
-         counts, params, lm, base_loss, p, g),
+        ({**config, "token_counts": sizes}, counts, params, lm, base_loss, p, g),
         [("gap",), ("rank_curve",), ("efficiency",), ("compression",)],
     )
 
@@ -531,8 +556,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
 def run_verify(config: dict, run_dir: Path) -> dict:
     rank_tol = float(config["rank_tol"])
     results = verify.run_all(
-        _cast_field("seed", "int", config["seed"]), rank_tol,
-        {check_id: config[check_id] for check_id in verify.CHECKS},
+        int(config["seed"]), rank_tol, {check_id: config[check_id] for check_id in verify.CHECKS}
     )
     summary = {"degenerate_rank_tol": not (1e-12 <= rank_tol <= 1e-2), "checks": {}}
     for check_id, res in results.items():
@@ -596,9 +620,9 @@ def _spamlang_cell(config, vocab_size, seed, lr):
     # the corpus depends only on (V, seed): cells stay independent of the
     # learning-rate grid composition
     corpus = corpus_mod.gen_spamlang(
-        vocab_size, config["seqs_per_symbol"] * vocab_size, config["seq_len"], seed
+        vocab_size, int(config["seqs_per_symbol"]) * vocab_size, int(config["seq_len"]), seed
     )
-    _, counts = build_counts(corpus, config["max_context_len"])
+    _, counts = build_counts(corpus, int(config["max_context_len"]))
     row = {"vocab_size": vocab_size, "lr": lr, "seed": seed, "entropy_floor": entropy_floor(counts)}
     return _train_cell(row, counts, _train_config({**config, "lr": lr, "seed": seed}), None, {
         "final_loss": lambda result: result.trajectory.final_train_loss,
@@ -617,10 +641,6 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
         for seed in config["seeds"]
         for lr in config["lrs"]
     ]
-    config = {**config, **{
-        key: _cast_field(key, "int", config[key])
-        for key in ("seqs_per_symbol", "seq_len", "max_context_len")
-    }}
     cells, _ = _run_cells(
         run_dir, _spamlang_cell, config, tasks,
         lambda cell: f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}",
@@ -719,15 +739,15 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         raise UsageError("ranks must name at least one head rank")
     if ranks != sorted(ranks):
         raise UsageError("ranks must be ascending")
-    width = _cast_field("width", "int", config["width"])
+    width = int(config["width"])
     if any(r < 1 or r > width for r in ranks):
         raise UsageError("every rank must lie in [1, width]")
     corpus = corpus_mod.gen_zipf_bigram(
-        _cast_field("vocab_size", "int", config["vocab_size"]),
+        int(config["vocab_size"]),
         float(config["exponent"]),
-        _cast_field("num_seqs", "int", config["num_seqs"]),
-        _cast_field("seq_len", "int", config["seq_len"]),
-        _cast_field("corpus_seed", "int", config["corpus_seed"]),
+        int(config["num_seqs"]),
+        int(config["seq_len"]),
+        int(config["corpus_seed"]),
     )
     train_part, val_part = _split_corpus(corpus, float(config["val_fraction"]))
     if val_part is None:
@@ -735,7 +755,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
             f"val_fraction {config['val_fraction']} leaves no validation sequences of "
             f"{len(corpus.sequences)}; bottleneck-sweep ranks the heads by validation loss"
         )
-    mcl = _cast_field("max_context_len", "int", config["max_context_len"])
+    mcl = int(config["max_context_len"])
     table, counts = build_counts(train_part, mcl)
     val_counts, _ = counts_for_table(val_part, table, mcl)
 
@@ -770,7 +790,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         target = lo.final_val_loss
         reach = next((p.step for p in hi.points if p.val_loss <= target), None)
         if reach and reach > 0:
-            speedups.append(_cast_field("steps", "int", config["steps"]) / reach)
+            speedups.append(int(config["steps"]) / reach)
     # the factored heads of the first seed
     val_series = [
         (f"r={rank}", [p.step for p in traj.points], [p.val_loss for p in traj.points])

@@ -576,31 +576,19 @@ class _Optimizer:
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for name, target in self._parts(params).items():
-            # a batch's rows of H are gathered and written back; a whole
-            # matrix or moment slot is updated in place
-            rows = h_rows if name == "h" else None
+            rows = h_rows if name == "h" and h_rows is not None else slice(None)
             grad = getattr(grads, name)
             if cfg.optimizer == "gd":
-                delta = lr * grad
+                target[rows] -= lr * grad
             else:
-                m, v = self.m[name], self.v[name]
-                if rows is not None:
-                    m, v = m[rows], v[rows]
+                # a view of the whole slot, or a copy of the batch's rows
+                m, v = self.m[name][rows], self.v[name][rows]
                 m *= b1
                 m += (1.0 - b1) * grad
                 v *= b2
                 v += (1.0 - b2) * grad**2
-                if rows is not None:
-                    self.m[name][rows], self.v[name][rows] = m, v
-                delta = lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
-            if rows is None:
-                target -= delta
-            else:
-                target[rows] -= delta
-            # dropped before the next part's step is made: kept alive, it makes
-            # malloc return pages and fault them in again, 4x the cost of a
-            # full-batch GD step at C = 2049, D = 32
-            del delta
+                self.m[name][rows], self.v[name][rows] = m, v
+                target[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
 
 
 def _eval_point(

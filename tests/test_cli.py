@@ -369,8 +369,8 @@ class TestTrainConfigKeys:
 
 
 class TestIntegerKeys:
-    """The integer keys outside TrainConfig: a fraction is refused, a whole
-    float is taken as its integer."""
+    """Every key whose default is whole, alone or in a list: a fraction is
+    refused, a whole float is taken as its integer."""
 
     @pytest.mark.parametrize("args, key", [
         (["train", "--corpus.num_seqs", "6", "--corpus.seq_len", "5", "--steps", "3",
@@ -379,6 +379,10 @@ class TestIntegerKeys:
          "num_seqs"),
         (["bottleneck-sweep", *TINY_BOTTLENECK, "--num_seqs", "24.5"], "num_seqs"),
         (["spamlang-sweep", *TINY_SPAM, "--seqs_per_symbol", "2.5"], "seqs_per_symbol"),
+        (["bottleneck-sweep", *TINY_BOTTLENECK, "--ranks", "[2.5,6]"], "ranks"),
+        (["verify", "--update_residual_gap.instances", "2.5"], "update_residual_gap.instances"),
+        (["diagnose", "--checkpoint", "missing.bin", "--corpus.seq_len", "4.5"],
+         "corpus.seq_len"),
     ])
     def test_fraction_exits_usage_naming_the_key(self, args, key, tmp_path, capsys):
         assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE

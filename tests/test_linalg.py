@@ -337,3 +337,44 @@ def test_gram_form_skips_the_svd_unless_the_tail_cancels(transpose, monkeypatch)
     low_rank = orient(rng.normal(size=(300, 16)) @ rng.normal(size=(16, 256)))
     assert linalg.best_rank_k_residual(low_rank, 16) < 1e-10 * np.linalg.norm(low_rank)
     assert svd_calls == [low_rank.shape]
+
+
+@pytest.mark.parametrize("head", ["one_dominant", "flat"])
+def test_gram_form_near_its_floor_at_a_diagnose_sized_matrix(head, monkeypatch):
+    """At 1024 x 512 and k = 64 with the tail just above the floor, where
+    the difference loses the most digits, the Gram form stays within
+    1e-10 ||m||_F of the gesdd tail and never calls the SVD."""
+    rng = np.random.default_rng(3)
+    top = np.r_[1.0, np.full(63, 1e-3)] if head == "one_dominant" else np.ones(64)
+    tail = rng.uniform(0.5, 1.0, size=512 - 64)
+    share = 1.05 * linalg._GRAM_TAIL_FLOOR
+    tail *= np.sqrt(share / (1.0 - share) * np.sum(top**2) / np.sum(tail**2))
+    m = random_with_spectrum(rng, (1024, 512), np.r_[top, tail])
+    s = scipy.linalg.svd(m, compute_uv=False, lapack_driver="gesdd")
+    assert np.sum(s[64:] ** 2) > linalg._GRAM_TAIL_FLOOR * np.sum(s**2)
+
+    def no_svd(m):
+        raise AssertionError("the Gram form fell back to the SVD")
+
+    monkeypatch.setattr(linalg, "singular_values", no_svd)
+    got = linalg.best_rank_k_residual(m, 64)
+    assert abs(got - np.sqrt(np.sum(s[64:] ** 2))) <= 1e-10 * np.linalg.norm(m)
+
+
+def test_eigh_failure_falls_back_to_the_singular_values(monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    m = np.random.default_rng(4).normal(size=(30, 20))
+    s = np.linalg.svd(m, compute_uv=False)
+    assert linalg.best_rank_k_residual(m, 5) == pytest.approx(
+        np.sqrt(np.sum(s[5:] ** 2)), rel=1e-12
+    )
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(linalg.SvdConvergenceError):
+        linalg.best_rank_k_residual(m, 5)

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import inspect
 import json
 import math
 import os
 import sys
+import typing
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -43,6 +43,7 @@ from .model import (
     Dataset,
     TrainConfig,
     TrainingDivergedError,
+    Trajectory,
     entropy_floor,
     load_checkpoint,
     logit_gradient,
@@ -228,43 +229,86 @@ def _parse_overrides(tokens) -> dict:
     return out
 
 
-def _check_keys(kind: str, extra: dict, source: str) -> None:
-    """Refuse top-level keys the experiment does not define."""
-    unknown = sorted(set(extra) - set(_DEFAULTS[kind]))
+# values that mean a full head / full-batch training
+_NONE_ALIASES = {"head_rank": (None, 0, "full"), "batch_sequences": (None, 0)}
+
+# a key whose default is None takes the annotation of the TrainConfig field or
+# verifier keyword it feeds; any other such key is a path
+_ANNOTATIONS = {
+    **typing.get_type_hints(TrainConfig),
+    **{
+        f"{check_id}.{name}": param.annotation
+        for check_id, check in verify.CHECKS.items()
+        for name, param in inspect.signature(check, eval_str=True).parameters.items()
+    },
+}
+
+
+def _typed(name: str, value, default):
+    """`value`, given for the config key `name`, as the type of its `default`.
+
+    A whole float is taken as an int (int(8.9) is 8, so a fraction is
+    refused: the run would differ from what config.json records), an int as
+    a float, a number as a string's text, and a bool only from true, false,
+    0 or 1 (bool("False") is True). A list is typed element by element, a
+    block key by key. A None default takes the annotation of the TrainConfig
+    field or verifier keyword it feeds, and is otherwise a path.
+    """
+    if isinstance(default, dict):
+        if isinstance(value, dict):
+            return _typed_block(value, default, f"{name}.")
+        if name != "corpus":
+            raise UsageError(f"{name} must be a block of keys, got {value!r}")
+        if value is None or isinstance(value, str):
+            return value  # a corpus file, or none yet
+        raise UsageError(f"corpus must be a path or a block of keys, got {value!r}")
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, (list, tuple)):
+            raise UsageError(f"{name} must be a list, got {value!r}")
+        # the one empty default, snapshot_steps, holds step numbers
+        return [_typed(name, v, default[0] if default else 0) for v in value]
+    if default is None:
+        if value in _NONE_ALIASES.get(name, (None,)):
+            return None
+        hint = _ANNOTATIONS.get(name)
+        if hint is None:
+            if isinstance(value, str):
+                return value
+            raise UsageError(f"{name} must be a path, got {value!r}")
+        default = typing.get_args(hint)[0]()  # int | None: typed as an int
+    if isinstance(default, bool):
+        if isinstance(value, int) and value in (0, 1):
+            return bool(value)
+        raise UsageError(f"{name} must be true, false, 0 or 1, got {value!r}")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        if number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        raise UsageError(f"{name} must be a whole number, got {value!r}")
+    if isinstance(default, float):
+        if isinstance(value, float) or number and abs(value) <= sys.float_info.max:
+            return float(value)
+        raise UsageError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, str) or number:
+        return str(value)
+    raise UsageError(f"{name} must be a string, got {value!r}")
+
+
+def _typed_block(block: dict, template: dict, prefix: str = "") -> dict:
+    """Every key of `block` typed by `_typed`; a key `template` lacks is refused."""
+    unknown = sorted(prefix + key for key in set(block) - set(template))
     if unknown:
-        raise UsageError(f"unknown {kind} config key(s) in {source}: {', '.join(unknown)}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_whole_numbers(config: dict, template: dict, prefix: str = "") -> None:
-    """Refuse a fraction under a key whose default is an integer or a list of
-    integers: int(8.9) is 8, so the run would differ from what config.json
-    records. Whole floats such as 8.0 and 1e3 pass."""
-    for key, default in template.items():
-        value, name = config.get(key), prefix + key
-        if isinstance(default, dict) and isinstance(value, dict):
-            _check_whole_numbers(value, default, f"{name}.")
-            continue
-        if _is_int(default):
-            values = [value]
-        elif isinstance(default, list) and default and all(map(_is_int, default)):
-            values = value if isinstance(value, list) else []
-        else:
-            continue
-        if any(isinstance(v, float) and not v.is_integer() for v in values):
-            raise UsageError(f"{name} must be a whole number, got {value!r}")
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    return {key: _typed(prefix + key, value, template[key]) for key, value in block.items()}
 
 
 def resolve_config(kind: str, config_path=None, overrides=None) -> dict:
-    """Defaults, then the config file, then the overrides; unknown top-level
-    keys are refused (a run's own config.json sidecar is accepted back), and
-    so is a fraction where the default is whole."""
+    """Defaults, then the config file, then the overrides, every value typed
+    as its default (`_typed`); an unknown key is refused, and a run's own
+    config.json sidecar is accepted back."""
     if kind not in COMMANDS:
         raise UsageError(f"unknown experiment kind {kind!r}")
-    config = copy.deepcopy(_DEFAULTS[kind])
+    config = _DEFAULTS[kind]
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -277,15 +321,12 @@ def resolve_config(kind: str, config_path=None, overrides=None) -> dict:
             raise UsageError("config file must hold a JSON object")
         if file_cfg.pop("experiment", kind) != kind:
             raise UsageError(f"config file {config_path} is not a {kind} config")
-        _check_keys(kind, file_cfg, f"config file {config_path}")
         config = _deep_merge(config, file_cfg)
-    if overrides:
-        _check_keys(kind, overrides, "the command line")
-        config = _deep_merge(config, overrides)
-    # an inline corpus block takes gen-corpus's keys
-    corpus_block = {"corpus": GEN_CORPUS_DEFAULTS} if "corpus" in config else {}
-    _check_whole_numbers(config, {**_DEFAULTS[kind], **corpus_block})
-    return config
+    config = _deep_merge(config, overrides or {})
+    template = dict(_DEFAULTS[kind])
+    if "corpus" in template:  # an inline corpus block takes gen-corpus's keys
+        template["corpus"] = GEN_CORPUS_DEFAULTS
+    return _typed_block(config, template)
 
 
 def _out_root(explicit=None) -> Path:
@@ -308,23 +349,13 @@ def _make_corpus(spec, default_seed=0):
         raise UsageError("a corpus path or generator block is required")
     if isinstance(spec, str):
         return load_corpus(spec)
-    if not isinstance(spec, dict):
-        raise UsageError("corpus must be a path or a generator object")
-    unknown = sorted(set(spec) - set(GEN_CORPUS_DEFAULTS))
-    if unknown:
-        raise UsageError(f"unknown corpus key(s): {', '.join(unknown)}")
     spec = {**GEN_CORPUS_DEFAULTS, "seed": default_seed, **spec}
-    kind = spec["kind"]
-    vocab_size = int(spec["vocab_size"])
-    num_seqs = int(spec["num_seqs"])
-    seq_len = int(spec["seq_len"])
-    seed = int(spec["seed"])
-    if kind == "spamlang":
-        return corpus_mod.gen_spamlang(vocab_size, num_seqs, seq_len, seed)
-    if kind == "zipf":
-        exponent = float(spec["exponent"])
-        return corpus_mod.gen_zipf_bigram(vocab_size, exponent, num_seqs, seq_len, seed)
-    raise UsageError(f"unknown corpus kind {kind!r}")
+    v, n, length, seed = spec["vocab_size"], spec["num_seqs"], spec["seq_len"], spec["seed"]
+    if spec["kind"] == "spamlang":
+        return corpus_mod.gen_spamlang(v, n, length, seed)
+    if spec["kind"] == "zipf":
+        return corpus_mod.gen_zipf_bigram(v, spec["exponent"], n, length, seed)
+    raise UsageError(f"unknown corpus kind {spec['kind']!r}")
 
 
 def _split_corpus(corpus, val_fraction: float):
@@ -346,32 +377,10 @@ def _split_corpus(corpus, val_fraction: float):
     return train_part, val_part
 
 
-# values that mean a full head / full-batch training
-_NONE_ALIASES = {"head_rank": (None, 0, "full"), "batch_sequences": (None, 0)}
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
-
-
-def _cast_field(name: str, type_name: str, value):
-    # int(8.9) is 8, so a fraction would train other than config.json says
-    if type_name == "int" and isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"{name} must be a whole number, got {value!r}")
-    if type_name != "bool":
-        return _FIELD_TYPES[type_name](value)
-    # bool("False") is True, so only JSON true/false and 0/1 are accepted
-    if isinstance(value, int) and value in (0, 1):
-        return bool(value)
-    raise UsageError(f"{name} must be true, false, 0 or 1, got {value!r}")
-
-
 def _train_config(cfg: dict) -> TrainConfig:
-    """TrainConfig from the config keys named like its fields, each cast to
-    its field's type; the dataclass supplies the missing ones."""
-    return TrainConfig(**{
-        f.name: None if cfg[f.name] in _NONE_ALIASES.get(f.name, ())
-        else _cast_field(f.name, f.type.removesuffix(" | None"), cfg[f.name])
-        for f in fields(TrainConfig)
-        if f.name in cfg
-    })
+    """TrainConfig from the config keys named like its fields; the dataclass
+    supplies the missing ones."""
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
 
 
 def _write_table(path, columns, rows) -> None:
@@ -416,8 +425,8 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
 
 def run_train(config: dict, run_dir: Path) -> dict:
     corpus = _make_corpus(config["corpus"], default_seed=config["seed"])
-    train_part, val_part = _split_corpus(corpus, float(config["val_fraction"]))
-    mcl = int(config["max_context_len"])
+    train_part, val_part = _split_corpus(corpus, config["val_fraction"])
+    mcl = config["max_context_len"]
     table, counts = build_counts(train_part, mcl)
     val_counts = None
     skipped = 0
@@ -452,7 +461,7 @@ def _diagnose_cell(shared, part):
         return diagnostics.eckart_young_gap(g, params.width)
     if part == "rank_curve":
         return diagnostics.gradient_rank_curve(
-            counts, p, config["token_counts"], seed=int(config["seed"])
+            counts, p, config["token_counts"], seed=config["seed"]
         )
     if part == "compression":
         report = diagnostics.compression_report(g, params.head)
@@ -473,13 +482,13 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
         raise UsageError("diagnose needs a checkpoint path")
     params = load_checkpoint(config["checkpoint"])
     corpus = _make_corpus(config["corpus"])
-    table, counts = build_counts(corpus, int(config["max_context_len"]))
+    table, counts = build_counts(corpus, config["max_context_len"])
     if params.h.shape[0] != counts.num_contexts or params.vocab_size != counts.vocab_size:
         raise CheckpointError(
             f"checkpoint dimensions (C={params.h.shape[0]}, V={params.vocab_size}) do not "
             f"match the corpus counts (C={counts.num_contexts}, V={counts.vocab_size})"
         )
-    sizes = [int(k) for k in config["token_counts"] if int(k) <= counts.total]
+    sizes = [k for k in config["token_counts"] if k <= counts.total]
     if not sizes:
         raise UsageError(
             f"no entry of token_counts {config['token_counts']} fits the corpus's "
@@ -554,9 +563,9 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
 
 
 def run_verify(config: dict, run_dir: Path) -> dict:
-    rank_tol = float(config["rank_tol"])
+    rank_tol = config["rank_tol"]
     results = verify.run_all(
-        int(config["seed"]), rank_tol, {check_id: config[check_id] for check_id in verify.CHECKS}
+        config["seed"], rank_tol, {check_id: config[check_id] for check_id in verify.CHECKS}
     )
     summary = {"degenerate_rank_tol": not (1e-12 <= rank_tol <= 1e-2), "checks": {}}
     for check_id, res in results.items():
@@ -620,9 +629,9 @@ def _spamlang_cell(config, vocab_size, seed, lr):
     # the corpus depends only on (V, seed): cells stay independent of the
     # learning-rate grid composition
     corpus = corpus_mod.gen_spamlang(
-        vocab_size, int(config["seqs_per_symbol"]) * vocab_size, int(config["seq_len"]), seed
+        vocab_size, config["seqs_per_symbol"] * vocab_size, config["seq_len"], seed
     )
-    _, counts = build_counts(corpus, int(config["max_context_len"]))
+    _, counts = build_counts(corpus, config["max_context_len"])
     row = {"vocab_size": vocab_size, "lr": lr, "seed": seed, "entropy_floor": entropy_floor(counts)}
     return _train_cell(row, counts, _train_config({**config, "lr": lr, "seed": seed}), None, {
         "final_loss": lambda result: result.trajectory.final_train_loss,
@@ -636,7 +645,7 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
     Cells whose training diverges are recorded as failed cells, not crashes.
     """
     tasks = [
-        (int(vocab_size), int(seed), float(lr))
+        (vocab_size, seed, lr)
         for vocab_size in config["vocab_sizes"]
         for seed in config["seeds"]
         for lr in config["lrs"]
@@ -655,8 +664,7 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
 
     # final loss averaged over the seeds, per (V, lr) with an ok cell: the
     # table and the plot of the Fig-5-style V x lr grid
-    lrs = [float(x) for x in config["lrs"]]
-    vocab_sizes = [int(v) for v in config["vocab_sizes"]]
+    lrs, vocab_sizes = config["lrs"], config["vocab_sizes"]
     means = {}
     for v in vocab_sizes:
         for lr in lrs:
@@ -734,35 +742,35 @@ def _bottleneck_cell(shared, seed, rank, is_baseline):
 
 def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     """Validation-loss trend against the head rank on one shared corpus."""
-    ranks = [int(r) for r in config["ranks"]]
+    ranks = config["ranks"]
     if not ranks:
         raise UsageError("ranks must name at least one head rank")
     if ranks != sorted(ranks):
         raise UsageError("ranks must be ascending")
-    width = int(config["width"])
+    width = config["width"]
     if any(r < 1 or r > width for r in ranks):
         raise UsageError("every rank must lie in [1, width]")
     corpus = corpus_mod.gen_zipf_bigram(
-        int(config["vocab_size"]),
-        float(config["exponent"]),
-        int(config["num_seqs"]),
-        int(config["seq_len"]),
-        int(config["corpus_seed"]),
+        config["vocab_size"],
+        config["exponent"],
+        config["num_seqs"],
+        config["seq_len"],
+        config["corpus_seed"],
     )
-    train_part, val_part = _split_corpus(corpus, float(config["val_fraction"]))
+    train_part, val_part = _split_corpus(corpus, config["val_fraction"])
     if val_part is None:
         raise UsageError(
             f"val_fraction {config['val_fraction']} leaves no validation sequences of "
             f"{len(corpus.sequences)}; bottleneck-sweep ranks the heads by validation loss"
         )
-    mcl = int(config["max_context_len"])
+    mcl = config["max_context_len"]
     table, counts = build_counts(train_part, mcl)
     val_counts, _ = counts_for_table(val_part, table, mcl)
 
     variants = [(r, False) for r in ranks]
     if config["include_full_baseline"]:
         variants.append((width, True))
-    tasks = [(int(seed), rank, is_baseline)
+    tasks = [(seed, rank, is_baseline)
              for seed in config["seeds"] for rank, is_baseline in variants]
     rows, trajectories = _run_cells(
         run_dir, _bottleneck_cell, (config, counts, val_counts), tasks,
@@ -782,7 +790,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     # tokens-to-match ratio: how much sooner the widest head reaches the
     # narrowest head's final validation loss (full-batch, so steps ~ tokens)
     speedups = []
-    for seed in [int(s) for s in config["seeds"]]:
+    for seed in config["seeds"]:
         lo = trajectories.get(f"rank{ranks[0]}_seed{seed}")
         hi = trajectories.get(f"rank{ranks[-1]}_seed{seed}")
         if lo is None or hi is None:
@@ -790,13 +798,13 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         target = lo.final_val_loss
         reach = next((p.step for p in hi.points if p.val_loss <= target), None)
         if reach and reach > 0:
-            speedups.append(int(config["steps"]) / reach)
+            speedups.append(config["steps"] / reach)
     # the factored heads of the first seed
     val_series = [
         (f"r={rank}", [p.step for p in traj.points], [p.val_loss for p in traj.points])
         for seed in config["seeds"][:1]
         for rank in ranks
-        if (traj := trajectories.get(f"rank{rank}_seed{int(seed)}")) is not None
+        if (traj := trajectories.get(f"rank{rank}_seed{seed}")) is not None
     ]
     svg.line_plot(
         run_dir / "val_loss.svg",
@@ -827,19 +835,8 @@ def run_report(config: dict, run_dir: Path) -> dict:
         raise UsageError(f"run_dir {target} is not a directory")
     written = []
     for path in sorted(target.rglob("trajectory.csv")):
-        steps, train_losses, val_losses = [], [], []
-        with open(path) as fh:
-            for row in csv.DictReader(fh):
-                steps.append(int(row["step"]))
-                train_losses.append(float(row["train_loss"]))
-                val_losses.append(float(row["val_loss"]) if row["val_loss"] else None)
-        series = [("train", steps, train_losses)]
-        if any(v is not None for v in val_losses):
-            series.append(
-                ("val", steps, [v if v is not None else float("nan") for v in val_losses])
-            )
         out = run_dir / (path.parent.name + "_trajectory.svg")
-        svg.line_plot(out, series, title=str(path.parent.name), xlabel="step", ylabel="loss")
+        _trajectory_svg(out, Trajectory.from_csv(path), path.parent.name)
         written.append(str(out))
     summary = {"plots": written}
     write_json(run_dir / "summary.json", summary)
@@ -897,7 +894,7 @@ def main(argv=None) -> int:
     try:
         summary = COMMANDS[args.command](config, run_dir)
     except (UsageError, CorpusFormatError, CheckpointError, ContextOverflowError,
-            FileNotFoundError, ValueError, TypeError, KeyError) as exc:
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingDivergedError, SvdConvergenceError) as exc:

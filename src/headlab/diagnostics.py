@@ -77,20 +77,17 @@ def gradient_rank_curve(
 
 
 def kernel_cosine(g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL):
-    """Mean and std over rows of cos(row, its projection off the kernel).
+    """Mean and std over rows of cos(row, its projection off the kernel), as
+    `compression_report` measures them.
 
     For an orthogonal projection the cosine equals the retained norm
     fraction of the row. Zero rows are excluded; an all-zero gradient is an
     error.
     """
-    g = np.asarray(g, dtype=np.float64)
-    row_norms = np.linalg.norm(g, axis=1)
-    nz = row_norms > 0
-    if not np.any(nz):
+    report = compression_report(g, head, rank_tol)
+    if report.zero_gradient:
         raise ValueError("all gradient rows are zero")
-    kept, _ = linalg.kernel_split(g, head.matrix, rank_tol)
-    cos = np.linalg.norm(kept[nz], axis=1) / row_norms[nz]
-    return float(cos.mean()), float(cos.std())
+    return report.cosine_mean, report.cosine_std
 
 
 @dataclass

@@ -9,9 +9,11 @@ empirical next-token distributions; its gradients are analytic and exact.
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,6 +246,19 @@ class Trajectory:
     def to_csv(self, path) -> None:
         rows = [[p.step, p.train_loss, p.val_loss, p.top1_acc] for p in self.points]
         write_csv(path, ["step", "train_loss", "val_loss", "top1_acc"], rows)
+
+    @classmethod
+    def from_csv(cls, path) -> Trajectory:
+        """The trajectory `to_csv` wrote; a blank cell reads back as None."""
+        def cell(text):
+            return float(text) if text else None
+
+        with open(path, newline="") as fh:
+            return cls([
+                TrajectoryPoint(int(row["step"]), float(row["train_loss"]),
+                                cell(row["val_loss"]), cell(row["top1_acc"]))
+                for row in csv.DictReader(fh)
+            ])
 
     @property
     def final_train_loss(self) -> float:
@@ -505,21 +520,11 @@ def first_order_logit_update(
     return delta
 
 
-class Top1Accuracy(tuple):
+class Top1Accuracy(NamedTuple):
     """(weighted, unweighted) argmax agreement between model and counts."""
 
-    __slots__ = ()
-
-    def __new__(cls, weighted: float, unweighted: float):
-        return super().__new__(cls, (weighted, unweighted))
-
-    @property
-    def weighted(self) -> float:
-        return self[0]
-
-    @property
-    def unweighted(self) -> float:
-        return self[1]
+    weighted: float
+    unweighted: float
 
 
 def _top1_from_match(counts: CountMatrix, match: np.ndarray) -> Top1Accuracy:

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headlab import cli, parallel
 from headlab import corpus as corpus_mod
@@ -397,6 +399,81 @@ class TestIntegerKeys:
         assert (summary["num_sequences"], summary["num_tokens"]) == (8, 80)
 
 
+def _like(name, default):
+    """JSON values that resolve_config takes for the key `name`: ints and
+    whole floats for an int, ints and floats for a float, 0, 1, true and false
+    for a bool; strings and paths keep their defaults."""
+    ints = st.integers(-2**53, 2**53)
+    if isinstance(default, bool):
+        return st.sampled_from([0, 1, True, False])
+    if isinstance(default, int) or default is None and name in cli._ANNOTATIONS:
+        return ints | ints.map(float)
+    if isinstance(default, float):
+        return ints | st.floats(allow_nan=False, allow_infinity=False)
+    if isinstance(default, (list, tuple)):
+        return st.lists(_like(name, default[0] if default else 0), max_size=3)
+    if isinstance(default, dict):
+        return st.fixed_dictionaries({k: _like(f"{name}.{k}", v) for k, v in default.items()})
+    return st.just(default)
+
+
+def _assert_typed(value, default):
+    if isinstance(default, dict):
+        for key in value:
+            _assert_typed(value[key], default[key])
+    elif isinstance(default, (list, tuple)):
+        assert type(value) is list
+        for v in value:
+            _assert_typed(v, default[0] if default else 0)
+    elif default is None:
+        assert value is None or type(value) is int
+    else:
+        assert type(value) is type(default)
+
+
+class TestTypedConfig:
+    """resolve_config types every key as its default; a value it cannot
+    type exits 1 naming the key, before any file is written."""
+
+    @pytest.mark.parametrize("args, key", [
+        (["bottleneck-sweep", *TINY_BOTTLENECK, "--include_full_baseline", "False"],
+         "include_full_baseline"),
+        (["train", "--corpus.num_seqs", "6", "--corpus.seq_len", "5", "--steps", "3",
+          "--snapshot_steps", "[1.5]"], "snapshot_steps"),
+        (["verify", "--loss_floor.bogus", "3"], "loss_floor.bogus"),
+        (["train", "--corpus.num_seqs", "6", "--corpus.seq_len", "5", "--steps", "3",
+          "--lr", "abc"], "lr"),
+        (["train", "--steps", "3", "--lr", "1" + "0" * 400], "lr"),
+    ])
+    def test_untyped_value_exits_usage_naming_the_key(self, args, key, tmp_path, capsys):
+        assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{key} must" in err or f"unknown config key(s): {key}" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_whole_float_verifier_size(self, tmp_path):
+        args = ["--loss_floor.trials", "5.0", *TestVerifyCommand.TINY[2:]]
+        assert run(["verify", "--out", str(tmp_path)] + args) == 0
+        summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
+        assert summary["checks"]["loss_floor"]["instances"] == 5
+        sidecar = json.loads((tmp_path / "verify" / "config.json").read_text())
+        assert type(sidecar["loss_floor"]["trials"]) is int
+
+    @settings(settings.get_profile("deterministic"), max_examples=40)
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", sorted(cli.COMMANDS))
+    def test_every_key_takes_its_default_type(self, kind, data, tmp_path_factory):
+        defaults = cli._DEFAULTS[kind]
+        overrides = data.draw(st.fixed_dictionaries({k: _like(k, v) for k, v in defaults.items()}))
+        config = cli.resolve_config(kind, overrides=overrides)
+        assert config.keys() == defaults.keys()
+        if isinstance(defaults.get("corpus"), dict):  # typed by gen-corpus's keys
+            defaults = {**defaults, "corpus": cli.GEN_CORPUS_DEFAULTS}
+        _assert_typed(config, defaults)
+        run_dir = cli._prepare_dir(tmp_path_factory.getbasetemp() / "typed", config, kind)
+        assert cli.resolve_config(kind, run_dir / "config.json") == config
+
+
 def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -693,6 +770,14 @@ class TestReportCommand:
         assert summary["plots"]
         for plot in summary["plots"]:
             assert plot.endswith(".svg")
+
+    def test_plot_equals_the_runs_own(self, tmp_path):
+        assert run(["train", "--out", str(tmp_path), "--corpus.num_seqs", "8",
+                    "--corpus.seq_len", "6", "--steps", "20", "--eval_every", "5",
+                    "--val_fraction", "0.25"]) == 0
+        assert run(["report", "--out", str(tmp_path), "--run_dir", str(tmp_path / "train")]) == 0
+        own = (tmp_path / "train" / "trajectory.svg").read_bytes()
+        assert (tmp_path / "report" / "train_trajectory.svg").read_bytes() == own
 
 
 class TestArgHandling:

@@ -39,7 +39,6 @@ from .linalg import (
 )
 from .model import (
     CheckpointError,
-    Dataset,
     FactoredHead,
     FullHead,
     ModelParams,

@@ -40,7 +40,6 @@ from .corpus import (
 from .linalg import SvdConvergenceError
 from .model import (
     CheckpointError,
-    Dataset,
     TrainConfig,
     TrainingDivergedError,
     Trajectory,
@@ -337,7 +336,10 @@ def _out_root(explicit=None) -> Path:
 
 
 def _prepare_dir(out_root: Path, config: dict, kind: str) -> Path:
-    run_dir = out_root / str(config.get("name") or kind)
+    name = config["name"]
+    if name in ("", ".", "..") or "/" in name or os.sep in name:
+        raise UsageError(f"name must be one plain path component, got {name!r}")
+    run_dir = out_root / name
     run_dir.mkdir(parents=True, exist_ok=True)
     write_json(run_dir / "config.json", {**config, "experiment": kind})
     return run_dir
@@ -432,9 +434,8 @@ def run_train(config: dict, run_dir: Path) -> dict:
     skipped = 0
     if val_part is not None:
         val_counts, skipped = counts_for_table(val_part, table, mcl)
-    tc = _train_config(config)
-    data = Dataset(train_part, table, counts, mcl) if tc.batch_sequences else counts
-    result = train(data, tc, val_counts=val_counts, snapshot_steps=config["snapshot_steps"])
+    result = train(counts, _train_config(config), val_counts=val_counts,
+                   snapshot_steps=config["snapshot_steps"], table=table)
     save_checkpoint(run_dir / "checkpoint.bin", result.params)
     result.trajectory.to_csv(run_dir / "trajectory.csv")
     for step, snap in result.snapshots:
@@ -577,7 +578,7 @@ def run_verify(config: dict, run_dir: Path) -> dict:
     return summary
 
 
-def _train_cell(row, data, tc, val_counts, measures):
+def _train_cell(row, counts, tc, val_counts, measures):
     """Train one sweep cell. Returns its row, completed with its status and
     each of `measures` (name -> function of the TrainResult), and its
     trajectory.
@@ -588,7 +589,7 @@ def _train_cell(row, data, tc, val_counts, measures):
     and no trajectory.
     """
     try:
-        result = train(data, tc, val_counts=val_counts)
+        result = train(counts, tc, val_counts=val_counts)
     except TrainingDivergedError as exc:
         diverged_step = exc.step
     else:

@@ -63,13 +63,15 @@ class Corpus:
 @dataclass
 class ContextTable:
     """Distinct context keys in first-seen order (rows right-aligned, padded
-    with -1), and the counted corpus's concatenated `tokens`, their context
-    rows `token_rows` and the sequence offsets `starts`."""
+    with -1, `max_context_len` wide), and the counted corpus itself: its
+    concatenated `tokens`, their context rows `token_rows`, the sequence
+    offsets `starts` and its `vocab_size`."""
 
     keys: np.ndarray
     tokens: np.ndarray
     token_rows: np.ndarray
     starts: np.ndarray
+    vocab_size: int
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -260,7 +262,7 @@ def build_counts(corpus: Corpus, max_context_len: int = DEFAULT_CONTEXT_LEN):
     each sequence is counted under the empty context.
     """
     table = _context_table(corpus, max_context_len)
-    return table, _count_matrix(table.token_rows, table.tokens, corpus.vocab_size,
+    return table, _count_matrix(table.token_rows, table.tokens, table.vocab_size,
                                 keep_row_ids=False)
 
 
@@ -271,15 +273,11 @@ def _context_table(corpus: Corpus, max_context_len: int) -> ContextTable:
     tokens, starts, keys = _token_keys(corpus, max_context_len)
     _, first, inv = np.unique(_row_scalars(keys), return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted keys -> first-seen order
-    return ContextTable(keys[first[order]], tokens, np.argsort(order)[inv], starts)
+    return ContextTable(keys[first[order]], tokens, np.argsort(order)[inv], starts,
+                        corpus.vocab_size)
 
 
-def batch_counts(
-    corpus: Corpus,
-    table: ContextTable,
-    batch,
-    max_context_len: int = DEFAULT_CONTEXT_LEN,
-) -> CountMatrix:
+def batch_counts(table: ContextTable, batch) -> CountMatrix:
     """Counts restricted to a set of sequence indices of the corpus the table
     was counted from, read from the table's per-token rows.
 
@@ -289,16 +287,10 @@ def batch_counts(
     batch = np.unique(np.asarray(list(batch), dtype=np.int64))
     if batch.size == 0:
         raise ValueError("batch must be nonempty")
-    if batch[0] < 0 or batch[-1] >= len(corpus.sequences):
+    if batch[0] < 0 or batch[-1] >= len(table.starts) - 1:
         raise ValueError("batch contains an invalid sequence index")
-    if not (
-        table.keys.shape[1] == max_context_len
-        and np.array_equal(np.diff(table.starts), [len(s) for s in corpus.sequences])
-        and np.array_equal(table.tokens, np.concatenate(corpus.sequences))
-    ):
-        raise ValueError(f"table not counted from this corpus at max_context_len={max_context_len}")
     idx = np.concatenate([np.arange(table.starts[s], table.starts[s + 1]) for s in batch])
-    return _count_matrix(table.token_rows[idx], table.tokens[idx], corpus.vocab_size)
+    return _count_matrix(table.token_rows[idx], table.tokens[idx], table.vocab_size)
 
 
 def counts_for_table(
@@ -374,9 +366,10 @@ class AssumptionStats:
         return rows
 
 
-def _unique_continuations(table: ContextTable, vocab_size: int):
+def _unique_continuations(table: ContextTable):
     """Rows with a single observed next token, and those tokens, read from
     the table's distinct (row, token) pairs."""
+    vocab_size = table.vocab_size
     cells = np.unique(table.token_rows * vocab_size + table.tokens)
     cell_rows = cells // vocab_size
     single_rows = np.flatnonzero(np.bincount(cell_rows) == 1)
@@ -391,11 +384,10 @@ def assumption_stats(
     prefix_sizes=(),
     entropy_bins: int = 24,
 ) -> AssumptionStats:
-    single_rows, tokens = _unique_continuations(table, counts.vocab_size)
+    single_rows, tokens = _unique_continuations(table)
     by_prefix = {}
     for size in prefix_sizes:
-        sized = _context_table(corpus, int(size))
-        _, sized_tokens = _unique_continuations(sized, corpus.vocab_size)
+        _, sized_tokens = _unique_continuations(_context_table(corpus, int(size)))
         by_prefix[int(size)] = int(np.unique(sized_tokens).size)
     h = row_entropies(counts)
     hmax = max(float(np.log(counts.vocab_size)), 1e-12)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, ContextTable, CountMatrix, batch_counts
+from .corpus import ContextTable, CountMatrix, batch_counts
 from .linalg import as_matrix
 from .parallel import map_threads
 from .tables import write_csv
@@ -267,16 +267,6 @@ class Trajectory:
     @property
     def final_val_loss(self):
         return self.points[-1].val_loss
-
-
-@dataclass
-class Dataset:
-    """A corpus together with its counted form; needed for mini-batch training."""
-
-    corpus: Corpus
-    table: ContextTable
-    counts: CountMatrix
-    max_context_len: int
 
 
 @dataclass
@@ -615,31 +605,28 @@ def _eval_point(
 
 
 def train(
-    data,
+    counts: CountMatrix,
     config: TrainConfig,
     params: ModelParams | None = None,
     val_counts: CountMatrix | None = None,
     snapshot_steps=(),
+    table: ContextTable | None = None,
 ) -> TrainResult:
     """Run the configured optimizer and record a loss trajectory.
 
-    `data` is a CountMatrix for full-batch training, or a Dataset when
-    `config.batch_sequences` requests per-step sequence batches. Batches are
-    drawn without replacement within an epoch; contexts absent from a batch
-    keep their representation rows (and Adam moments) untouched. Fully
-    deterministic given the config seed; a non-finite loss aborts with a
+    `counts` are the full training counts. When `config.batch_sequences`
+    requests per-step sequence batches, each batch is counted from `table`,
+    the ContextTable `counts` were built with. Batches are drawn without
+    replacement within an epoch; contexts absent from a batch keep their
+    representation rows (and Adam moments) untouched. Fully deterministic
+    given the config seed; a non-finite loss aborts with a
     TrainingDivergedError.
     """
-    if isinstance(data, Dataset):
-        counts = data.counts
-        dataset = data
-    elif isinstance(data, CountMatrix):
-        counts = data
-        dataset = None
-    else:
-        raise TypeError("data must be a CountMatrix or Dataset")
-    if config.batch_sequences is not None and dataset is None:
-        raise ValueError("mini-batch training needs a Dataset, not a bare CountMatrix")
+    if config.batch_sequences is not None and table is None:
+        raise ValueError("mini-batch training needs the ContextTable the counts were built with")
+    if table is not None and len(table) != counts.num_contexts:
+        raise ValueError(f"table has {len(table)} contexts but the counts have "
+                         f"{counts.num_contexts}")
 
     rng = np.random.default_rng(config.seed)
     if params is None:
@@ -666,7 +653,7 @@ def train(
 
     epoch_order = None
     epoch_pos = 0
-    num_seqs = len(dataset.corpus.sequences) if dataset is not None else 0
+    num_seqs = len(table.starts) - 1 if table is not None else 0
 
     for step in range(config.steps):
         if config.batch_sequences is None:
@@ -678,9 +665,7 @@ def train(
                 epoch_pos = 0
             batch = epoch_order[epoch_pos : epoch_pos + k]
             epoch_pos += k
-            step_counts = batch_counts(
-                dataset.corpus, dataset.table, batch, dataset.max_context_len
-            )
+            step_counts = batch_counts(table, batch)
 
         _, max_abs, _, grads = _row_block_pass(step_counts, params.h, params.head, "grad")
         if not math.isfinite(max_abs):

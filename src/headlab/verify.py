@@ -110,11 +110,19 @@ def _random_counts(rng, c, v, interior=False) -> CountMatrix:
     return CountMatrix.from_counts(n)
 
 
+def _sizes(dims, names) -> tuple:
+    """`dims` as one size per name, refused if it holds another number of sizes."""
+    if len(dims) != len(names):
+        raise ValueError(f"dims must hold {len(names)} sizes ({', '.join(names)}), "
+                         f"got {list(dims)}")
+    return tuple(dims)
+
+
 def verify_loss_floor(trials: int = 1000, dims=(10, 12, 4), seed: int = 0) -> VerificationResult:
     """Loss >= weighted empirical entropy; equality at the matched model."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    c_max, v_max, d_max = dims
+    c_max, v_max, d_max = _sizes(dims, ("c_max", "v_max", "d_max"))
     rng = np.random.default_rng(seed)
     details, margins = [], []
     for _ in range(trials):
@@ -142,7 +150,7 @@ def verify_logit_rank_caps(
     trials: int = 500, dims=(10, 16, 4), seed: int = 0, rank_tol: float = RANK_TOL
 ) -> VerificationResult:
     """rank(logits) <= width and rank(log-softmax(logits)) <= width + 1."""
-    c_max, v_max, d_max = dims
+    c_max, v_max, d_max = _sizes(dims, ("c_max", "v_max", "d_max"))
     if v_max < d_max + 3:
         raise ValueError("need v_max >= d_max + 3")
     rng = np.random.default_rng(seed)
@@ -241,7 +249,7 @@ def verify_top1_reachability(
     rank_tol: float = RANK_TOL,
 ) -> VerificationResult:
     """construct_top1 meets its epsilon across random target matrices."""
-    c_max, v_max = dims
+    c_max, v_max = _sizes(dims, ("c_max", "v_max"))
     rng = np.random.default_rng(seed)
     details, margins = [], []
     for _ in range(instances):
@@ -397,7 +405,7 @@ def verify_batch_rank_floor(
     num_seqs = len(corpus.sequences)
     k = max(1, int(round(batch_fraction * num_seqs)))
     batch_ids = rng.choice(num_seqs, size=k, replace=False)
-    batch = batch_counts(corpus, table, batch_ids, max_context_len)
+    batch = batch_counts(table, batch_ids)
     rows, tokens = unique_batch_contexts(counts, batch)
     out = {
         "num_unique": int(rows.size),

@@ -252,6 +252,15 @@ class TestVerifyCommand:
         code = run(["verify", "--out", str(tmp_path)] + self.TINY)
         assert code == cli.EXIT_VIOLATION
 
+    @pytest.mark.parametrize("check, dims", [
+        ("loss_floor", "[3,3]"), ("logit_rank_caps", "[10,16,4,2]"),
+        ("top1_reachability", "[12]"),
+    ])
+    def test_wrong_number_of_dims_exits_usage(self, check, dims, tmp_path, capsys):
+        args = ["verify", "--out", str(tmp_path)] + self.TINY + [f"--{check}.dims", dims]
+        assert run(args) == cli.EXIT_USAGE
+        assert "dims" in capsys.readouterr().err
+
     def test_every_registered_check_has_a_size_block(self):
         assert set(cli.VERIFY_DEFAULTS) - {"name", "seed", "rank_tol"} == set(vf.CHECKS)
 
@@ -814,6 +823,16 @@ class TestArgHandling:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "envroot"))
         assert run(["gen-corpus", "--num_seqs", "4", "--seq_len", "5"]) == 0
         assert (tmp_path / "envroot" / "corpus" / "corpus.txt").exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "absolute", "a/b", "..", ".", ""])
+    def test_name_must_be_one_path_component(self, name, tmp_path, capsys):
+        if name == "absolute":
+            name = str(tmp_path / "elsewhere")
+        out = tmp_path / "out"
+        assert run(["gen-corpus", "--out", str(out), "--name", name,
+                    "--num_seqs", "4", "--seq_len", "5"]) == cli.EXIT_USAGE
+        assert "name" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         assert run(["train", "--out", str(tmp_path), "--widht", "4", "--steps", "2"]) == 1

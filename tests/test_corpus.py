@@ -187,14 +187,14 @@ class TestBatchCounts:
     def test_whole_corpus_batch_equals_full(self):
         c = cp.gen_zipf_bigram(6, 1.2, 8, 9, seed=31)
         table, full = cp.build_counts(c, 2)
-        batch = cp.batch_counts(c, table, range(8), 2)
+        batch = cp.batch_counts(table, range(8))
         assert np.array_equal(batch.to_dense(), full.to_dense())
         assert np.array_equal(batch.row_ids, np.arange(full.num_contexts))
 
     def test_single_spamlang_sequence_rows_one_hot(self):
         c = cp.gen_spamlang(5, 6, 7, seed=37)
         table, _ = cp.build_counts(c, 3)
-        batch = cp.batch_counts(c, table, [2], 3)
+        batch = cp.batch_counts(table, [2])
         symbol = int(c.sequences[2][0])
         for row in batch.to_dense():
             assert row[symbol] == row.sum()
@@ -202,8 +202,8 @@ class TestBatchCounts:
     def test_partition_additivity(self):
         c = cp.gen_zipf_bigram(7, 1.1, 12, 8, seed=41)
         table, full = cp.build_counts(c, 2)
-        b1 = cp.batch_counts(c, table, range(5), 2)
-        b2 = cp.batch_counts(c, table, range(5, 12), 2)
+        b1 = cp.batch_counts(table, range(5))
+        b2 = cp.batch_counts(table, range(5, 12))
         merged = np.zeros_like(full.to_dense())
         merged[b1.row_ids] += b1.to_dense()
         merged[b2.row_ids] += b2.to_dense()
@@ -213,7 +213,14 @@ class TestBatchCounts:
         c = cp.gen_spamlang(4, 3, 5, seed=1)
         table, _ = cp.build_counts(c, 2)
         with pytest.raises(ValueError):
-            cp.batch_counts(c, table, [], 2)
+            cp.batch_counts(table, [])
+
+    @pytest.mark.parametrize("batch", [[-1], [3], [0, 3]])
+    def test_out_of_range_sequence_rejected(self, batch):
+        c = cp.gen_spamlang(4, 3, 5, seed=1)
+        table, _ = cp.build_counts(c, 2)
+        with pytest.raises(ValueError, match="invalid sequence index"):
+            cp.batch_counts(table, batch)
 
 
 class TestCountsForTable:

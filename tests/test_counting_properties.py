@@ -83,7 +83,7 @@ def test_batch_counts_matches_loop(case):
     v, seqs, mcl, batch = case["vocab_size"], case["seqs"], case["mcl"], case["batch"]
     corpus = cp.Corpus(v, seqs)
     table, _ = cp.build_counts(corpus, mcl)
-    got = cp.batch_counts(corpus, table, batch, mcl)
+    got = cp.batch_counts(table, batch)
     chosen = [seqs[s] for s in sorted(set(batch))]
     rows, n, skipped = reference_counts(chosen, v, mcl, reference_index(seqs, mcl))
     assert skipped == 0
@@ -106,19 +106,6 @@ def test_counts_for_table_matches_loop(case):
     assert got_skipped == skipped
     assert np.array_equal(got.row_ids, rows)
     assert np.array_equal(got.to_dense(), n)
-
-
-@PROPERTY_SETTINGS
-@given(counting_cases())
-def test_batch_of_another_corpus_is_refused(case):
-    v, seqs, mcl, batch = case["vocab_size"], case["seqs"], case["mcl"], case["batch"]
-    table, _ = cp.build_counts(cp.Corpus(v, seqs), mcl)
-    longer = [list(s) for s in seqs]
-    longer[batch[0]].append(0)
-    shifted = [[(t + 1) % (v + 1) for t in s] for s in seqs]  # same shape, other tokens
-    for other, other_mcl in ((seqs, mcl + 1), (longer, mcl), (shifted, mcl)):
-        with pytest.raises(ValueError):
-            cp.batch_counts(cp.Corpus(v + 1, other), table, batch, other_mcl)
 
 
 def dense_unique_continuations(counts):

@@ -131,7 +131,7 @@ def test_row_block_kernel_is_bit_identical_on_one_and_two_threads(case):
 def test_counts_hold_no_dense_array():
     corpus = cp.gen_zipf_bigram(64, 1.0, 64, 32, seed=0)
     table, full = cp.build_counts(corpus, 16)
-    batch = cp.batch_counts(corpus, table, range(0, 64, 2), 16)
+    batch = cp.batch_counts(table, range(0, 64, 2))
     for counts in (full, batch):
         counts.targets  # the cached per-row argmax is held too
         c, v = counts.shape

@@ -201,13 +201,12 @@ class TestTrain:
     def test_whole_corpus_batches_reproduce_full_batch_exactly(self):
         corpus = cp.gen_zipf_bigram(6, 1.2, 8, 9, seed=12)
         table, counts = cp.build_counts(corpus, 2)
-        data = md.Dataset(corpus, table, counts, 2)
         full_cfg = md.TrainConfig(steps=40, lr=0.05, width=3, optimizer="adam", eval_every=10, seed=4)
         sgd_cfg = md.TrainConfig(
             steps=40, lr=0.05, width=3, optimizer="adam", eval_every=10, seed=4, batch_sequences=8
         )
         full = md.train(counts, full_cfg)
-        sgd = md.train(data, sgd_cfg)
+        sgd = md.train(counts, sgd_cfg, table=table)
         assert np.array_equal(full.params.h, sgd.params.h)
         assert np.array_equal(full.params.head.w, sgd.params.head.w)
         assert [p.train_loss for p in full.trajectory.points] == [
@@ -217,19 +216,39 @@ class TestTrain:
     def test_sgd_leaves_out_of_batch_rows_untouched(self):
         corpus = cp.gen_spamlang(6, 10, 8, seed=13)
         table, counts = cp.build_counts(corpus, 1)
-        data = md.Dataset(corpus, table, counts, 1)
         cfg = md.TrainConfig(
             steps=1, lr=0.1, width=3, optimizer="gd", eval_every=1, seed=7, batch_sequences=2
         )
         init = md.init_params(counts.num_contexts, 6, 3, seed=99)
-        result = md.train(data, cfg, params=init)
+        result = md.train(counts, cfg, params=init, table=table)
         # params were supplied, so the config rng's first draw is the epoch order
         batch = np.random.default_rng(7).permutation(10)[:2]
-        batch_rows = cp.batch_counts(corpus, table, batch, 1).row_ids
+        batch_rows = cp.batch_counts(table, batch).row_ids
         moved = np.abs(result.params.h - init.h).max(axis=1)
         untouched = np.setdiff1d(np.arange(counts.num_contexts), batch_rows)
         assert np.all(moved[untouched] == 0)
         assert np.all(moved[batch_rows] > 0)
+
+    def test_batches_without_a_table_are_refused_before_any_step(self, monkeypatch):
+        _, counts = cp.build_counts(cp.gen_spamlang(6, 10, 8, seed=13), 1)
+        cfg = md.TrainConfig(steps=3, lr=0.1, width=3, batch_sequences=2)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(md, "_row_block_pass", no_step)
+        with pytest.raises(ValueError, match="ContextTable"):
+            md.train(counts, cfg)
+
+    def test_table_of_other_contexts_is_refused(self):
+        corpus = cp.gen_zipf_bigram(6, 1.2, 8, 9, seed=12)
+        table, _ = cp.build_counts(corpus, 1)
+        _, counts = cp.build_counts(corpus, 2)
+        assert len(table) != counts.num_contexts
+        for batch_sequences in (None, 4):
+            cfg = md.TrainConfig(steps=3, lr=0.1, width=3, batch_sequences=batch_sequences)
+            with pytest.raises(ValueError, match="contexts"):
+                md.train(counts, cfg, table=table)
 
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(14)

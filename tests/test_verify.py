@@ -123,7 +123,7 @@ class TestBatchRankFloor:
         # the batch; their batch tokens 2 and 3 cross-connect through the data
         corpus = cp.Corpus(4, [[0, 2], [0, 3], [1, 3], [1, 2]])
         table, counts = cp.build_counts(corpus, 1)
-        batch = cp.batch_counts(corpus, table, [0, 2], 1)
+        batch = cp.batch_counts(table, [0, 2])
         rows, tokens = vf.unique_batch_contexts(counts, batch)
         assert rows.size == 2
         assert sorted(tokens.tolist()) == [2, 3]
@@ -139,7 +139,7 @@ class TestBatchRankFloor:
     def test_whole_dataset_batch_has_no_qualifying_context(self):
         corpus = cp.gen_zipf_bigram(12, 1.0, 10, 8, seed=23)
         table, counts = cp.build_counts(corpus, 1)
-        batch = cp.batch_counts(corpus, table, range(10), 1)
+        batch = cp.batch_counts(table, range(10))
         rows, _ = vf.unique_batch_contexts(counts, batch)
         # unique-in-batch implies unique-in-data when the batch is everything
         assert rows.size == 0
@@ -208,3 +208,16 @@ class TestResultPlumbing:
         lines = (tmp_path / "res.csv").read_text().splitlines()
         assert lines[0].startswith("instance,")
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("check, sizes", [
+        (vf.verify_loss_floor, 3), (vf.verify_logit_rank_caps, 3),
+        (vf.verify_top1_reachability, 2),
+    ])
+    def test_dims_of_the_wrong_length_refused_before_any_draw(self, check, sizes, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(vf.np.random, "default_rng", no_draw)
+        for dims in ([4] * (sizes - 1), [12] * (sizes + 1)):
+            with pytest.raises(ValueError, match=f"dims must hold {sizes} sizes"):
+                check(dims=dims)

@@ -22,6 +22,7 @@ import os
 import sys
 import typing
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -413,7 +414,7 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
         corpus, table, counts, prefix_sizes=config["stats_prefix_sizes"]
     )
     corpus_mod.write_stats_csv(run_dir / "stats.csv", stats)
-    summary = {
+    return {
         "corpus": str(corpus_path),
         "num_sequences": len(corpus.sequences),
         "num_tokens": corpus.num_tokens,
@@ -421,8 +422,6 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
         "unique_context_count": stats.unique_context_count,
         "unique_next_token_count": stats.unique_next_token_count,
     }
-    write_json(run_dir / "summary.json", summary)
-    return summary
 
 
 def run_train(config: dict, run_dir: Path) -> dict:
@@ -441,7 +440,7 @@ def run_train(config: dict, run_dir: Path) -> dict:
     for step, snap in result.snapshots:
         save_checkpoint(run_dir / f"checkpoint_step{step}.bin", snap)
     _trajectory_svg(run_dir / "trajectory.svg", result.trajectory, config["name"])
-    summary = {
+    return {
         "final_train_loss": result.trajectory.final_train_loss,
         "final_val_loss": result.trajectory.final_val_loss,
         "entropy_floor": entropy_floor(counts),
@@ -449,29 +448,15 @@ def run_train(config: dict, run_dir: Path) -> dict:
         "val_tokens_skipped": skipped,
         "checkpoint": str(run_dir / "checkpoint.bin"),
     }
-    write_json(run_dir / "summary.json", summary)
-    return summary
 
 
-def _diagnose_cell(shared, part):
-    """One of diagnose's independent measurements, on the logits, `p` and `g`
-    the parent formed once. Every result is small: the compression cell
-    reduces the gradient's kernel part to its coefficient profile."""
-    config, counts, params, lm, base_loss, p, g = shared
-    if part == "gap":
-        return diagnostics.eckart_young_gap(g, params.width)
-    if part == "rank_curve":
-        return diagnostics.gradient_rank_curve(
-            counts, p, config["token_counts"], seed=config["seed"]
-        )
-    if part == "compression":
-        report = diagnostics.compression_report(g, params.head)
-        profile = diagnostics.coefficient_profile(g, report.lost)
-        report.lost = None
-        return report, profile
-    return diagnostics.update_efficiency(
-        counts, lm, base_loss, g, params.head, config["fractions"]
-    )
+def _compression(g, head):
+    """The kernel split of `g` and the coefficient profile of its kernel part,
+    which stays in the worker: only the small results go back."""
+    report = diagnostics.compression_report(g, head)
+    profile = diagnostics.coefficient_profile(g, report.lost)
+    report.lost = None
+    return report, profile
 
 
 def run_diagnose(config: dict, run_dir: Path) -> dict:
@@ -500,12 +485,14 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
     g = logit_gradient(counts, p)
     # longest first, as timed at V = 2048, C = 2049: the gap's Gram
     # eigenvalues, then the rank curve, the update efficiency and the kernel
-    # split; each worker takes the next cell when it is free
-    gap, curve, curve_eff, (report, profile) = _map_cells(
-        _diagnose_cell,
-        ({**config, "token_counts": sizes}, counts, params, lm, base_loss, p, g),
-        [("gap",), ("rank_curve",), ("efficiency",), ("compression",)],
-    )
+    # split; each worker takes the next job when it is free
+    gap, curve, curve_eff, (report, profile) = _map_cells([
+        partial(diagnostics.eckart_young_gap, g, params.width),
+        partial(diagnostics.gradient_rank_curve, counts, p, sizes, seed=config["seed"]),
+        partial(diagnostics.update_efficiency, counts, lm, base_loss, g, params.head,
+                config["fractions"]),
+        partial(_compression, g, params.head),
+    ])
 
     curve.to_csv(run_dir / "rank_curve.csv")
     svg.line_plot(
@@ -552,15 +539,13 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
         logx=True,
     )
 
-    summary = {
+    return {
         "lost_fraction": report.lost_fraction,
         "cosine_mean": report.cosine_mean,
         "cosine_std": report.cosine_std,
         "eckart_young_gap": gap,
         "zero_gradient": report.zero_gradient,
     }
-    write_json(run_dir / "summary.json", summary)
-    return summary
 
 
 def run_verify(config: dict, run_dir: Path) -> dict:
@@ -574,7 +559,6 @@ def run_verify(config: dict, run_dir: Path) -> dict:
         res.write_instances_csv(run_dir / f"{check_id}_instances.csv")
         summary["checks"][check_id] = res.to_json_dict()
     summary["total_violations"] = sum(r.violations for r in results.values())
-    write_json(run_dir / "summary.json", summary)
     return summary
 
 
@@ -603,12 +587,13 @@ def _train_cell(row, counts, tc, val_counts, measures):
     return {**row, "status": "ok", **done}, result.trajectory
 
 
-def _run_cells(run_dir, cell, shared, tasks, label):
-    """Every sweep cell through `parallel._map_cells`; writes the trajectory of
-    each cell that did not diverge to runs/<label(row)>/trajectory.csv.
-    Returns the rows in task order and the trajectories by label."""
+def _run_cells(run_dir, jobs, label):
+    """Every sweep cell's job through `parallel._map_cells`; writes the
+    trajectory of each cell that did not diverge to
+    runs/<label(row)>/trajectory.csv. Returns the rows in job order and the
+    trajectories by label."""
     rows, trajectories = [], {}
-    for row, traj in _map_cells(cell, shared, tasks):
+    for row, traj in _map_cells(jobs):
         rows.append(row)
         if traj is not None:
             cell_dir = run_dir / "runs" / label(row)
@@ -616,6 +601,17 @@ def _run_cells(run_dir, cell, shared, tasks, label):
             traj.to_csv(cell_dir / "trajectory.csv")
             trajectories[label(row)] = traj
     return rows, trajectories
+
+
+def _grid(config: dict, key: str) -> list:
+    """The sweep axis `key`, refused when empty or when it repeats a value:
+    a repeated value would train the same cells again."""
+    values = config[key]
+    if not values:
+        raise UsageError(f"{key} must hold at least one value")
+    if len(set(values)) < len(values):
+        raise UsageError(f"{key} must not repeat a value, got {values}")
+    return values
 
 
 def _spearman(xs, ys) -> float:
@@ -645,14 +641,15 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
 
     Cells whose training diverges are recorded as failed cells, not crashes.
     """
-    tasks = [
-        (vocab_size, seed, lr)
-        for vocab_size in config["vocab_sizes"]
-        for seed in config["seeds"]
-        for lr in config["lrs"]
+    vocab_sizes, seeds, lrs = (_grid(config, key) for key in ("vocab_sizes", "seeds", "lrs"))
+    jobs = [
+        partial(_spamlang_cell, config, vocab_size, seed, lr)
+        for vocab_size in vocab_sizes
+        for seed in seeds
+        for lr in lrs
     ]
     cells, _ = _run_cells(
-        run_dir, _spamlang_cell, config, tasks,
+        run_dir, jobs,
         lambda cell: f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}",
     )
 
@@ -665,7 +662,6 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
 
     # final loss averaged over the seeds, per (V, lr) with an ok cell: the
     # table and the plot of the Fig-5-style V x lr grid
-    lrs, vocab_sizes = config["lrs"], config["vocab_sizes"]
     means = {}
     for v in vocab_sizes:
         for lr in lrs:
@@ -712,7 +708,7 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
         logy=True,
     )
 
-    summary = {
+    return {
         "spearman_loss_vs_vocab": spearman,
         "best_per_cell": {
             f"v{v}_seed{s}": cell["final_loss"] for (v, s), cell in sorted(best.items())
@@ -720,34 +716,13 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
         "num_cells": len(cells),
         "num_diverged": sum(1 for c in cells if c["status"] != "ok"),
     }
-    write_json(run_dir / "summary.json", summary)
-    return summary
-
-
-def _bottleneck_cell(shared, seed, rank, is_baseline):
-    """One (seed, rank) run on the shared counts: its row and its trajectory
-    (None if diverged)."""
-    config, counts, val_counts = shared
-    tc = _train_config({**config, "seed": seed, "head_rank": None if is_baseline else rank})
-    row = {
-        "rank": rank,
-        "head": "full" if is_baseline else "factored",
-        "seed": seed,
-        "baseline": int(is_baseline),
-    }
-    return _train_cell(row, counts, tc, val_counts, {
-        "final_train_loss": lambda result: result.trajectory.final_train_loss,
-        "final_val_loss": lambda result: result.trajectory.final_val_loss,
-    })
 
 
 def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     """Validation-loss trend against the head rank on one shared corpus."""
-    ranks = config["ranks"]
-    if not ranks:
-        raise UsageError("ranks must name at least one head rank")
+    ranks, seeds = _grid(config, "ranks"), _grid(config, "seeds")
     if ranks != sorted(ranks):
-        raise UsageError("ranks must be ascending")
+        raise UsageError("ranks must be strictly ascending")
     width = config["width"]
     if any(r < 1 or r > width for r in ranks):
         raise UsageError("every rank must lie in [1, width]")
@@ -771,10 +746,19 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     variants = [(r, False) for r in ranks]
     if config["include_full_baseline"]:
         variants.append((width, True))
-    tasks = [(seed, rank, is_baseline)
-             for seed in config["seeds"] for rank, is_baseline in variants]
+    measures = {
+        "final_train_loss": lambda result: result.trajectory.final_train_loss,
+        "final_val_loss": lambda result: result.trajectory.final_val_loss,
+    }
+    jobs = []
+    for seed in seeds:
+        for rank, is_baseline in variants:
+            row = {"rank": rank, "head": "full" if is_baseline else "factored", "seed": seed,
+                   "baseline": int(is_baseline)}
+            tc = _train_config({**config, "seed": seed, "head_rank": None if is_baseline else rank})
+            jobs.append(partial(_train_cell, row, counts, tc, val_counts, measures))
     rows, trajectories = _run_cells(
-        run_dir, _bottleneck_cell, (config, counts, val_counts), tasks,
+        run_dir, jobs,
         lambda row: f"{'full' if row['baseline'] else 'rank' + str(row['rank'])}_seed{row['seed']}",
     )
 
@@ -791,7 +775,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     # tokens-to-match ratio: how much sooner the widest head reaches the
     # narrowest head's final validation loss (full-batch, so steps ~ tokens)
     speedups = []
-    for seed in config["seeds"]:
+    for seed in seeds:
         lo = trajectories.get(f"rank{ranks[0]}_seed{seed}")
         hi = trajectories.get(f"rank{ranks[-1]}_seed{seed}")
         if lo is None or hi is None:
@@ -803,7 +787,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     # the factored heads of the first seed
     val_series = [
         (f"r={rank}", [p.step for p in traj.points], [p.val_loss for p in traj.points])
-        for seed in config["seeds"][:1]
+        for seed in seeds[:1]
         for rank in ranks
         if (traj := trajectories.get(f"rank{rank}_seed{seed}")) is not None
     ]
@@ -815,15 +799,13 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         ylabel="val loss",
     )
 
-    summary = {
+    return {
         "spearman_valloss_vs_rank": spearman,
         "speedup_ratio_mean": float(np.mean(speedups)) if speedups else None,
         "speedup_ratios": speedups,
         "num_runs": len(rows),
         "num_diverged": sum(1 for r in rows if r["status"] != "ok"),
     }
-    write_json(run_dir / "summary.json", summary)
-    return summary
 
 
 def run_report(config: dict, run_dir: Path) -> dict:
@@ -839,12 +821,12 @@ def run_report(config: dict, run_dir: Path) -> dict:
         out = run_dir / (path.parent.name + "_trajectory.svg")
         _trajectory_svg(out, Trajectory.from_csv(path), path.parent.name)
         written.append(str(out))
-    summary = {"plots": written}
-    write_json(run_dir / "summary.json", summary)
-    return summary
+    return {"plots": written}
 
 
-# subcommand -> the runner itself, for the same reason as verify.CHECKS
+# subcommand -> the runner itself, for the same reason as verify.CHECKS. A
+# runner writes its outputs into its run directory and returns its summary,
+# which only `main` writes, to summary.json.
 COMMANDS = {
     "gen-corpus": run_gen_corpus,
     "train": run_train,
@@ -873,7 +855,12 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command")
     for kind in COMMANDS:
-        p = sub.add_parser(kind, add_help=False)
+        p = sub.add_parser(
+            kind, formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog="config keys, each with its default (a block's keys are also "
+                   "set one by one, as --block.key VALUE):\n" + "\n".join(
+                       f"  --{key} {json.dumps(value)}" for key, value in _DEFAULTS[kind].items()),
+        )
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
     return parser
@@ -901,6 +888,7 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, SvdConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    write_json(run_dir / "summary.json", summary)
     violations = summary.get("total_violations", 0)
     if violations:
         print(f"verification violations: {violations}", file=sys.stderr)

@@ -211,6 +211,8 @@ def update_efficiency(
     evaluated directly on the perturbed logits.
     """
     fractions = [float(a) for a in fractions]
+    if not fractions:
+        raise ValueError("fractions must hold at least one norm fraction")
     if any(a <= 0 or a > 1 for a in fractions):
         raise ValueError("fractions must lie in (0, 1]")
     gnorm = np.linalg.norm(g)

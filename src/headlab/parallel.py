@@ -1,10 +1,10 @@
 """How many CPUs a computation may use, and the two ways it uses them.
 
 `cpu_budget()` is the one rule: the usable CPUs over the BLAS threads of one
-computation. `_map_cells` runs independent cells (the sweeps' training runs,
+computation. `_map_cells` runs independent jobs (the sweeps' training runs,
 `diagnose`'s measurements) in a fork process pool of that many workers, and
 `map_threads` runs the fixed shards of one logit pass on that many threads.
-A pool worker's budget is 1, so its cells never start threads of their own.
+A pool worker's budget is 1, so its jobs never start threads of their own.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
 
 # OpenBLAS's thread-count variables, in the order it reads them
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-_budget = None  # fixed at 1 in each pool worker by _install_cell
-_worker_cell = None  # set in each pool worker by _install_cell, never in the parent
+_budget = None  # fixed at 1 in each pool worker by _start_worker
+_worker_jobs = None  # set in each pool worker by _start_worker, never in the parent
 _executor = None  # the ThreadPoolExecutor of map_threads, built on first use
 
 
@@ -67,34 +66,33 @@ def map_threads(fn, jobs: list) -> list:
     return [future.result() for future in futures]
 
 
-def _install_cell(cell) -> None:
-    global _budget, _worker_cell
+def _start_worker(jobs: list) -> None:
+    global _budget, _worker_jobs
     _budget = 1
-    _worker_cell = cell
+    _worker_jobs = jobs
 
 
-def _run_installed_cell(task):
-    return _worker_cell(*task)
+def _run_job(index: int):
+    return _worker_jobs[index]()
 
 
-def _map_cells(cell, shared, tasks: list) -> list:
-    """[cell(shared, *task) for task in tasks], in task order.
+def _map_cells(jobs: list) -> list:
+    """[job() for job in jobs], in job order.
 
-    The cells run in a fork pool of min(len(tasks), cpu_budget()) workers,
-    or in this process when that is one. `shared` (the config, count
-    matrices) reaches the workers through fork and is never pickled; only the
-    task tuples and the results are. Workers keep the parent's BLAS thread
-    setting and run their logit passes on one thread, so the results equal
-    the serial ones at that setting.
+    The zero-argument jobs run in a fork pool of min(len(jobs), cpu_budget())
+    workers, or in this process when that is one. Fork carries them into the
+    workers unpickled, so they may close over count matrices or lambdas; only
+    their results are pickled. Workers keep the parent's BLAS thread setting
+    and run their logit passes on one thread, so the results equal the serial
+    ones at that setting.
     """
-    run = partial(cell, shared)
-    workers = min(len(tasks), cpu_budget())
+    workers = min(len(jobs), cpu_budget())
     if workers <= 1:
-        return [run(*task) for task in tasks]
+        return [job() for job in jobs]
     with multiprocessing.get_context("fork").Pool(
-        workers, initializer=_install_cell, initargs=(run,)
+        workers, initializer=_start_worker, initargs=(jobs,)
     ) as pool:
-        results = pool.map(_run_installed_cell, tasks, chunksize=1)
+        results = pool.map(_run_job, range(len(jobs)), chunksize=1)
         # close and join, so that the workers' rusage reaches this process
         pool.close()
         pool.join()

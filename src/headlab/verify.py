@@ -85,7 +85,7 @@ class VerificationResult:
 
 def _finish(check_id, seed, details, margins, skipped=0) -> VerificationResult:
     violations = int(sum(1 for m in margins if not (m >= 0.0)))
-    worst = float(min(margins)) if margins else math.inf
+    worst = float(min(margins))
     for det, margin in zip(details, margins):
         det["margin"] = float(margin)
     return VerificationResult(
@@ -110,6 +110,13 @@ def _random_counts(rng, c, v, interior=False) -> CountMatrix:
     return CountMatrix.from_counts(n)
 
 
+def _positive(**counts) -> None:
+    """Refuse a count below 1: a claim checked on no instance is not verified."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
+
+
 def _sizes(dims, names) -> tuple:
     """`dims` as one size per name, refused if it holds another number of sizes."""
     if len(dims) != len(names):
@@ -120,8 +127,7 @@ def _sizes(dims, names) -> tuple:
 
 def verify_loss_floor(trials: int = 1000, dims=(10, 12, 4), seed: int = 0) -> VerificationResult:
     """Loss >= weighted empirical entropy; equality at the matched model."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _positive(trials=trials)
     c_max, v_max, d_max = _sizes(dims, ("c_max", "v_max", "d_max"))
     rng = np.random.default_rng(seed)
     details, margins = [], []
@@ -150,6 +156,7 @@ def verify_logit_rank_caps(
     trials: int = 500, dims=(10, 16, 4), seed: int = 0, rank_tol: float = RANK_TOL
 ) -> VerificationResult:
     """rank(logits) <= width and rank(log-softmax(logits)) <= width + 1."""
+    _positive(trials=trials)
     c_max, v_max, d_max = _sizes(dims, ("c_max", "v_max", "d_max"))
     if v_max < d_max + 3:
         raise ValueError("need v_max >= d_max + 3")
@@ -249,6 +256,7 @@ def verify_top1_reachability(
     rank_tol: float = RANK_TOL,
 ) -> VerificationResult:
     """construct_top1 meets its epsilon across random target matrices."""
+    _positive(instances=instances)
     c_max, v_max = _sizes(dims, ("c_max", "v_max"))
     rng = np.random.default_rng(seed)
     details, margins = [], []
@@ -319,6 +327,7 @@ def verify_error_rank_floor(
     instances: int = 200, seed: int = 0, v_max: int = 32, rank_tol: float = RANK_TOL
 ) -> VerificationResult:
     """rank(P - normalized counts) >= min(#unique continuation tokens, V-1)."""
+    _positive(instances=instances)
     rng = np.random.default_rng(seed)
     details, margins = [], []
     for _ in range(instances):
@@ -467,6 +476,7 @@ def batch_rank_floor_suite(
     satisfy the connectivity precondition; non-qualifying draws count as skipped."""
     if max_attempts is None:
         max_attempts = 20 * n_instances
+    _positive(n_instances=n_instances, max_attempts=max_attempts)
     details, margins = [], []
     skipped = 0
     attempt = 0
@@ -508,6 +518,7 @@ def batch_rank_floor_suite(
 def verify_update_residual_gap(instances: int = 100, seed: int = 0) -> VerificationResult:
     """The rank-limited first-order update misses the prediction error by more
     than the optimal rank-2D truncation, under both residual conventions."""
+    _positive(instances=instances)
     rng = np.random.default_rng(seed)
     details, margins = [], []
     for _ in range(instances):

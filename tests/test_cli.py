@@ -3,7 +3,9 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -192,6 +194,11 @@ class TestDiagnoseCommand:
         assert "vocab_sze" in capsys.readouterr().err
         assert not (trained / "d5" / "summary.json").exists()
 
+    def test_empty_fractions_exit_usage(self, trained, capsys):
+        assert run(_diag_args(trained, "d6") + ["--fractions", "[]"]) == cli.EXIT_USAGE
+        assert "fractions" in capsys.readouterr().err
+        assert not (trained / "d6" / "efficiency.csv").exists()
+
 
 class TestVerifyCommand:
     TINY = [
@@ -260,6 +267,17 @@ class TestVerifyCommand:
         args = ["verify", "--out", str(tmp_path)] + self.TINY + [f"--{check}.dims", dims]
         assert run(args) == cli.EXIT_USAGE
         assert "dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [
+        "logit_rank_caps.trials", "top1_reachability.instances", "error_rank_floor.instances",
+        "batch_rank_floor.n_instances", "batch_rank_floor.max_attempts",
+        "update_residual_gap.instances",
+    ])
+    def test_count_below_one_exits_usage(self, key, tmp_path, capsys):
+        args = ["verify", "--out", str(tmp_path)] + self.TINY + [f"--{key}", "0"]
+        assert run(args) == cli.EXIT_USAGE
+        assert f"{key.split('.')[1]} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "verify" / "summary.json").exists()
 
     def test_every_registered_check_has_a_size_block(self):
         assert set(cli.VERIFY_DEFAULTS) - {"name", "seed", "rank_tol"} == set(vf.CHECKS)
@@ -570,7 +588,7 @@ class TestSweepPool:
     ])
     def test_worker_count(self, tasks, limit, workers, pools, monkeypatch):
         monkeypatch.setattr(parallel, "cpu_budget", lambda: limit)
-        results = parallel._map_cells(_cell_with_pid, 10, [(i,) for i in range(tasks)])
+        results = parallel._map_cells([partial(_cell_with_pid, 10, i) for i in range(tasks)])
         assert [value for value, _ in results] == [10 * i for i in range(tasks)]
         pids = {pid for _, pid in results}
         if workers is None:
@@ -703,6 +721,27 @@ class TestSpamlangSweep:
         assert small == big
 
 
+class TestSweepGrids:
+    @pytest.mark.parametrize("kind, key, value", [
+        ("spamlang-sweep", "vocab_sizes", "[]"), ("spamlang-sweep", "lrs", "[]"),
+        ("spamlang-sweep", "seeds", "[]"), ("spamlang-sweep", "vocab_sizes", "[8,8]"),
+        ("spamlang-sweep", "lrs", "[0.02,0.02]"), ("spamlang-sweep", "seeds", "[0,1,0]"),
+        ("bottleneck-sweep", "seeds", "[]"), ("bottleneck-sweep", "seeds", "[0,0]"),
+        ("bottleneck-sweep", "ranks", "[2,2]"), ("bottleneck-sweep", "ranks", "[2,2,6]"),
+    ])
+    def test_empty_or_repeating_axis_refused_before_training(
+        self, kind, key, value, monkeypatch, tmp_path, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
+        tiny = TINY_SPAM if kind == "spamlang-sweep" else TINY_BOTTLENECK
+        assert run([kind, "--out", str(tmp_path)] + tiny + [f"--{key}", value]) == cli.EXIT_USAGE
+        assert calls == []
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.rglob("runs"))
+
+
 class TestBottleneckSweep:
     def test_runs_and_is_deterministic(self, tmp_path):
         assert run(["bottleneck-sweep", "--out", str(tmp_path / "a")] + TINY_BOTTLENECK) == 0
@@ -795,6 +834,32 @@ class TestArgHandling:
 
     def test_missing_command_is_usage_error(self):
         assert run([]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("kind", sorted(cli.COMMANDS))
+    def test_subcommand_help_lists_its_default_config(self, kind, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run([kind, "--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        for key, value in cli._DEFAULTS[kind].items():
+            assert f"--{key} {json.dumps(value)}" in out
+
+    def test_help_exits_zero_from_the_command_line(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-m", "headlab", "train", "-h"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "--steps 1000" in done.stdout
+        assert list(tmp_path.iterdir()) == []
+
+    def test_runner_returns_its_summary_and_main_writes_it(self, tmp_path):
+        args = ["--num_seqs", "4", "--seq_len", "5"]
+        config = cli.resolve_config("gen-corpus", overrides={"num_seqs": 4, "seq_len": 5})
+        run_dir = cli._prepare_dir(tmp_path, config, "gen-corpus")
+        summary = cli.run_gen_corpus(config, run_dir)
+        assert not (run_dir / "summary.json").exists()
+        assert run(["gen-corpus", "--out", str(tmp_path)] + args) == 0
+        assert json.loads((run_dir / "summary.json").read_text()) == summary
 
     def test_missing_value_is_usage_error(self, tmp_path):
         assert run(["verify", "--out", str(tmp_path), "--seed"]) == cli.EXIT_USAGE

@@ -244,6 +244,17 @@ class TestUpdateEfficiency:
         with pytest.raises(ValueError):
             efficiency(counts, params, [0.0])
 
+    def test_empty_fractions_refused_before_any_loss(self, monkeypatch):
+        counts = cp.CountMatrix.from_counts(np.array([[1, 1]]))
+        params = md.init_params(1, 2, 2, seed=0)
+
+        def no_loss(*args, **kwargs):
+            raise AssertionError("a perturbed loss was evaluated")
+
+        monkeypatch.setattr(dg, "loss_from_logits", no_loss)
+        with pytest.raises(ValueError, match="fractions must hold at least one"):
+            efficiency(counts, params, [])
+
 
 class TestEckartYoungGap:
     def test_low_rank_matrix_has_zero_gap(self):

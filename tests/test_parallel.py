@@ -1,7 +1,9 @@
 """The CPU budget, the kernel thread pool, and both under fork."""
 
 import multiprocessing
+import os
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -54,7 +56,11 @@ def _child_state(queue):
     queue.put((had_executor, parallel.map_threads(_job, [(5,), (6,)])[1][0]))
 
 
-def _budget_and_threads(shared, i):
+def _with_pid(fn, i):
+    return fn(i), os.getpid()
+
+
+def _budget_and_threads(i):
     results = parallel.map_threads(_job, [(i,), (i + 1,)])
     return parallel.cpu_budget(), {ident for _, ident in results} == {threading.get_ident()}
 
@@ -75,9 +81,16 @@ class TestFork:
                 child.kill()
         assert child.exitcode == 0
 
+    def test_jobs_closing_over_a_lambda_run_in_two_workers_in_job_order(self, two_cpus):
+        square = lambda i: i * i  # noqa: E731 - a lambda cannot be pickled
+        results = parallel._map_cells([partial(_with_pid, square, i) for i in range(5)])
+        assert [value for value, _ in results] == [0, 1, 4, 9, 16]
+        pids = {pid for _, pid in results}
+        assert os.getpid() not in pids and len(pids) <= 2
+
     def test_pool_workers_have_budget_one_and_start_no_threads(self, two_cpus):
         parallel.map_threads(_job, [(1,), (2,)])
-        results = parallel._map_cells(_budget_and_threads, None, [(i,) for i in range(4)])
+        results = parallel._map_cells([partial(_budget_and_threads, i) for i in range(4)])
         assert results == [(1, True)] * 4
         assert parallel.cpu_budget() == 2
 

@@ -221,3 +221,19 @@ class TestResultPlumbing:
         for dims in ([4] * (sizes - 1), [12] * (sizes + 1)):
             with pytest.raises(ValueError, match=f"dims must hold {sizes} sizes"):
                 check(dims=dims)
+
+    @pytest.mark.parametrize("check, key", [
+        (vf.verify_loss_floor, "trials"), (vf.verify_logit_rank_caps, "trials"),
+        (vf.verify_top1_reachability, "instances"), (vf.verify_error_rank_floor, "instances"),
+        (vf.batch_rank_floor_suite, "n_instances"), (vf.batch_rank_floor_suite, "max_attempts"),
+        (vf.verify_update_residual_gap, "instances"),
+    ])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_refused_before_any_draw(self, check, key, count, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(vf.np.random, "default_rng", no_draw)
+        monkeypatch.setattr(vf, "gen_zipf_bigram", no_draw)
+        with pytest.raises(ValueError, match=f"^{key} must be positive$"):
+            check(**{key: count})

@@ -7,7 +7,7 @@ residuals.
 
 import numpy as np
 
-from headlab import (
+from headlab.linalg import (
     best_rank_k_residual,
     kernel_split,
     log_softmax_rows,

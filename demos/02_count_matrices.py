@@ -8,14 +8,14 @@ how many distinct tokens serve as such continuations.
 
 import numpy as np
 
-from headlab import (
+from headlab.corpus import (
     assumption_stats,
     build_counts,
-    entropy_floor,
     gen_spamlang,
     gen_zipf_bigram,
     row_entropies,
 )
+from headlab.model import entropy_floor
 
 print("=== repeated-symbol corpus ===")
 spam = gen_spamlang(vocab_size=16, num_seqs=64, seq_len=12, seed=1)

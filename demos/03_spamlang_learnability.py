@@ -6,7 +6,7 @@ the same budget still lands much further from the entropy floor at V = 512
 than at V = 16: the optimization, not the expressivity, is the obstacle.
 """
 
-from headlab import build_counts, gen_spamlang
+from headlab.corpus import build_counts, gen_spamlang
 from headlab.model import TrainConfig, entropy_floor, top1_accuracy, train
 
 WIDTH = 8

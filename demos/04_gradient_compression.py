@@ -9,7 +9,8 @@ gradient. CSVs and SVG plots land in demos_out/.
 
 from pathlib import Path
 
-from headlab import build_counts, gen_zipf_bigram, svg
+from headlab import svg
+from headlab.corpus import build_counts, gen_zipf_bigram
 from headlab.diagnostics import (
     coefficient_profile,
     compression_report,

@@ -8,7 +8,8 @@ compressed direction buys far less loss reduction per unit of norm.
 
 from pathlib import Path
 
-from headlab import build_counts, gen_zipf_bigram, svg
+from headlab import svg
+from headlab.corpus import build_counts, gen_zipf_bigram
 from headlab.diagnostics import update_efficiency
 from headlab.model import TrainConfig, logit_gradient, logits, probs_and_loss, train
 

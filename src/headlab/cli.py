@@ -17,7 +17,6 @@ import argparse
 import copy
 import inspect
 import json
-import math
 import os
 import sys
 import typing
@@ -50,7 +49,6 @@ from .model import (
     logits,
     probs_and_loss,
     save_checkpoint,
-    top1_accuracy,
     train,
 )
 from .parallel import _map_cells
@@ -77,6 +75,12 @@ GEN_CORPUS_DEFAULTS = {
     "exponent": 1.2,
     "seed": 0,
     "stats_prefix_sizes": [1, 2, 4, 8, 16],
+}
+
+# an inline corpus block takes gen-corpus's keys, less the two that only
+# name and describe gen-corpus's own outputs
+_INLINE_CORPUS_KEYS = {
+    k: v for k, v in GEN_CORPUS_DEFAULTS.items() if k not in ("name", "stats_prefix_sizes")
 }
 
 # TrainConfig's own defaults; each experiment writes out only the values it
@@ -324,8 +328,8 @@ def resolve_config(kind: str, config_path=None, overrides=None) -> dict:
         config = _deep_merge(config, file_cfg)
     config = _deep_merge(config, overrides or {})
     template = dict(_DEFAULTS[kind])
-    if "corpus" in template:  # an inline corpus block takes gen-corpus's keys
-        template["corpus"] = GEN_CORPUS_DEFAULTS
+    if "corpus" in template:
+        template["corpus"] = _INLINE_CORPUS_KEYS
     return _typed_block(config, template)
 
 
@@ -346,13 +350,13 @@ def _prepare_dir(out_root: Path, config: dict, kind: str) -> Path:
     return run_dir
 
 
-def _make_corpus(spec, default_seed=0):
+def _make_corpus(spec):
     """A corpus from either a file path or an inline generator block."""
     if spec is None:
         raise UsageError("a corpus path or generator block is required")
     if isinstance(spec, str):
         return load_corpus(spec)
-    spec = {**GEN_CORPUS_DEFAULTS, "seed": default_seed, **spec}
+    spec = {**GEN_CORPUS_DEFAULTS, **spec}
     v, n, length, seed = spec["vocab_size"], spec["num_seqs"], spec["seq_len"], spec["seed"]
     if spec["kind"] == "spamlang":
         return corpus_mod.gen_spamlang(v, n, length, seed)
@@ -425,7 +429,7 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
 
 
 def run_train(config: dict, run_dir: Path) -> dict:
-    corpus = _make_corpus(config["corpus"], default_seed=config["seed"])
+    corpus = _make_corpus(config["corpus"])
     train_part, val_part = _split_corpus(corpus, config["val_fraction"])
     mcl = config["max_context_len"]
     table, counts = build_counts(train_part, mcl)
@@ -578,8 +582,11 @@ def _train_cell(row, counts, tc, val_counts, measures):
         diverged_step = exc.step
     else:
         points = result.trajectory.points
-        above = [p.step for p in points[1:] if p.train_loss > points[0].train_loss]
-        diverged_step = above[0] if points[-1].train_loss > points[0].train_loss else None
+        start = points[0].train_loss
+        # `not loss <= start` also holds for a NaN loss, which the final eval
+        # can read after the last step overflowed the parameters
+        above = [p.step for p in points if not p.train_loss <= start]
+        diverged_step = above[0] if not points[-1].train_loss <= start else None
     if diverged_step is not None:
         nan = {name: float("nan") for name in measures}
         return {**row, "status": "diverged", **nan, "diverged_step": diverged_step}, None
@@ -632,7 +639,8 @@ def _spamlang_cell(config, vocab_size, seed, lr):
     row = {"vocab_size": vocab_size, "lr": lr, "seed": seed, "entropy_floor": entropy_floor(counts)}
     return _train_cell(row, counts, _train_config({**config, "lr": lr, "seed": seed}), None, {
         "final_loss": lambda result: result.trajectory.final_train_loss,
-        "top1_weighted": lambda result: top1_accuracy(counts, result.params).weighted,
+        # the final eval's top-1, on these counts and the final params
+        "top1_weighted": lambda result: result.trajectory.points[-1].top1_acc,
     })
 
 
@@ -681,7 +689,7 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
     # best learning rate per (V, seed)
     best = {}
     for cell in cells:
-        if cell["status"] != "ok" or not math.isfinite(cell["final_loss"]):
+        if cell["status"] != "ok":
             continue
         key = (cell["vocab_size"], cell["seed"])
         if key not in best or cell["final_loss"] < best[key]["final_loss"]:

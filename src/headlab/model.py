@@ -343,27 +343,28 @@ def loss(counts: CountMatrix, params: ModelParams) -> float:
     return -_row_block_pass(counts, params.h, params.head)[0] / counts.total
 
 
-def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, want: str = "loss"):
+def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False):
     """One pass over row blocks of the logits of the counted rows.
 
     `h` holds every context row; with `counts.row_ids` the counted rows are
     gathered from it block by block. Each block holds about BLOCK_BYTES of
     logits h_b W^T, turned in place into exp(logits - row max) with row
-    normalizers z by `_softmax_block`. `want` selects what is read off it:
-    - "loss": the sum of n log p over the block's triplets;
-    - "top1": the same sum, and the argmax of e / z (the probabilities of
+    normalizers z by `_softmax_block`. Two passes read it:
+    - the evaluation pass (the default): the sum of n log p over the block's
+      triplets, then the argmax of e / z (the probabilities of
       `softmax_rows`, so ties break the same) against `counts.targets`;
-    - "grad": g_b = e * (w / z) with n / N subtracted at the triplets, from
-      which gh_b = g_b W and the V x D sum of g_b^T h_b (gW, or the effective
-      head gradient behind gA and gB) are accumulated. No C x V gradient is
-      formed.
+    - the gradient pass (`grad`): g_b = e * (w / z) with n / N subtracted at
+      the triplets, from which gh_b = g_b W and the V x D sum of g_b^T h_b
+      (gW, or the effective head gradient behind gA and gB) are accumulated.
+      No C x V gradient is formed.
     The blocks are cut into SHARDS contiguous runs of whole blocks, run by
     `_row_block_shard` on up to `parallel.cpu_budget()` threads; their sums
     are combined in shard order, so the result is the same at any thread
-    count. Returns (sum of n log p or None, max |row max|, top-1 matches or
-    None, Gradients or None). A row's normalizer is non-finite exactly when
-    its max is, so a non-finite max |row max| signals divergence, and then
-    equals max |logit|.
+    count. Returns (sum of n log p, max |row max|, top-1 matches, None) from
+    the evaluation pass and (None, max |row max|, None, Gradients) from the
+    gradient pass. A row's normalizer is non-finite exactly when its max is,
+    so a non-finite max |row max| signals divergence, and then equals
+    max |logit|.
     """
     c, v = counts.shape
     if (counts.row_ids is None and h.shape[0] != c) or head.vocab_size != v:
@@ -373,14 +374,14 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, want: str = "loss"
     block = max(1, BLOCK_BYTES // (8 * v))
     blocks = -(-c // block)
     cuts = [min(c, block * (blocks * k // SHARDS)) for k in range(SHARDS + 1)]
-    grad = want == "grad"
-    match = None
-    if want == "top1":
+    match = gh = None
+    if grad:
+        gh = np.empty((c, h.shape[1]))
+    else:
         counts.targets  # filled here: the shards only read the cached argmax
         match = np.empty(c, dtype=bool)
-    gh = np.empty((c, h.shape[1])) if grad else None
     shards = map_threads(_row_block_shard, [
-        (counts, h, head, want, range(lo, hi, block), gh, match)
+        (counts, h, head, range(lo, hi, block), gh, match)
         for lo, hi in zip(cuts, cuts[1:]) if lo < hi
     ])
     logp_sum = None if grad else sum(s[0] for s in shards)
@@ -394,23 +395,22 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, want: str = "loss"
     return logp_sum, float(max_abs), match, grads
 
 
-def _row_block_shard(counts: CountMatrix, h, head, want: str, starts: range, gh, match):
+def _row_block_shard(counts: CountMatrix, h, head, starts: range, gh, match):
     """`_row_block_pass` over the row blocks that begin at `starts`, a
     range(lo, hi, block rows).
 
-    Writes the rows lo:hi of `gh` ("grad") or of `match` ("top1") and returns
-    (sum of n log p or None, max |row max|, this shard's V x D gW term or
-    None). Runs on a kernel thread, so it calls no public headlab function:
-    the benchmark's tracer keeps one span stack, and a span recorded here
-    would nest under whatever the main thread is running.
+    Writes the rows lo:hi of `gh` (the gradient pass, given `gh`) or of
+    `match` (the evaluation pass) and returns (sum of n log p or None,
+    max |row max|, this shard's V x D gW term or None). Runs on a kernel
+    thread, so it calls no public headlab function: the benchmark's tracer
+    keeps one span stack, and a span recorded here would nest under whatever
+    the main thread is running.
     """
     v, block = counts.vocab_size, starts.step
     bounds = np.searchsorted(counts.rows, [*starts, starts.stop])
-    grad = want == "grad"
-    logp_sum = None if grad else 0.0
+    grad = gh is not None
+    logp_sum, gw = (None, np.zeros((v, h.shape[1]))) if grad else (0.0, None)
     max_abs = 0.0
-    if grad:
-        gw = np.zeros((v, h.shape[1]))
     # a diverged pass lets non-finite values flow through; the caller reads
     # max_abs. The error state is per thread, so each shard sets its own.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -429,11 +429,10 @@ def _row_block_shard(counts: CountMatrix, h, head, want: str, starts: range, gh,
             else:
                 z, row_max, block_sum = _softmax_block(lm, cells, i, counts.n[nz])
                 logp_sum += block_sum
-            if match is not None:
                 lm /= z
                 match[rows] = lm.argmax(axis=1) == counts.targets[rows]
             max_abs = np.maximum(max_abs, np.abs(row_max).max())
-    return logp_sum, max_abs, gw if grad else None
+    return logp_sum, max_abs, gw
 
 
 def _softmax_block(lm: np.ndarray, cells=None, i=None, n=None):
@@ -485,7 +484,7 @@ def logit_gradient(counts: CountMatrix, p: np.ndarray) -> np.ndarray:
 
 def param_gradients(counts: CountMatrix, params: ModelParams) -> Gradients:
     """Exact analytic gradients for the representations and the head."""
-    return _row_block_pass(counts, params.h, params.head, "grad")[3]
+    return _row_block_pass(counts, params.h, params.head, grad=True)[3]
 
 
 def first_order_logit_update(
@@ -528,7 +527,7 @@ def top1_accuracy(counts: CountMatrix, params: ModelParams) -> Top1Accuracy:
 
     Ties break toward the lowest token id on both sides.
     """
-    return _top1_from_match(counts, _row_block_pass(counts, params.h, params.head, "top1")[2])
+    return _top1_from_match(counts, _row_block_pass(counts, params.h, params.head)[2])
 
 
 def _lr_at(config: TrainConfig, step: int) -> float:
@@ -592,7 +591,7 @@ def _eval_point(
     params: ModelParams,
     val_counts: CountMatrix | None,
 ) -> TrajectoryPoint:
-    logp_sum, _, match, _ = _row_block_pass(counts, params.h, params.head, "top1")
+    logp_sum, _, match, _ = _row_block_pass(counts, params.h, params.head)
     val_loss = None
     if val_counts is not None:
         val_loss = loss(val_counts, params)
@@ -667,7 +666,7 @@ def train(
             epoch_pos += k
             step_counts = batch_counts(table, batch)
 
-        _, max_abs, _, grads = _row_block_pass(step_counts, params.h, params.head, "grad")
+        _, max_abs, _, grads = _row_block_pass(step_counts, params.h, params.head, grad=True)
         if not math.isfinite(max_abs):
             # a gradient pass skips the loss sum; only a diverged step pays for one
             raise TrainingDivergedError(step, loss(step_counts, params), max_abs)

@@ -393,15 +393,17 @@ def verify_batch_rank_floor(
     max_context_len: int = 1,
     assert_delta: float = 1e-3,
     rank_tol: float = RANK_TOL,
-) -> dict:
+) -> dict | None:
     """Check the in-batch rank floor on one corpus and one batch draw.
 
     Builds predictions P = (1 - delta) * normalized + delta * uniform for
     each delta, and requires rank(P_batch - batch-normalized counts) to reach
-    min(#unique distinct batch continuations, V - 1) at `assert_delta`. The
-    largest delta at which the floor held is reported. Instances whose
-    co-occurrence graph is not connected (or with no qualifying context) are
-    marked skipped.
+    min(#unique distinct batch continuations, V - 1) at `assert_delta`.
+    Returns the instance's row: its unique batch contexts, that bound,
+    whether it held at `assert_delta` (1 or 0), the largest delta at which it
+    held and the max-norm error of P at `assert_delta`. An instance with no
+    qualifying context, or whose co-occurrence graph is not connected, does
+    not qualify and returns None.
     """
     if not 0 < batch_fraction <= 1:
         raise ValueError("batch_fraction must lie in (0, 1]")
@@ -416,47 +418,32 @@ def verify_batch_rank_floor(
     batch_ids = rng.choice(num_seqs, size=k, replace=False)
     batch = batch_counts(table, batch_ids)
     rows, tokens = unique_batch_contexts(counts, batch)
-    out = {
-        "num_unique": int(rows.size),
-        "skipped": False,
-        "connected": None,
-        "bound": None,
-        "held_at_assert_delta": None,
-        "largest_held_delta": None,
-        "max_inf_error_at_assert": None,
-        "ranks": {},
-    }
     if rows.size == 0:
-        out["skipped"] = True
-        return out
+        return None
     normalized = counts.to_dense(normalized=True)
     cross = normalized[rows][:, tokens]
-    connected = scipy.sparse.csgraph.connected_components(cross > 0, directed=False)[0] == 1
-    out["connected"] = bool(connected)
-    if not connected:
-        out["skipped"] = True
-        return out
+    if scipy.sparse.csgraph.connected_components(cross > 0, directed=False)[0] != 1:
+        return None
     v = counts.vocab_size
     bound = min(rows.size, v - 1)
-    out["bound"] = int(bound)
     largest_held = None
-    batch_full_rows = batch.row_ids
     batch_normalized = batch.to_dense(normalized=True)
     for delta in deltas:
         p = (1.0 - delta) * normalized + delta / v
-        diff = p[batch_full_rows] - batch_normalized
-        rank_qr = linalg.qr_rank(diff, rank_tol)
-        rank_svd = _svd_rank(diff, rank_tol)
-        held = rank_qr >= bound and rank_svd >= bound
-        out["ranks"][delta] = (rank_qr, rank_svd)
+        diff = p[batch.row_ids] - batch_normalized
+        held = min(linalg.qr_rank(diff, rank_tol), _svd_rank(diff, rank_tol)) >= bound
         if held:
             largest_held = delta
         if delta == assert_delta:
-            out["held_at_assert_delta"] = bool(held)
-            inf_err = np.abs(p[rows] - normalized[rows]).max()
-            out["max_inf_error_at_assert"] = float(inf_err)
-    out["largest_held_delta"] = largest_held
-    return out
+            held_at_assert = int(held)
+            inf_err = float(np.abs(p[rows] - normalized[rows]).max())
+    return {
+        "unique_batch_contexts": int(rows.size),
+        "bound": int(bound),
+        "held_at_assert_delta": held_at_assert,
+        "largest_held_delta": largest_held,
+        "max_inf_error": inf_err,
+    }
 
 
 def batch_rank_floor_suite(
@@ -477,13 +464,12 @@ def batch_rank_floor_suite(
     if max_attempts is None:
         max_attempts = 20 * n_instances
     _positive(n_instances=n_instances, max_attempts=max_attempts)
-    details, margins = [], []
-    skipped = 0
+    details = []
     attempt = 0
-    while len(margins) < n_instances and attempt < max_attempts:
+    while len(details) < n_instances and attempt < max_attempts:
         corpus_seed = seed * 1_000_003 + attempt
         corpus = gen_zipf_bigram(vocab_size, exponent, num_seqs, seq_len, corpus_seed)
-        res = verify_batch_rank_floor(
+        row = verify_batch_rank_floor(
             corpus,
             batch_fraction=batch_fraction,
             delta_grid=delta_grid,
@@ -492,27 +478,15 @@ def batch_rank_floor_suite(
             rank_tol=rank_tol,
         )
         attempt += 1
-        if res["skipped"]:
-            skipped += 1
-            continue
-        margin = 0.0 if res["held_at_assert_delta"] else -1.0
-        margins.append(margin)
-        details.append(
-            {
-                "corpus_seed": corpus_seed,
-                "unique_batch_contexts": res["num_unique"],
-                "bound": res["bound"],
-                "held_at_assert_delta": int(bool(res["held_at_assert_delta"])),
-                "largest_held_delta": res["largest_held_delta"],
-                "max_inf_error": res["max_inf_error_at_assert"],
-            }
+        if row is not None:
+            details.append({"corpus_seed": corpus_seed, **row})
+    if len(details) < n_instances:
+        raise ValueError(
+            f"max_attempts {max_attempts} is too small: only {len(details)} of "
+            f"{n_instances} instances met the connectivity precondition"
         )
-    if len(margins) < n_instances:
-        raise RuntimeError(
-            f"only {len(margins)} of {n_instances} instances met the connectivity "
-            f"precondition after {attempt} attempts"
-        )
-    return _finish("batch_rank_floor", seed, details, margins, skipped=skipped)
+    margins = [0.0 if det["held_at_assert_delta"] else -1.0 for det in details]
+    return _finish("batch_rank_floor", seed, details, margins, skipped=attempt - len(details))
 
 
 def verify_update_residual_gap(instances: int = 100, seed: int = 0) -> VerificationResult:
@@ -574,17 +548,29 @@ CHECKS = {
 }
 
 
+# the verifiers' keywords that count instances, trials or draws
+_COUNT_KEYS = ("trials", "instances", "n_instances", "max_attempts")
+
+
 def run_all(seed: int = 0, rank_tol: float = RANK_TOL, sizes: dict | None = None) -> dict:
     """Run every registered check; returns {check_id: VerificationResult}.
 
     `sizes` maps a check id to keyword arguments of its verifier. `rank_tol`
-    goes to every verifier that takes one.
+    goes to every verifier that takes one. Every block's counts are checked
+    before the first check draws, and a ValueError a verifier raises is
+    raised again prefixed with its check id.
     """
     sizes = sizes or {}
+    for check_id, block in sizes.items():
+        _positive(**{f"{check_id}.{key}": value for key, value in block.items()
+                     if key in _COUNT_KEYS and value is not None})
     results = {}
     for check_id, check in CHECKS.items():
         kwargs = {**sizes.get(check_id, {}), "seed": seed}
         if "rank_tol" in inspect.signature(check).parameters:
             kwargs["rank_tol"] = rank_tol
-        results[check_id] = check(**kwargs)
+        try:
+            results[check_id] = check(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{check_id}: {exc}") from exc
     return results

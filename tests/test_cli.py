@@ -279,6 +279,43 @@ class TestVerifyCommand:
         assert f"{key.split('.')[1]} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "verify" / "summary.json").exists()
 
+    @pytest.mark.parametrize("key", [
+        "loss_floor.trials", "logit_rank_caps.trials", "top1_reachability.instances",
+        "error_rank_floor.instances", "batch_rank_floor.n_instances",
+        "batch_rank_floor.max_attempts", "update_residual_gap.instances",
+    ])
+    def test_count_refused_naming_its_check_before_any_check_runs(
+        self, key, monkeypatch, tmp_path, capsys
+    ):
+        ran = []
+
+        def spy(check_id, check):
+            def wrapped(**kwargs):
+                ran.append(check_id)
+                return check(**kwargs)
+            return wrapped
+
+        for check_id, check in list(vf.CHECKS.items()):
+            monkeypatch.setitem(vf.CHECKS, check_id, spy(check_id, check))
+        args = ["verify", "--out", str(tmp_path)] + self.TINY + [f"--{key}", "0"]
+        assert run(args) == cli.EXIT_USAGE
+        assert f"error: {key} must be positive" in capsys.readouterr().err
+        assert ran == []
+
+    def test_verifier_error_names_its_check(self, tmp_path, capsys):
+        args = ["verify", "--out", str(tmp_path)] + self.TINY + ["--top1_reachability.dims", "[12]"]
+        assert run(args) == cli.EXIT_USAGE
+        assert "error: top1_reachability: dims must hold 2 sizes" in capsys.readouterr().err
+
+    def test_too_few_attempts_exit_usage_without_a_traceback(self, tmp_path, capsys):
+        args = (["verify", "--out", str(tmp_path)] + self.TINY
+                + ["--batch_rank_floor.max_attempts", "1"])
+        assert run(args) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: batch_rank_floor: max_attempts 1 is too small" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "verify" / "summary.json").exists()
+
     def test_every_registered_check_has_a_size_block(self):
         assert set(cli.VERIFY_DEFAULTS) - {"name", "seed", "rank_tol"} == set(vf.CHECKS)
 
@@ -395,6 +432,20 @@ class TestTrainConfigKeys:
         end = load_checkpoint(tmp_path / "train" / "checkpoint.bin")
         assert np.array_equal(start.h, end.h)
         assert not np.array_equal(start.head.w, end.head.w)
+
+
+class TestInlineCorpusKeys:
+    @pytest.mark.parametrize("kind", ["train", "diagnose"])
+    @pytest.mark.parametrize("key, value", [("name", "bogus"), ("stats_prefix_sizes", "[3]")])
+    def test_gen_corpus_output_keys_refused(self, kind, key, value, tmp_path, capsys):
+        """An inline corpus block writes no corpus file and no stats, so the
+        keys that name and describe them are refused, before config.json."""
+        steps = ["--steps", "3"] if kind == "train" else []
+        args = [kind, "--out", str(tmp_path), "--corpus.num_seqs", "6", "--corpus.seq_len", "5",
+                *steps, f"--corpus.{key}", value]
+        assert run(args) == cli.EXIT_USAGE
+        assert f"corpus.{key}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("config.json"))
 
 
 class TestIntegerKeys:
@@ -704,6 +755,46 @@ class TestSpamlangSweep:
             table = list(csv.DictReader(fh))
         assert table[0]["10000000.0"] == "" and table[0]["0.02"] != ""
         assert json.loads((out / "summary.json").read_text())["num_diverged"] == 1
+
+    def test_nan_final_loss_is_diverged(self, tmp_path):
+        """GD at lr=1e300 overflows the parameters in its one step, so only
+        the final eval reads a (NaN) loss: the cell is diverged, not ok."""
+        args = ["spamlang-sweep", "--out", str(tmp_path), "--vocab_sizes", "[16]",
+                "--lrs", "[1e300]", "--seeds", "[0]", "--optimizer", "gd", "--steps", "1",
+                "--warmup_steps", "0", "--schedule", "constant", "--eval_every", "1"]
+        assert run(args) == 0
+        with open(tmp_path / "spamlang" / "sweep.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["status"], row["final_loss"], row["diverged_step"]) == ("diverged", "nan", "1")
+
+    def test_top1_is_read_from_the_trajectory(self, monkeypatch, tmp_path):
+        """No second top-1 pass per cell: each ok row's top1_weighted is its
+        trajectory's final top1_acc."""
+        calls = []
+        real = model.top1_accuracy
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # the cells run in this process, where the spy records
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
+        # the name in cli too, so a call through an imported name is seen
+        monkeypatch.setattr(model, "top1_accuracy", spy)
+        monkeypatch.setattr(cli, "top1_accuracy", spy, raising=False)
+        grid = ["--vocab_sizes", "[8,16]", "--lrs", "[1e7,0.02]", "--seeds", "[0]",
+                "--width", "4", "--steps", "60", "--seq_len", "12", "--eval_every", "30",
+                "--warmup_steps", "0", "--schedule", "constant", "--optimizer", "gd"]
+        assert run(["spamlang-sweep", "--out", str(tmp_path)] + grid) == 0
+        assert calls == []
+        out = tmp_path / "spamlang"
+        with open(out / "sweep.csv") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["status"] == "ok"]
+        assert len(rows) == 2
+        for row in rows:
+            label = f"v{row['vocab_size']}_lr{float(row['lr']):g}_seed{row['seed']}"
+            traj = model.Trajectory.from_csv(out / "runs" / label / "trajectory.csv")
+            assert float(row["top1_weighted"]) == traj.points[-1].top1_acc
 
     def test_rerun_bit_identical_and_cells_independent(self, tmp_path):
         assert run(["spamlang-sweep", "--out", str(tmp_path / "a")] + TINY_SPAM) == 0

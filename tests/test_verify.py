@@ -146,10 +146,10 @@ class TestBatchRankFloor:
 
     def test_single_corpus_run_reports_epsilon(self):
         corpus = cp.gen_zipf_bigram(32, 0.9, 24, 9, seed=101)
-        res = vf.verify_batch_rank_floor(corpus, seed=3)
-        if not res["skipped"]:
-            assert res["held_at_assert_delta"] is not None
-            assert res["max_inf_error_at_assert"] <= 1e-3
+        row = vf.verify_batch_rank_floor(corpus, seed=3)
+        if row is not None:
+            assert row["held_at_assert_delta"] in (0, 1)
+            assert row["max_inf_error"] <= 1e-3
 
     def test_small_suite_clean(self):
         res = vf.batch_rank_floor_suite(n_instances=10, seed=29)

@@ -17,6 +17,7 @@ from headlab.diagnostics import (
     eckart_young_gap,
     gradient_rank_curve,
 )
+from headlab.linalg import kernel_split
 from headlab.model import TrainConfig, logit_gradient, logits, probs_and_loss, train
 
 OUT = Path("demos_out")
@@ -41,7 +42,7 @@ print(f"  lost gradient norm fraction : {report.lost_fraction:.4f}")
 print(f"  cosine(row, surviving part) : {report.cosine_mean:.4f} +- {report.cosine_std:.4f}")
 print(f"  best rank-2D residual bound : {eckart_young_gap(g, cfg.width):.6f}")
 
-curve = gradient_rank_curve(counts, p, [4, 16, 64, 256, 1024], seed=1)
+curve = gradient_rank_curve(counts, params, [4, 16, 64, 256, 1024], seed=1)
 print("  per-token gradient rank curve:")
 for tokens, rank, max_rank in curve.points:
     print(f"    {tokens:5d} tokens -> rank {rank:4d} (cap {max_rank})")
@@ -58,8 +59,9 @@ svg.line_plot(
     logx=True,
 )
 
-# the report carries the gradient's part in the kernel it measured
-profile = coefficient_profile(g, report.lost)
+# the gradient's part in the kernel, sorted by the full gradient's magnitudes
+_, lost = kernel_split(g, params.head.matrix)
+profile = coefficient_profile(g, lost)
 profile.to_csv(OUT / "coefficient_profile.csv")
 print("  coefficient profile: observed-token mean %.2e (full) vs %.2e (destroyed part)"
       % (profile.full_mean[0], profile.proj_mean[0]))

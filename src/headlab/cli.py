@@ -45,9 +45,6 @@ from .model import (
     Trajectory,
     entropy_floor,
     load_checkpoint,
-    logit_gradient,
-    logits,
-    probs_and_loss,
     save_checkpoint,
     train,
 )
@@ -454,20 +451,13 @@ def run_train(config: dict, run_dir: Path) -> dict:
     }
 
 
-def _compression(g, head):
-    """The kernel split of `g` and the coefficient profile of its kernel part,
-    which stays in the worker: only the small results go back."""
-    report = diagnostics.compression_report(g, head)
-    profile = diagnostics.coefficient_profile(g, report.lost)
-    report.lost = None
-    return report, profile
-
-
 def run_diagnose(config: dict, run_dir: Path) -> dict:
-    """The checkpoint's gradient bottleneck on its corpus: the kernel split,
-    the Eckart-Young gap (from the Gram matrix's top eigenvalues, see
-    `linalg.best_rank_k_residual`), the rank curve and the update efficiency,
-    measured on one logit gradient in the fork pool."""
+    """The checkpoint's gradient bottleneck on its corpus, read in row blocks
+    with no C x V matrix: the kernel split, the coefficient profile and the
+    Gram matrix in one pass (`diagnostics.gradient_pass`), then in the fork
+    pool the Eckart-Young gap (from the Gram matrix's top eigenvalues, see
+    `linalg.gram_residual`), the rank curve and the update efficiency's
+    second pass."""
     if not config["checkpoint"]:
         raise UsageError("diagnose needs a checkpoint path")
     params = load_checkpoint(config["checkpoint"])
@@ -484,18 +474,16 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
             f"no entry of token_counts {config['token_counts']} fits the corpus's "
             f"{counts.total} tokens"
         )
-    lm = logits(params)
-    p, base_loss = probs_and_loss(counts, lm)
-    g = logit_gradient(counts, p)
-    # longest first, as timed at V = 2048, C = 2049: the gap's Gram
-    # eigenvalues, then the rank curve, the update efficiency and the kernel
-    # split; each worker takes the next job when it is free
-    gap, curve, curve_eff, (report, profile) = _map_cells([
-        partial(diagnostics.eckart_young_gap, g, params.width),
-        partial(diagnostics.gradient_rank_curve, counts, p, sizes, seed=config["seed"]),
-        partial(diagnostics.update_efficiency, counts, lm, base_loss, g, params.head,
-                config["fractions"]),
-        partial(_compression, g, params.head),
+    fractions = diagnostics.check_fractions(config["fractions"])
+    first = diagnostics.gradient_pass(counts, params)
+    report, profile = first.report, first.profile
+    # longest first, as timed at V = 2048, C = 2049: the Gram matrix's
+    # eigenvalues, then the rank curve and the perturbed losses; each worker
+    # takes the next job when it is free
+    gap, curve, curve_eff = _map_cells([
+        partial(diagnostics.gradient_gap, counts, params, first),
+        partial(diagnostics.gradient_rank_curve, counts, params, sizes, seed=config["seed"]),
+        partial(diagnostics.efficiency_pass, counts, params, first, fractions),
     ])
 
     curve.to_csv(run_dir / "rank_curve.csv")

@@ -17,9 +17,9 @@ import numpy as np
 
 from .tables import write_csv
 
-# Counts are stored sparsely, but `diagnose` and the dense reference paths
-# form C x V float64 matrices: refuse corpora where one would exceed this
-# many bytes.
+# Counts are stored sparsely, but the dense reference paths and the exact
+# fallback of `diagnose`'s Eckart-Young gap form C x V float64 matrices:
+# refuse corpora where one would exceed this many bytes.
 MAX_DENSE_BYTES = 2 * 1024**3
 DEFAULT_CONTEXT_LEN = 16
 
@@ -194,8 +194,10 @@ def gen_zipf_bigram(
     rng = np.random.default_rng(seed)
     trans = zipf_transition_matrix(vocab_size, exponent, rng)
     # each token is the count of a CDF's entries <= u; the last entry, 1.0,
-    # exceeds every u, so only the body before it is searched
-    body = np.cumsum(trans[:, :-1], axis=1)
+    # exceeds every u, so only the body before it is searched. The CDF is
+    # summed in place: one V x V table, not two.
+    np.cumsum(trans, axis=1, out=trans)
+    body = trans[:, :-1]
     init_cdf = np.cumsum(zipf_weights(vocab_size, exponent))
     init_cdf[-1] = 1.0
 

@@ -1,24 +1,43 @@
 """Measurement battery for head-gradient compression.
 
-Every probe is a pure, read-only function over a counted corpus and the
-logits, softmax probabilities or logit gradient of a model snapshot, which
-the caller forms once: per-token gradient rank curves, the fraction of the
-logit-gradient norm falling into the kernel of the head, cosine alignment
-with the retained part, sorted coefficient profiles, update-direction
-efficiency, and the unavoidable low-rank residual of the parameter-induced
-logit update.
+Every probe is a pure, read-only function over a counted corpus and a model
+snapshot, or over a logit gradient the caller formed: per-token gradient
+rank curves, the fraction of the logit-gradient norm falling into the kernel
+of the head, cosine alignment with the retained part, sorted coefficient
+profiles, update-direction efficiency, and the unavoidable low-rank residual
+of the parameter-induced logit update.
+
+`diagnose` reads them off the snapshot in row blocks and never forms a
+C x V matrix: `gradient_pass` accumulates the kernel split, the coefficient
+profile, the norms and the V x V Gram matrix of the logit gradient in one
+pass, and `efficiency_pass` takes the perturbed losses in a second. The
+dense functions (`compression_report`, `coefficient_profile`,
+`update_efficiency`) are the one-block case of the same accumulators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+import scipy.linalg.blas
 
 from . import linalg
+from . import model as md
 from .corpus import CountMatrix
-from .model import loss_from_logits
 from .tables import write_csv
+
+# Bytes of logits in one row block of `gradient_pass` and `efficiency_pass`.
+# Larger than model.BLOCK_BYTES: each block adds a rank-(block rows) update
+# to the V x V Gram matrix, and at V = 2048 the Gram pass took 2.6 s in
+# 32-row blocks (512 KiB) against 0.7 s in 256-row blocks (4 MiB). A fixed
+# constant, so that reruns sum in the same order on any machine.
+BLOCK_BYTES = 4 * 1024**2
+
+
+def _block_rows(vocab_size: int) -> int:
+    return max(1, BLOCK_BYTES // (8 * vocab_size))
 
 
 @dataclass
@@ -45,16 +64,17 @@ def per_token_gradient_matrix(p: np.ndarray, occ_rows, occ_cols) -> np.ndarray:
 
 def gradient_rank_curve(
     counts: CountMatrix,
-    p,
+    params: md.ModelParams,
     token_counts,
     seed: int = 0,
     rank_tol: float = linalg.DEFAULT_RANK_TOL,
 ) -> RankCurve:
     """Rank of the stacked per-token gradient rows at growing sample sizes,
-    given the model's softmax probabilities `p`.
+    for a model `params` with one row per counted context.
 
     For each requested size a token subset is drawn without replacement from
-    all counted occurrences.
+    all counted occurrences; the softmax probabilities are formed for the
+    drawn contexts only.
     """
     sizes = [int(k) for k in token_counts]
     if not sizes:
@@ -70,7 +90,10 @@ def gradient_rank_curve(
     curve = RankCurve()
     for k in sizes:
         draw = rng.choice(counts.total, size=k, replace=False)
-        m = per_token_gradient_matrix(p, occ_rows[draw], occ_cols[draw])
+        rows, inverse = np.unique(occ_rows[draw], return_inverse=True)
+        p = linalg.softmax_rows(params.head.logits(params.h[rows]))
+        m = per_token_gradient_matrix(p, inverse, occ_cols[draw])
+        del p
         rank = linalg.qr_rank(m, rank_tol)
         curve.points.append((k, rank, min(k, counts.vocab_size)))
     return curve
@@ -92,14 +115,13 @@ def kernel_cosine(g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL):
 
 @dataclass
 class CompressionReport:
-    """Kernel-compression figures, with the gradient's part `lost` in ker(W^T)."""
+    """Kernel-compression figures of a logit gradient under a head."""
 
     lost_fraction: float
     cosine_mean: float
     cosine_std: float
     per_row_lost: np.ndarray
     zero_gradient: bool = False
-    lost: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self, path, eckart_young_gap: float) -> None:
         """One row of the figures, with the gradient's `eckart_young_gap`."""
@@ -114,6 +136,41 @@ class CompressionReport:
         write_csv(path, ["row", "lost_fraction"], enumerate(self.per_row_lost))
 
 
+class _KernelSplit:
+    """`compression_report` over the row blocks of a gradient, added in row
+    order: one pivoted QR of the head, then per block the split of
+    `linalg.split_rows`, its squared norms and its per-row norms."""
+
+    def __init__(self, head, rank_tol: float):
+        self.basis = linalg.range_basis(head.matrix, rank_tol)
+        self.grad_sq = 0.0
+        self.lost_sq = 0.0
+        self.row_norms = []  # (row, kept, lost) norms of each block
+
+    def add(self, g: np.ndarray) -> np.ndarray:
+        """Add the block `g`; return its part in the kernel."""
+        kept, lost = linalg.split_rows(g, self.basis)
+        self.grad_sq += float(np.vdot(g, g))
+        self.lost_sq += float(np.vdot(lost, lost))
+        self.row_norms.append(tuple(np.linalg.norm(x, axis=1) for x in (g, kept, lost)))
+        return lost
+
+    def report(self) -> CompressionReport:
+        row, kept, lost = (np.concatenate(parts) for parts in zip(*self.row_norms))
+        if self.grad_sq == 0.0:
+            return CompressionReport(0.0, 0.0, 0.0, np.zeros(len(row)), True)
+        nz = row > 0
+        per_row = np.zeros(len(row))
+        per_row[nz] = lost[nz] / row[nz]
+        cos = kept[nz] / row[nz]
+        return CompressionReport(
+            lost_fraction=float(np.sqrt(self.lost_sq) / np.sqrt(self.grad_sq)),
+            cosine_mean=float(cos.mean()),
+            cosine_std=float(cos.std()),
+            per_row_lost=per_row,
+        )
+
+
 def compression_report(
     g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL
 ) -> CompressionReport:
@@ -122,25 +179,11 @@ def compression_report(
     The stacked lost fraction follows the Frobenius form; a per-row series is
     included, with zero rows reported as 0 and flagged through
     `zero_gradient` when the whole gradient vanishes. All figures read one
-    kernel split of the gradient.
+    kernel split of the gradient, taken as a single row block.
     """
-    g = np.asarray(g, dtype=np.float64)
-    total = np.linalg.norm(g)
-    if total == 0.0:
-        return CompressionReport(0.0, 0.0, 0.0, np.zeros(len(g)), True, np.zeros_like(g))
-    kept, lost = linalg.kernel_split(g, head.matrix, rank_tol)
-    row_norms = np.linalg.norm(g, axis=1)
-    nz = row_norms > 0
-    per_row = np.zeros(g.shape[0])
-    per_row[nz] = np.linalg.norm(lost[nz], axis=1) / row_norms[nz]
-    cos = np.linalg.norm(kept[nz], axis=1) / row_norms[nz]
-    return CompressionReport(
-        lost_fraction=float(np.linalg.norm(lost) / total),
-        cosine_mean=float(cos.mean()),
-        cosine_std=float(cos.std()),
-        per_row_lost=per_row,
-        lost=lost,
-    )
+    split = _KernelSplit(head, rank_tol)
+    split.add(np.asarray(g, dtype=np.float64))
+    return split.report()
 
 
 @dataclass
@@ -166,23 +209,50 @@ class CoefficientProfile:
         )
 
 
+class _ProfileMoments:
+    """`coefficient_profile` over row blocks, added in row order: each
+    block's per-position mean and sum of squared deviations (M2), merged
+    into the running ones by Chan et al.'s pairwise update. A single block
+    gives numpy's mean and (population) std."""
+
+    def __init__(self, vocab_size: int):
+        self.rows = 0
+        self.mean = np.zeros((2, vocab_size))  # full, projected
+        self.m2 = np.zeros((2, vocab_size))
+
+    def add(self, g_full: np.ndarray, g_proj: np.ndarray) -> None:
+        if g_full.shape != g_proj.shape:
+            raise ValueError("full and projected gradients must have the same shape")
+        order = np.argsort(-np.abs(g_full), axis=1)
+        f_sorted = np.take_along_axis(g_full, order, axis=1)
+        flip = np.where(f_sorted[:, :1] > 0, -1.0, 1.0)
+        f_sorted *= flip
+        p_sorted = np.take_along_axis(g_proj, order, axis=1)
+        p_sorted *= flip
+        del order
+        before, block = self.rows, len(g_full)
+        self.rows += block
+        for k, x in enumerate((f_sorted, p_sorted)):
+            mean = x.mean(axis=0)
+            x -= mean
+            np.square(x, out=x)
+            delta = mean - self.mean[k]
+            self.mean[k] += delta * (block / self.rows)
+            self.m2[k] += x.sum(axis=0) + delta**2 * (before * block / self.rows)
+
+    def profile(self) -> CoefficientProfile:
+        (full_mean, proj_mean), (full_std, proj_std) = self.mean, np.sqrt(self.m2 / self.rows)
+        return CoefficientProfile(full_mean, full_std, proj_mean, proj_std)
+
+
 def coefficient_profile(g_full, g_proj) -> CoefficientProfile:
+    """The profile of `g_full` and of `g_proj` sorted in `g_full`'s order,
+    taken as a single row block."""
     g_full = np.asarray(g_full, dtype=np.float64)
     g_proj = np.asarray(g_proj, dtype=np.float64)
-    if g_full.shape != g_proj.shape:
-        raise ValueError("full and projected gradients must have the same shape")
-    order = np.argsort(-np.abs(g_full), axis=1)
-    f_sorted = np.take_along_axis(g_full, order, axis=1)
-    p_sorted = np.take_along_axis(g_proj, order, axis=1)
-    flip = np.where(f_sorted[:, 0] > 0, -1.0, 1.0)[:, None]
-    f_sorted = f_sorted * flip
-    p_sorted = p_sorted * flip
-    return CoefficientProfile(
-        full_mean=f_sorted.mean(axis=0),
-        full_std=f_sorted.std(axis=0),
-        proj_mean=p_sorted.mean(axis=0),
-        proj_std=p_sorted.std(axis=0),
-    )
+    moments = _ProfileMoments(g_full.shape[-1])
+    moments.add(g_full, g_proj)
+    return moments.profile()
 
 
 @dataclass
@@ -199,6 +269,42 @@ class EfficiencyCurve:
         )
 
 
+def check_fractions(fractions) -> list:
+    """The update efficiency's norm fractions as floats, each in (0, 1]."""
+    fractions = [float(a) for a in fractions]
+    if not fractions:
+        raise ValueError("fractions must hold at least one norm fraction")
+    if any(a <= 0 or a > 1 for a in fractions):
+        raise ValueError("fractions must lie in (0, 1]")
+    return fractions
+
+
+def _check_directions(grad_norm: float, hidden_norm: float) -> None:
+    if grad_norm == 0.0:
+        raise ValueError("logit gradient has zero norm")
+    if hidden_norm == 0.0:
+        raise ValueError("hidden-state update direction has zero norm")
+
+
+def _perturbed_logp_sums(lm, directions, budgets, cells, i, n) -> np.ndarray:
+    """Sum of n log softmax(lm + b * d) over the cells (flat indices into the
+    C-ordered `lm`, with rows `i` and counts `n`), for each unit direction d
+    of `directions` and then each budget b of `budgets`."""
+    x = np.empty_like(lm)
+    sums = []
+    for d in directions:
+        for b in budgets:
+            np.multiply(d, b, out=x)
+            x += lm
+            sums.append(md._softmax_block(x, cells, i, n)[2])
+    return np.array(sums)
+
+
+def _efficiency_curve(fractions, sums, total: int, base_loss: float) -> EfficiencyCurve:
+    deltas = [-s / total - base_loss for s in sums]
+    return EfficiencyCurve(fractions, deltas[: len(fractions)], deltas[len(fractions) :])
+
+
 def update_efficiency(
     counts: CountMatrix, lm, base_loss: float, g, head, fractions
 ) -> EfficiencyCurve:
@@ -208,29 +314,102 @@ def update_efficiency(
     is the (negated, unit-Frobenius) logit gradient; direction two is the
     logit-space image of a hidden-state gradient step through `head`. Both
     moves spend the same budget alpha * ||logits||_F, and the loss is
-    evaluated directly on the perturbed logits.
+    evaluated directly on the perturbed logits, as a single row block.
     """
-    fractions = [float(a) for a in fractions]
-    if not fractions:
-        raise ValueError("fractions must hold at least one norm fraction")
-    if any(a <= 0 or a > 1 for a in fractions):
-        raise ValueError("fractions must lie in (0, 1]")
-    gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        raise ValueError("logit gradient has zero norm")
+    fractions = check_fractions(fractions)
+    lm = np.asarray(lm, dtype=np.float64)
+    if lm.shape != counts.shape:
+        raise ValueError(f"logit shape {lm.shape} does not match counts shape {counts.shape}")
     wm = head.matrix
     hidden_dir = (g @ wm) @ wm.T
-    hnorm = np.linalg.norm(hidden_dir)
-    if hnorm == 0.0:
-        raise ValueError("hidden-state update direction has zero norm")
-    d1 = -g / gnorm
-    d2 = -hidden_dir / hnorm
+    gnorm, hnorm = np.linalg.norm(g), np.linalg.norm(hidden_dir)
+    _check_directions(gnorm, hnorm)
     budget = np.linalg.norm(lm)
-    delta1, delta2 = [], []
-    for a in fractions:
-        delta1.append(loss_from_logits(counts, lm + a * budget * d1) - base_loss)
-        delta2.append(loss_from_logits(counts, lm + a * budget * d2) - base_loss)
-    return EfficiencyCurve(fractions, delta1, delta2)
+    cells = counts.rows * counts.vocab_size + counts.cols
+    sums = _perturbed_logp_sums(lm, [-g / gnorm, -hidden_dir / hnorm],
+                                [a * budget for a in fractions], cells, counts.rows, counts.n)
+    return _efficiency_curve(fractions, sums, counts.total, base_loss)
+
+
+@dataclass
+class GradientPass:
+    """What `gradient_pass` accumulates over the row blocks of the logit
+    gradient g of a model on its counted corpus."""
+
+    report: CompressionReport
+    profile: CoefficientProfile
+    gram: np.ndarray  # V x V, g^T g in its lower triangle, Fortran order
+    base_loss: float
+    logit_norm: float  # ||logits||_F
+    grad_norm: float  # ||g||_F
+    hidden_norm: float  # ||g W W^T||_F, W the head matrix
+
+
+def gradient_pass(
+    counts: CountMatrix, params: md.ModelParams, rank_tol: float = linalg.DEFAULT_RANK_TOL
+) -> GradientPass:
+    """One pass over row blocks of BLOCK_BYTES of logits: the loss, the
+    kernel split of g (`_KernelSplit`), its coefficient profile
+    (`_ProfileMoments`), ||logits||, ||g||, ||g W W^T|| and the Gram matrix
+    sum of g_b^T g_b. At most a few blocks and the V x V Gram matrix are held
+    at once. A gradient or hidden-state direction of zero norm, which leaves
+    the update efficiency nothing to move along, is refused here.
+    """
+    v = counts.vocab_size
+    split = _KernelSplit(params.head, rank_tol)
+    moments = _ProfileMoments(v)
+    wm = params.head.matrix
+    gram = np.zeros((v, v), order="F")
+    logp_sum = logit_sq = hidden_sq = 0.0
+    for *_, lm, g, block_logp in md._gradient_blocks(counts, params, _block_rows(v)):
+        logp_sum += block_logp
+        logit_sq += float(np.vdot(lm, lm))
+        moments.add(g, split.add(g))
+        hidden = (g @ wm) @ wm.T
+        hidden_sq += float(np.vdot(hidden, hidden))
+        # g.T is the block in Fortran order: syrk adds g^T g to the lower
+        # triangle in place, with no copy
+        scipy.linalg.blas.dsyrk(1.0, g.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
+    grad_norm, hidden_norm = float(np.sqrt(split.grad_sq)), float(np.sqrt(hidden_sq))
+    _check_directions(grad_norm, hidden_norm)
+    return GradientPass(split.report(), moments.profile(), gram, -logp_sum / counts.total,
+                        float(np.sqrt(logit_sq)), grad_norm, hidden_norm)
+
+
+def efficiency_pass(
+    counts: CountMatrix, params: md.ModelParams, first: GradientPass, fractions
+) -> EfficiencyCurve:
+    """`update_efficiency` of the model on its counts, in a second pass over
+    the row blocks of `gradient_pass`, which supplied the loss and norms."""
+    fractions = check_fractions(fractions)
+    budgets = [a * first.logit_norm for a in fractions]
+    wm = params.head.matrix
+    sums = 0.0
+    for _, nz, i, cells, lm, g, _ in md._gradient_blocks(
+        counts, params, _block_rows(counts.vocab_size)
+    ):
+        hidden = (g @ wm) @ wm.T
+        directions = [-g / first.grad_norm, -hidden / first.hidden_norm]
+        del g, hidden
+        sums = sums + _perturbed_logp_sums(lm, directions, budgets, cells, i, counts.n[nz])
+    return _efficiency_curve(fractions, sums, counts.total, first.base_loss)
+
+
+def _dense_gradient(counts: CountMatrix, params: md.ModelParams) -> np.ndarray:
+    """The C x V logit gradient, assembled from the row blocks of `gradient_pass`."""
+    g = np.empty(counts.shape)
+    for rows, *_, block, _ in md._gradient_blocks(counts, params, _block_rows(counts.vocab_size)):
+        g[rows] = block
+    return g
+
+
+def gradient_gap(counts: CountMatrix, params: md.ModelParams, first: GradientPass) -> float:
+    """`eckart_young_gap` of the logit gradient at the model's width, from
+    the Gram matrix of `first`, which it overwrites. The dense gradient is
+    rebuilt from row blocks only where `linalg.gram_residual` needs its
+    singular values; the count matrix already passed the dense-size guard."""
+    return linalg.gram_residual(first.gram, 2 * params.width, min(counts.shape),
+                                partial(_dense_gradient, counts, params))
 
 
 def eckart_young_gap(residual_matrix, width: int) -> float:

@@ -81,28 +81,47 @@ def singular_values(m) -> np.ndarray:
         raise SvdConvergenceError(str(exc)) from exc
 
 
-def kernel_split(g, w, tol: float = DEFAULT_RANK_TOL):
-    """Split each row of `g` into its parts in range(w) and in ker(w.T).
+def range_basis(w, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of range(w), as the columns of a (V, r) array.
 
-    Returns (kept, lost), kept + lost = g. The range is spanned by the first
-    r columns of Q from a pivoted economic QR of the V x D `w`, r counting
-    |R_ii| > `tol` as `qr_rank` does. At r == V `lost` is exactly zero, at
-    r == 0 `kept` is.
+    The first r columns of Q from a pivoted economic QR of the V x D `w`, r
+    counting |R_ii| > `tol` as `qr_rank` does.
     """
     a = as_matrix(w)
     v, d = a.shape
     if v < d:
         raise ValueError(f"need rows >= cols, got shape {a.shape}")
-    rows = as_matrix(g)
-    if rows.shape[1] != v:
-        raise ValueError(f"row dimension {rows.shape[1]} does not match head rows {v}")
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
     rank = int(np.count_nonzero(np.abs(np.diag(r)) > tol))
-    if rank == v:  # (g Q) Q^T would leave rounding-level residue
+    return q[:, :rank]
+
+
+def split_rows(g, basis):
+    """Split each row of `g` into its parts in span(basis) and orthogonal to it.
+
+    Returns (kept, lost), kept + lost = g, for a `basis` of orthonormal
+    columns (as `range_basis` returns). With as many columns as rows `lost`
+    is exactly zero, with none `kept` is.
+    """
+    rows = as_matrix(g)
+    if rows.shape[1] != basis.shape[0]:
+        raise ValueError(
+            f"row dimension {rows.shape[1]} does not match head rows {basis.shape[0]}"
+        )
+    if basis.shape[1] == basis.shape[0]:  # (g Q) Q^T would leave rounding-level residue
         return rows.copy(), np.zeros_like(rows)
-    q = q[:, :rank]
-    kept = (rows @ q) @ q.T
+    kept = (rows @ basis) @ basis.T
     return kept, rows - kept
+
+
+def kernel_split(g, w, tol: float = DEFAULT_RANK_TOL):
+    """Split each row of `g` into its parts in range(w) and in ker(w.T).
+
+    Returns (kept, lost), kept + lost = g, from `split_rows` on the
+    `range_basis` of the V x D `w`. At rank V `lost` is exactly zero, at
+    rank 0 `kept` is.
+    """
+    return split_rows(g, range_basis(w, tol))
 
 
 def kernel_basis(w, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -143,44 +162,59 @@ def project_rows_onto_span(g, basis) -> np.ndarray:
     return (a @ b) @ b.T
 
 
+def gram_residual(gram, k: int, n: int, matrix) -> float:
+    """Frobenius distance from a matrix m to its best rank-k approximation,
+    given its Gram matrix on either side and the smaller of its dimensions `n`.
+
+    Equals sqrt(sum of squared singular values beyond the k-th): 0 when k
+    is at least n, sqrt(trace(gram)) = ||m||_F when k = 0.
+
+    For 0 < k < n the tail is trace(gram) minus its top k eigenvalues, with
+    no SVD. `eigh` reads the lower triangle of the symmetric `gram` and
+    overwrites it; a Fortran-ordered `gram` is not copied. That difference
+    carries an absolute error of about p * eps * ||m||_F^2, where p grows
+    with k and with the dimensions: forming the Gram matrix sums over the
+    longer side, and eigh's backward error grows with its order. When the
+    tail is at most `_GRAM_TAIL_FLOOR` of ||m||_F^2 the difference would
+    cancel, and the singular values of `matrix()`, which returns m, are
+    taken instead, as they are if eigh fails. Above that floor the gap's
+    error is at most p * eps * ||m||_F / (2 * sqrt(_GRAM_TAIL_FLOOR)). The
+    worst-case p, k times the longer side, would allow about 1e-8 ||m||_F
+    at 2049 x 2048 and k = 64; measured there with a tail just above the
+    floor, the error stays under 4e-12 ||m||_F.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k >= n:
+        return 0.0
+    total = float(np.trace(gram))
+    if k == 0:
+        return float(np.sqrt(total))
+    order = gram.shape[0]
+    try:
+        top = scipy.linalg.eigh(
+            gram, eigvals_only=True, subset_by_index=[order - k, order - 1], driver="evr",
+            overwrite_a=True, check_finite=False,
+        )
+    except np.linalg.LinAlgError:
+        pass  # the singular values below report a failure as SvdConvergenceError
+    else:
+        tail = total - float(np.sum(top))
+        if tail > _GRAM_TAIL_FLOOR * total:
+            return float(np.sqrt(tail))
+    s = singular_values(matrix())
+    return float(np.sqrt(np.sum(s[k:] ** 2)))
+
+
 def best_rank_k_residual(m, k: int) -> float:
     """Frobenius distance from `m` to its best rank-k approximation.
 
     Equals sqrt(sum of squared singular values beyond the k-th); 0 when k is
-    at least min(rows, cols), ||m||_F when k = 0. Nonincreasing in k.
-
-    For 0 < k < min(rows, cols) the tail is ||m||_F^2 minus the top k
-    eigenvalues of the Gram matrix on the smaller side, with no SVD. That
-    difference carries an absolute error of about p * eps * ||m||_F^2, where
-    p grows with k and with the dimensions: forming the Gram matrix sums
-    over the longer side, and eigh's backward error grows with its order.
-    When the tail is at most `_GRAM_TAIL_FLOOR` of ||m||_F^2 the difference
-    would cancel, and the singular values are taken instead, as they are if
-    eigh fails. Above that floor the gap's error is at most
-    p * eps * ||m||_F / (2 * sqrt(_GRAM_TAIL_FLOOR)). The worst-case p, k
-    times the longer side, would allow about 1e-8 ||m||_F at 2049 x 2048 and
-    k = 64; measured there with a tail just above the floor, the error stays
-    under 4e-12 ||m||_F.
+    at least min(rows, cols), ||m||_F when k = 0. Nonincreasing in k. Taken
+    by `gram_residual` from the Gram matrix on the smaller side.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     a = as_matrix(m)
-    n = min(a.shape)
-    if 0 < k < n:
-        gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-        total = float(np.trace(gram))
-        # gram is symmetric: its transpose is the same matrix in the Fortran
-        # order LAPACK overwrites in place, with no copy
-        try:
-            top = scipy.linalg.eigh(
-                gram.T, eigvals_only=True, subset_by_index=[n - k, n - 1], driver="evr",
-                overwrite_a=True, check_finite=False,
-            )
-        except np.linalg.LinAlgError:
-            pass  # the singular values below report a failure as SvdConvergenceError
-        else:
-            tail = total - float(np.sum(top))
-            if tail > _GRAM_TAIL_FLOOR * total:
-                return float(np.sqrt(tail))
-    s = singular_values(a)
-    return float(np.sqrt(np.sum(s[k:] ** 2)))
+    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    # gram is symmetric: its transpose is the same matrix in the Fortran
+    # order LAPACK overwrites in place, with no copy
+    return gram_residual(gram.T, k, min(a.shape), lambda: a)

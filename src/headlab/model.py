@@ -406,24 +406,18 @@ def _row_block_shard(counts: CountMatrix, h, head, starts: range, gh, match):
     keeps one span stack, and a span recorded here would nest under whatever
     the main thread is running.
     """
-    v, block = counts.vocab_size, starts.step
-    bounds = np.searchsorted(counts.rows, [*starts, starts.stop])
     grad = gh is not None
-    logp_sum, gw = (None, np.zeros((v, h.shape[1]))) if grad else (0.0, None)
+    logp_sum, gw = (None, np.zeros((counts.vocab_size, h.shape[1]))) if grad else (0.0, None)
     max_abs = 0.0
     # a diverged pass lets non-finite values flow through; the caller reads
     # max_abs. The error state is per thread, so each shard sets its own.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, nz_lo, nz_hi in zip(starts, bounds[:-1], bounds[1:]):
-            rows, nz = slice(lo, lo + block), slice(nz_lo, nz_hi)
-            i = counts.rows[nz] - lo
-            cells = i * v + counts.cols[nz]
+        for rows, nz, i, cells in _triplet_blocks(counts, starts):
             h_b = h[rows] if counts.row_ids is None else h[counts.row_ids[rows]]
             lm = head.logits(h_b)
             if grad:
                 z, row_max, _ = _softmax_block(lm)
-                lm *= counts.weights[rows, None] / z
-                lm.reshape(-1)[cells] -= counts.n[nz] / counts.total
+                _gradient_in_place(counts, lm, z, rows, nz, cells)
                 gh[rows] = head.pullback(lm)
                 gw += lm.T @ h_b
             else:
@@ -433,6 +427,40 @@ def _row_block_shard(counts: CountMatrix, h, head, starts: range, gh, match):
                 match[rows] = lm.argmax(axis=1) == counts.targets[rows]
             max_abs = np.maximum(max_abs, np.abs(row_max).max())
     return logp_sum, max_abs, gw
+
+
+def _triplet_blocks(counts: CountMatrix, starts: range):
+    """Per row block beginning at `starts`, a range(lo, hi, block rows):
+    (rows, nz, i, cells), the block's row slice, the slice of its count
+    triplets, their rows within the block and their flat indices into the
+    block's C-ordered logits."""
+    bounds = np.searchsorted(counts.rows, [*starts, starts.stop])
+    for lo, nz_lo, nz_hi in zip(starts, bounds[:-1], bounds[1:]):
+        nz = slice(nz_lo, nz_hi)
+        i = counts.rows[nz] - lo
+        yield slice(lo, lo + starts.step), nz, i, i * counts.vocab_size + counts.cols[nz]
+
+
+def _gradient_in_place(counts: CountMatrix, lm: np.ndarray, z, rows: slice, nz: slice, cells):
+    """Overwrite a block's exp(logits - row max) `lm`, with row normalizers
+    `z`, with its logit gradient g_b = w p - n / N: the block's rows of
+    `logit_gradient`, with the counts read from their triplets."""
+    lm *= counts.weights[rows, None] / z
+    lm.reshape(-1)[cells] -= counts.n[nz] / counts.total
+
+
+def _gradient_blocks(counts: CountMatrix, params: ModelParams, block: int):
+    """(rows, nz, i, cells, logits, g, sum of n log p) per row block of
+    `block` rows of a model with one row per counted context, in row order,
+    as `_triplet_blocks` and the gradient pass of `_row_block_shard` form
+    them: one block's logits and logit gradient at a time."""
+    for rows, nz, i, cells in _triplet_blocks(counts, range(0, counts.num_contexts, block)):
+        with np.errstate(over="ignore"):
+            lm = params.head.logits(params.h[rows])
+        g = lm.copy()
+        z, _, logp_sum = _softmax_block(g, cells, i, counts.n[nz])
+        _gradient_in_place(counts, g, z, rows, nz, cells)
+        yield rows, nz, i, cells, lm, g, logp_sum
 
 
 def _softmax_block(lm: np.ndarray, cells=None, i=None, n=None):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from headlab import corpus as cp
-from reference import gen_zipf_bigram_dense
+from reference import gen_zipf_bigram_dense, gen_zipf_bigram_out_of_place
 
 
 def brute_force_counts(sequences, vocab_size, max_context_len):
@@ -103,6 +103,15 @@ def test_zipf_sampler_matches_dense_comparison(vocab_size, exponent, num_seqs, s
     fast = cp.gen_zipf_bigram(vocab_size, exponent, num_seqs, seq_len, seed)
     dense = gen_zipf_bigram_dense(vocab_size, exponent, num_seqs, seq_len, seed)
     assert np.array_equal(np.array(fast.sequences), np.array(dense.sequences))
+
+
+@pytest.mark.parametrize("vocab_size, exponent, seed", [
+    (2, 1.2, 0), (17, 0.5, 3), (300, 1.0, 11), (2048, 1.2, 7),
+])
+def test_in_place_cdf_matches_the_out_of_place_generator(vocab_size, exponent, seed):
+    fast = cp.gen_zipf_bigram(vocab_size, exponent, 24, 20, seed)
+    separate = gen_zipf_bigram_out_of_place(vocab_size, exponent, 24, 20, seed)
+    assert np.array_equal(np.array(fast.sequences), np.array(separate.sequences))
 
 
 @settings(settings.get_profile("deterministic"), max_examples=200)

@@ -5,7 +5,7 @@ from headlab import corpus as cp
 from headlab import diagnostics as dg
 from headlab import linalg
 from headlab import model as md
-from reference import logit_state, lost_norm_fraction
+from reference import gradient_rank_curve_dense, logit_state, lost_norm_fraction
 
 
 def efficiency(counts, params, fractions):
@@ -34,7 +34,7 @@ class TestGradientRankCurve:
         corpus = cp.gen_zipf_bigram(8, 1.1, 6, 8, seed=1)
         _, counts = cp.build_counts(corpus, 1)
         params = md.init_params(counts.num_contexts, 8, 3, rng=rng)
-        curve = dg.gradient_rank_curve(counts, logit_state(counts, params)[2], [1], seed=3)
+        curve = dg.gradient_rank_curve(counts, params, [1], seed=3)
         assert curve.points == [(1, 1, 1)]
 
     def test_fitted_model_has_vanishing_rank(self):
@@ -44,7 +44,7 @@ class TestGradientRankCurve:
         _, counts = cp.build_counts(corpus, 1)
         h = np.log((1 - 1e-8) * counts.to_dense(normalized=True) + 1e-8 / 3)
         params = md.ModelParams(h, md.FullHead(np.eye(3)))
-        curve = dg.gradient_rank_curve(counts, logit_state(counts, params)[2], [4, 16], seed=0)
+        curve = dg.gradient_rank_curve(counts, params, [4, 16], seed=0)
         assert all(rank == 0 for _, rank, _ in curve.points)
 
     def test_random_model_rank_saturates(self):
@@ -53,7 +53,8 @@ class TestGradientRankCurve:
         params = md.init_params(counts.num_contexts, 64, 8, seed=9)
         sizes = [8, 32, 64, 256]
         p = logit_state(counts, params)[2]
-        curve = dg.gradient_rank_curve(counts, p, sizes, seed=11)
+        curve = dg.gradient_rank_curve(counts, params, sizes, seed=11)
+        assert curve.points == gradient_rank_curve_dense(counts, p, sizes, seed=11)
         occ_r, occ_c = dg.token_occurrences(counts)
         rng = np.random.default_rng(11)
         for k, rank, max_rank in curve.points:
@@ -69,11 +70,10 @@ class TestGradientRankCurve:
         corpus = cp.gen_spamlang(4, 2, 5, seed=2)
         _, counts = cp.build_counts(corpus, 1)
         params = md.init_params(counts.num_contexts, 4, 2, seed=1)
-        p = logit_state(counts, params)[2]
         with pytest.raises(ValueError):
-            dg.gradient_rank_curve(counts, p, [counts.total + 1], seed=0)
+            dg.gradient_rank_curve(counts, params, [counts.total + 1], seed=0)
         with pytest.raises(ValueError, match="empty"):
-            dg.gradient_rank_curve(counts, p, [], seed=0)
+            dg.gradient_rank_curve(counts, params, [], seed=0)
 
 
 class TestLostNormFraction:
@@ -153,7 +153,8 @@ class TestCompressionReport:
         report = dg.compression_report(g, params.head)
         lost = linalg.project_rows_onto_span(g, linalg.kernel_basis(params.head.matrix))
         kept = g - lost
-        assert np.abs(report.lost - lost).max() <= 1e-12 * np.linalg.norm(g)
+        assert report.lost_fraction == pytest.approx(
+            np.linalg.norm(lost) / np.linalg.norm(g), rel=1e-12)
         norms = np.linalg.norm(g, axis=1)
         nz = norms > 0
         retained = np.zeros_like(norms)
@@ -171,7 +172,7 @@ class TestCompressionReport:
         report = dg.compression_report(g, params.head)
         assert report.zero_gradient
         assert report.lost_fraction == 0.0
-        assert np.all(report.lost == 0.0) and report.lost.shape == g.shape
+        assert np.all(report.per_row_lost == 0.0) and report.per_row_lost.shape == (2,)
 
 
 class TestCoefficientProfile:
@@ -202,7 +203,7 @@ class TestCoefficientProfile:
     def test_trained_model_pattern(self, trained_zipf_256):
         counts, params = trained_zipf_256
         g = logit_state(counts, params)[3]
-        prof = dg.coefficient_profile(g, dg.compression_report(g, params.head).lost)
+        prof = dg.coefficient_profile(g, linalg.kernel_split(g, params.head.matrix)[1])
         # the observed-token coefficient keeps its negative sign after projection
         assert prof.full_mean[0] < 0
         assert prof.proj_mean[0] < 0
@@ -251,7 +252,7 @@ class TestUpdateEfficiency:
         def no_loss(*args, **kwargs):
             raise AssertionError("a perturbed loss was evaluated")
 
-        monkeypatch.setattr(dg, "loss_from_logits", no_loss)
+        monkeypatch.setattr(md, "_softmax_block", no_loss)
         with pytest.raises(ValueError, match="fractions must hold at least one"):
             efficiency(counts, params, [])
 

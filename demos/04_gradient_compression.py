@@ -11,14 +11,8 @@ from pathlib import Path
 
 from headlab import svg
 from headlab.corpus import build_counts, gen_zipf_bigram
-from headlab.diagnostics import (
-    coefficient_profile,
-    compression_report,
-    eckart_young_gap,
-    gradient_rank_curve,
-)
-from headlab.linalg import kernel_split
-from headlab.model import TrainConfig, logit_gradient, logits, probs_and_loss, train
+from headlab.diagnostics import gradient_gap, gradient_pass, gradient_rank_curve
+from headlab.model import TrainConfig, train
 
 OUT = Path("demos_out")
 OUT.mkdir(exist_ok=True)
@@ -32,15 +26,13 @@ cfg = TrainConfig(
 result = train(counts, cfg)
 params = result.params
 
-# the softmax and the logit gradient, formed once for every measurement
-p, _ = probs_and_loss(counts, logits(params))
-g = logit_gradient(counts, p)
-
-report = compression_report(g, params.head)
+# one pass over row blocks of the logit gradient, as `diagnose` takes it
+first = gradient_pass(counts, params)
+report = first.report
 print(f"V=512, width=8 model after {cfg.steps} steps")
 print(f"  lost gradient norm fraction : {report.lost_fraction:.4f}")
 print(f"  cosine(row, surviving part) : {report.cosine_mean:.4f} +- {report.cosine_std:.4f}")
-print(f"  best rank-2D residual bound : {eckart_young_gap(g, cfg.width):.6f}")
+print(f"  best rank-2D residual bound : {gradient_gap(counts, params, first):.6f}")
 
 curve = gradient_rank_curve(counts, params, [4, 16, 64, 256, 1024], seed=1)
 print("  per-token gradient rank curve:")
@@ -60,8 +52,7 @@ svg.line_plot(
 )
 
 # the gradient's part in the kernel, sorted by the full gradient's magnitudes
-_, lost = kernel_split(g, params.head.matrix)
-profile = coefficient_profile(g, lost)
+profile = first.profile
 profile.to_csv(OUT / "coefficient_profile.csv")
 print("  coefficient profile: observed-token mean %.2e (full) vs %.2e (destroyed part)"
       % (profile.full_mean[0], profile.proj_mean[0]))

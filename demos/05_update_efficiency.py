@@ -10,8 +10,8 @@ from pathlib import Path
 
 from headlab import svg
 from headlab.corpus import build_counts, gen_zipf_bigram
-from headlab.diagnostics import update_efficiency
-from headlab.model import TrainConfig, logit_gradient, logits, probs_and_loss, train
+from headlab.diagnostics import gradient_pass, update_efficiency
+from headlab.model import TrainConfig, train
 
 OUT = Path("demos_out")
 OUT.mkdir(exist_ok=True)
@@ -25,9 +25,7 @@ cfg = TrainConfig(
 params = train(counts, cfg).params
 
 alphas = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]
-lm = logits(params)
-p, base_loss = probs_and_loss(counts, lm)
-curve = update_efficiency(counts, lm, base_loss, logit_gradient(counts, p), params.head, alphas)
+curve = update_efficiency(counts, params, gradient_pass(counts, params), alphas)
 print(f"{'alpha':>8} {'logit dir':>12} {'hidden dir':>12} {'ratio':>8}")
 for a, d1, d2 in zip(curve.fractions, curve.delta_logit, curve.delta_hidden):
     ratio = d1 / d2 if d2 < 0 else float("inf")

@@ -25,7 +25,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from . import corpus as corpus_mod
 from . import diagnostics, svg, verify
@@ -483,7 +482,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
     gap, curve, curve_eff = _map_cells([
         partial(diagnostics.gradient_gap, counts, params, first),
         partial(diagnostics.gradient_rank_curve, counts, params, sizes, seed=config["seed"]),
-        partial(diagnostics.efficiency_pass, counts, params, first, fractions),
+        partial(diagnostics.update_efficiency, counts, params, first, fractions),
     ])
 
     curve.to_csv(run_dir / "rank_curve.csv")
@@ -610,10 +609,18 @@ def _grid(config: dict, key: str) -> list:
 
 
 def _spearman(xs, ys) -> float:
-    """Spearman's rank correlation; NaN unless `xs` holds two distinct values."""
-    if len(set(xs)) < 2:
+    """Spearman's rank correlation, in `scipy.stats.spearmanr`'s own two
+    steps: average ranks (ties share the mean of their positions), then
+    their Pearson correlation. NaN for fewer than two pairs, a constant
+    input or a NaN, as there."""
+    pairs = np.column_stack([xs, ys]).astype(np.float64)
+    if len(pairs) < 2 or np.isnan(pairs).any() or (pairs == pairs[0]).all(axis=0).any():
         return float("nan")
-    return float(scipy.stats.spearmanr(xs, ys).statistic)
+    ranks = []
+    for column in pairs.T:
+        _, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
 def _spamlang_cell(config, vocab_size, seed, lr):
@@ -805,7 +812,10 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
 
 
 def run_report(config: dict, run_dir: Path) -> dict:
-    """Regenerate SVG plots for every trajectory CSV under a run directory."""
+    """Regenerate SVG plots for every trajectory CSV under a run directory.
+    Each plot is named by the CSV's directory relative to `run_dir`, its
+    components joined by `__` (a CSV at the top by that directory's own
+    name), so the cells of one label in two sweeps get two plots."""
     target = config["run_dir"]
     if not target:
         raise UsageError("report needs run_dir")
@@ -814,7 +824,8 @@ def run_report(config: dict, run_dir: Path) -> dict:
         raise UsageError(f"run_dir {target} is not a directory")
     written = []
     for path in sorted(target.rglob("trajectory.csv")):
-        out = run_dir / (path.parent.name + "_trajectory.svg")
+        name = "__".join(path.parent.relative_to(target).parts) or path.parent.name
+        out = run_dir / (name + "_trajectory.svg")
         _trajectory_svg(out, Trajectory.from_csv(path), path.parent.name)
         written.append(str(out))
     return {"plots": written}

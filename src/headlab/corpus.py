@@ -76,14 +76,6 @@ class ContextTable:
     def __len__(self) -> int:
         return self.keys.shape[0]
 
-    @cached_property
-    def contexts(self) -> list:
-        return [tuple(int(t) for t in row[row >= 0]) for row in self.keys]
-
-    @cached_property
-    def index(self) -> dict:
-        return {key: rid for rid, key in enumerate(self.contexts)}
-
 
 @dataclass
 class CountMatrix:

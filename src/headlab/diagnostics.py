@@ -10,9 +10,9 @@ of the parameter-induced logit update.
 `diagnose` reads them off the snapshot in row blocks and never forms a
 C x V matrix: `gradient_pass` accumulates the kernel split, the coefficient
 profile, the norms and the V x V Gram matrix of the logit gradient in one
-pass, and `efficiency_pass` takes the perturbed losses in a second. The
-dense functions (`compression_report`, `coefficient_profile`,
-`update_efficiency`) are the one-block case of the same accumulators.
+pass, and `update_efficiency` takes the perturbed losses in a second.
+`compression_report` and `coefficient_profile` are the one-block case of
+the first pass's accumulators.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import model as md
 from .corpus import CountMatrix
 from .tables import write_csv
 
-# Bytes of logits in one row block of `gradient_pass` and `efficiency_pass`.
+# Bytes of logits in one row block of `gradient_pass` and `update_efficiency`.
 # Larger than model.BLOCK_BYTES: each block adds a rank-(block rows) update
 # to the V x V Gram matrix, and at V = 2048 the Gram pass took 2.6 s in
 # 32-row blocks (512 KiB) against 0.7 s in 256-row blocks (4 MiB). A fixed
@@ -279,13 +279,6 @@ def check_fractions(fractions) -> list:
     return fractions
 
 
-def _check_directions(grad_norm: float, hidden_norm: float) -> None:
-    if grad_norm == 0.0:
-        raise ValueError("logit gradient has zero norm")
-    if hidden_norm == 0.0:
-        raise ValueError("hidden-state update direction has zero norm")
-
-
 def _perturbed_logp_sums(lm, directions, budgets, cells, i, n) -> np.ndarray:
     """Sum of n log softmax(lm + b * d) over the cells (flat indices into the
     C-ordered `lm`, with rows `i` and counts `n`), for each unit direction d
@@ -298,37 +291,6 @@ def _perturbed_logp_sums(lm, directions, budgets, cells, i, n) -> np.ndarray:
             x += lm
             sums.append(md._softmax_block(x, cells, i, n)[2])
     return np.array(sums)
-
-
-def _efficiency_curve(fractions, sums, total: int, base_loss: float) -> EfficiencyCurve:
-    deltas = [-s / total - base_loss for s in sums]
-    return EfficiencyCurve(fractions, deltas[: len(fractions)], deltas[len(fractions) :])
-
-
-def update_efficiency(
-    counts: CountMatrix, lm, base_loss: float, g, head, fractions
-) -> EfficiencyCurve:
-    """Loss change when moving the logits `lm` by a norm fraction in two directions.
-
-    `base_loss` is the loss at `lm` and `g` its logit gradient. Direction one
-    is the (negated, unit-Frobenius) logit gradient; direction two is the
-    logit-space image of a hidden-state gradient step through `head`. Both
-    moves spend the same budget alpha * ||logits||_F, and the loss is
-    evaluated directly on the perturbed logits, as a single row block.
-    """
-    fractions = check_fractions(fractions)
-    lm = np.asarray(lm, dtype=np.float64)
-    if lm.shape != counts.shape:
-        raise ValueError(f"logit shape {lm.shape} does not match counts shape {counts.shape}")
-    wm = head.matrix
-    hidden_dir = (g @ wm) @ wm.T
-    gnorm, hnorm = np.linalg.norm(g), np.linalg.norm(hidden_dir)
-    _check_directions(gnorm, hnorm)
-    budget = np.linalg.norm(lm)
-    cells = counts.rows * counts.vocab_size + counts.cols
-    sums = _perturbed_logp_sums(lm, [-g / gnorm, -hidden_dir / hnorm],
-                                [a * budget for a in fractions], cells, counts.rows, counts.n)
-    return _efficiency_curve(fractions, sums, counts.total, base_loss)
 
 
 @dataclass
@@ -371,16 +333,27 @@ def gradient_pass(
         # triangle in place, with no copy
         scipy.linalg.blas.dsyrk(1.0, g.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
     grad_norm, hidden_norm = float(np.sqrt(split.grad_sq)), float(np.sqrt(hidden_sq))
-    _check_directions(grad_norm, hidden_norm)
+    if grad_norm == 0.0:
+        raise ValueError("logit gradient has zero norm")
+    if hidden_norm == 0.0:
+        raise ValueError("hidden-state update direction has zero norm")
     return GradientPass(split.report(), moments.profile(), gram, -logp_sum / counts.total,
                         float(np.sqrt(logit_sq)), grad_norm, hidden_norm)
 
 
-def efficiency_pass(
+def update_efficiency(
     counts: CountMatrix, params: md.ModelParams, first: GradientPass, fractions
 ) -> EfficiencyCurve:
-    """`update_efficiency` of the model on its counts, in a second pass over
-    the row blocks of `gradient_pass`, which supplied the loss and norms."""
+    """Loss change when moving the model's logits by a norm fraction in two
+    directions, in a second pass over the row blocks of `gradient_pass`,
+    which supplied `first`: the loss and the norms.
+
+    Direction one is the (negated, unit-Frobenius) logit gradient g;
+    direction two is the logit-space image g W W^T of a hidden-state gradient
+    step through the head W. Both moves spend the same budget
+    alpha * ||logits||_F, and the loss is evaluated directly on the perturbed
+    logits.
+    """
     fractions = check_fractions(fractions)
     budgets = [a * first.logit_norm for a in fractions]
     wm = params.head.matrix
@@ -392,7 +365,8 @@ def efficiency_pass(
         directions = [-g / first.grad_norm, -hidden / first.hidden_norm]
         del g, hidden
         sums = sums + _perturbed_logp_sums(lm, directions, budgets, cells, i, counts.n[nz])
-    return _efficiency_curve(fractions, sums, counts.total, first.base_loss)
+    deltas = [-s / counts.total - first.base_loss for s in sums]
+    return EfficiencyCurve(fractions, deltas[: len(fractions)], deltas[len(fractions) :])
 
 
 def _dense_gradient(counts: CountMatrix, params: md.ModelParams) -> np.ndarray:
@@ -404,19 +378,10 @@ def _dense_gradient(counts: CountMatrix, params: md.ModelParams) -> np.ndarray:
 
 
 def gradient_gap(counts: CountMatrix, params: md.ModelParams, first: GradientPass) -> float:
-    """`eckart_young_gap` of the logit gradient at the model's width, from
-    the Gram matrix of `first`, which it overwrites. The dense gradient is
-    rebuilt from row blocks only where `linalg.gram_residual` needs its
-    singular values; the count matrix already passed the dense-size guard."""
+    """Eckart-Young gap of the logit gradient at the model's width, the
+    Frobenius error of its best rank-2*width approximation, from the Gram
+    matrix of `first`, which it overwrites. The dense gradient is rebuilt
+    from row blocks only where `linalg.gram_residual` needs its singular
+    values; the count matrix already passed the dense-size guard."""
     return linalg.gram_residual(first.gram, 2 * params.width, min(counts.shape),
                                 partial(_dense_gradient, counts, params))
-
-
-def eckart_young_gap(residual_matrix, width: int) -> float:
-    """Unavoidable Frobenius error of any rank-2*width update against `residual_matrix`.
-
-    The tail of its singular values beyond the 2*width-th, from the top
-    eigenvalues of its Gram matrix, or from its exact SVD where that
-    difference cancels (`linalg.best_rank_k_residual`).
-    """
-    return linalg.best_rank_k_residual(residual_matrix, 2 * int(width))

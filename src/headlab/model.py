@@ -443,8 +443,8 @@ def _triplet_blocks(counts: CountMatrix, starts: range):
 
 def _gradient_in_place(counts: CountMatrix, lm: np.ndarray, z, rows: slice, nz: slice, cells):
     """Overwrite a block's exp(logits - row max) `lm`, with row normalizers
-    `z`, with its logit gradient g_b = w p - n / N: the block's rows of
-    `logit_gradient`, with the counts read from their triplets."""
+    `z`, with its logit gradient g_b = w p - n / N, the counts read from
+    their triplets."""
     lm *= counts.weights[rows, None] / z
     lm.reshape(-1)[cells] -= counts.n[nz] / counts.total
 
@@ -495,19 +495,6 @@ def smoothed_log_target(counts: CountMatrix, delta: float = INTERIOR_SMOOTHING) 
     """Log of the normalized rows mixed with uniform: a finite logit target."""
     v = counts.vocab_size
     return np.log((1.0 - delta) * counts.to_dense(normalized=True) + delta / v)
-
-
-def logit_gradient(counts: CountMatrix, p: np.ndarray) -> np.ndarray:
-    """Loss gradient with respect to the logits, given probabilities `p`: the
-    dense reference of `_row_block_pass`'s gradient.
-
-    Rows are weighted by the context weights; every row sums to zero because
-    both `p` and the normalized counts are row-stochastic.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != counts.shape:
-        raise ValueError("probability shape does not match counts shape")
-    return counts.weights[:, None] * (p - counts.to_dense(normalized=True))
 
 
 def param_gradients(counts: CountMatrix, params: ModelParams) -> Gradients:
@@ -654,6 +641,10 @@ def train(
     if table is not None and len(table) != counts.num_contexts:
         raise ValueError(f"table has {len(table)} contexts but the counts have "
                          f"{counts.num_contexts}")
+    wanted_snapshots = set(int(s) for s in snapshot_steps)
+    if any(not 0 <= s <= config.steps for s in wanted_snapshots):
+        raise ValueError(f"snapshot_steps must lie in [0, steps] = [0, {config.steps}], "
+                         f"got {sorted(wanted_snapshots)}")
 
     rng = np.random.default_rng(config.seed)
     if params is None:
@@ -671,7 +662,6 @@ def train(
             raise ValueError("explicit params width does not match the config")
 
     optimizer = _Optimizer(config, params)
-    wanted_snapshots = set(int(s) for s in snapshot_steps)
     trajectory = Trajectory()
     snapshots = []
     trajectory.points.append(_eval_point(0, counts, params, val_counts))

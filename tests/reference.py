@@ -8,12 +8,31 @@ from headlab import linalg
 from headlab import model as md
 
 
+def context_index(table):
+    """Context key tuple -> row id of a ContextTable, in row order (its keys
+    with the -1 padding dropped)."""
+    return {tuple(int(t) for t in row[row >= 0]): rid for rid, row in enumerate(table.keys)}
+
+
+def logit_gradient(counts, p):
+    """Loss gradient with respect to the logits, given probabilities `p`: the
+    dense reference of the row-block gradient pass.
+
+    Rows are weighted by the context weights; every row sums to zero because
+    both `p` and the normalized counts are row-stochastic.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != counts.shape:
+        raise ValueError("probability shape does not match counts shape")
+    return counts.weights[:, None] * (p - counts.to_dense(normalized=True))
+
+
 def logit_state(counts, params):
-    """(logits, loss, probabilities, logit gradient): the dense state that
-    `diagnose` forms once and hands to every diagnostic."""
+    """(logits, loss, probabilities, logit gradient): the dense C x V state
+    that `diagnose` never forms."""
     lm = md.logits(params)
     p, base_loss = md.probs_and_loss(counts, lm)
-    return lm, base_loss, p, md.logit_gradient(counts, p)
+    return lm, base_loss, p, logit_gradient(counts, p)
 
 
 def lost_norm_fraction(g, head, rank_tol=linalg.DEFAULT_RANK_TOL):

@@ -5,10 +5,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -433,6 +436,13 @@ class TestTrainConfigKeys:
         assert np.array_equal(start.h, end.h)
         assert not np.array_equal(start.head.w, end.head.w)
 
+    def test_snapshot_step_beyond_the_run_exits_usage(self, tmp_path, capsys):
+        args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "4",
+                "--corpus.seq_len", "5", "--steps", "10", "--snapshot_steps", "[20, -1]"]
+        assert run(args) == cli.EXIT_USAGE
+        assert "snapshot_steps must lie in [0, steps]" in capsys.readouterr().err
+        assert not list((tmp_path / "train").glob("checkpoint*"))
+
 
 class TestInlineCorpusKeys:
     @pytest.mark.parametrize("kind", ["train", "diagnose"])
@@ -834,6 +844,27 @@ class TestSweepGrids:
         assert not list(tmp_path.rglob("runs"))
 
 
+class TestSpearman:
+    @settings(settings.get_profile("deterministic"), max_examples=300)
+    @given(st.lists(st.tuples(*2 * [st.one_of(st.integers(0, 3).map(float), st.floats())]),
+                    max_size=12))
+    def test_equals_scipy_spearmanr(self, pairs):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = float(scipy.stats.spearmanr(xs, ys).statistic)
+        got = cli._spearman(xs, ys)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, headlab.cli; sys.exit('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
 class TestBottleneckSweep:
     def test_runs_and_is_deterministic(self, tmp_path):
         assert run(["bottleneck-sweep", "--out", str(tmp_path / "a")] + TINY_BOTTLENECK) == 0
@@ -910,6 +941,15 @@ class TestReportCommand:
         assert summary["plots"]
         for plot in summary["plots"]:
             assert plot.endswith(".svg")
+
+    def test_sweeps_sharing_a_cell_label_keep_their_plots_apart(self, tmp_path):
+        out = tmp_path / "runs"
+        for name in ("a", "b"):
+            assert run(["spamlang-sweep", "--out", str(out), "--name", name] + TINY_SPAM) == 0
+        assert run(["report", "--out", str(tmp_path), "--run_dir", str(out)]) == 0
+        plots = json.loads((tmp_path / "report" / "summary.json").read_text())["plots"]
+        assert len(plots) == len(set(plots)) == 2
+        assert all(Path(plot).is_file() for plot in plots)
 
     def test_plot_equals_the_runs_own(self, tmp_path):
         assert run(["train", "--out", str(tmp_path), "--corpus.num_seqs", "8",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headlab import corpus as cp
+from reference import context_index
 
 PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=150)
 
@@ -69,8 +70,8 @@ def test_build_counts_matches_loop(case):
     table, counts = cp.build_counts(cp.Corpus(v, seqs), mcl)
     index = reference_index(seqs, mcl)
     rows, n, _ = reference_counts(seqs, v, mcl, index)
-    assert table.contexts == list(index)
-    assert table.index == index
+    assert list(context_index(table)) == list(index)
+    assert context_index(table) == index
     assert table.keys.shape == (len(index), mcl)
     assert np.array_equal(rows, np.arange(len(index)))
     assert np.array_equal(counts.to_dense(), n)

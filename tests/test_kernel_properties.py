@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from headlab import corpus as cp
 from headlab import model as md
 from headlab import parallel
+from reference import logit_gradient
 
 PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=200)
 
@@ -69,7 +70,7 @@ def dense_oracle(counts, params):
     h = params.h if counts.row_ids is None else params.h[counts.row_ids]
     p, loss_value = md.probs_and_loss(counts, md.logits(md.ModelParams(h, params.head)))
     match = p.argmax(axis=1) == counts.to_dense(normalized=True).argmax(axis=1)
-    g = md.logit_gradient(counts, p)
+    g = logit_gradient(counts, p)
     head = params.head
     if isinstance(head, md.FactoredHead):
         gw_eff = g.T @ h

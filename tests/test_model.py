@@ -6,7 +6,7 @@ import pytest
 
 from headlab import corpus as cp
 from headlab import model as md
-from reference import exact_logit_update
+from reference import exact_logit_update, logit_gradient
 
 
 def random_counts(rng, c, v, interior=False):
@@ -121,7 +121,7 @@ class TestLogitGradient:
     def test_matched_probs_give_zero(self):
         rng = np.random.default_rng(4)
         counts = random_counts(rng, 5, 6)
-        g = md.logit_gradient(counts, counts.to_dense(normalized=True).copy())
+        g = logit_gradient(counts, counts.to_dense(normalized=True).copy())
         assert np.abs(g).max() == 0.0
 
     def test_rows_sum_to_zero(self):
@@ -129,7 +129,7 @@ class TestLogitGradient:
         counts = random_counts(rng, 6, 7)
         p = rng.uniform(0.1, 1.0, size=(6, 7))
         p /= p.sum(axis=1, keepdims=True)
-        g = md.logit_gradient(counts, p)
+        g = logit_gradient(counts, p)
         assert np.abs(g.sum(axis=1)).max() < 1e-12
 
     def test_finite_difference_oracle(self):
@@ -137,7 +137,7 @@ class TestLogitGradient:
         counts = random_counts(rng, 6, 9)
         lm = rng.normal(size=(6, 9))
         p, _ = md.probs_and_loss(counts, lm)
-        analytic = md.logit_gradient(counts, p)
+        analytic = logit_gradient(counts, p)
         fd = fd_gradient(lambda: md.loss_from_logits(counts, lm), lm)
         assert rel_err(analytic, fd) < 1e-5
 
@@ -295,6 +295,18 @@ class TestTrain:
         assert [s for s, _ in result.snapshots] == [10, 30]
         steps = [p.step for p in result.trajectory.points]
         assert steps == sorted(set(steps))
+
+    @pytest.mark.parametrize("wanted", [[20], [-1], [0, 10, 11]])
+    def test_snapshot_steps_outside_the_run_refused_before_step_zero(self, wanted, monkeypatch):
+        counts = random_counts(np.random.default_rng(18), 4, 5)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a gradient pass ran")
+
+        monkeypatch.setattr(md, "_row_block_pass", no_pass)
+        with pytest.raises(ValueError, match=r"snapshot_steps must lie in \[0, steps\]"):
+            md.train(counts, md.TrainConfig(steps=10, lr=0.1, width=2),
+                     snapshot_steps=wanted)
 
     def test_negative_warmup_refused(self):
         with pytest.raises(ValueError, match="warmup_steps"):

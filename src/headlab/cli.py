@@ -406,6 +406,10 @@ def _trajectory_svg(path, trajectory, title: str) -> None:
 
 
 def run_gen_corpus(config: dict, run_dir: Path) -> dict:
+    if any(size < 0 for size in config["stats_prefix_sizes"]):
+        raise UsageError(
+            f"stats_prefix_sizes must be nonnegative, got {config['stats_prefix_sizes']}"
+        )
     corpus = _make_corpus(config)
     corpus_path = run_dir / "corpus.txt"
     save_corpus(corpus_path, corpus)
@@ -473,6 +477,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
             f"no entry of token_counts {config['token_counts']} fits the corpus's "
             f"{counts.total} tokens"
         )
+    diagnostics.check_token_counts(config["token_counts"])
     fractions = diagnostics.check_fractions(config["fractions"])
     first = diagnostics.gradient_pass(counts, params)
     report, profile = first.report, first.profile
@@ -639,22 +644,34 @@ def _spamlang_cell(config, vocab_size, seed, lr):
     })
 
 
+def _spamlang_label(cell) -> str:
+    """A spamlang cell's run directory name, from its row."""
+    return f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}"
+
+
 def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
     """Final-loss grid over vocabulary sizes and learning rates (fixed width).
 
     Cells whose training diverges are recorded as failed cells, not crashes.
     """
     vocab_sizes, seeds, lrs = (_grid(config, key) for key in ("vocab_sizes", "seeds", "lrs"))
-    jobs = [
-        partial(_spamlang_cell, config, vocab_size, seed, lr)
+    grid = [
+        {"vocab_size": vocab_size, "seed": seed, "lr": lr}
         for vocab_size in vocab_sizes
         for seed in seeds
         for lr in lrs
     ]
-    cells, _ = _run_cells(
-        run_dir, jobs,
-        lambda cell: f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}",
-    )
+    # two learning rates that print alike would share their cells' run directories
+    named = {}
+    for cell in grid:
+        label = _spamlang_label(cell)
+        if named.setdefault(label, cell) is not cell:
+            raise UsageError(
+                f"lrs {named[label]['lr']!r} and {cell['lr']!r} would share the run "
+                f"directory runs/{label}"
+            )
+    jobs = [partial(_spamlang_cell, config, **cell) for cell in grid]
+    cells, _ = _run_cells(run_dir, jobs, _spamlang_label)
 
     _write_table(
         run_dir / "sweep.csv",

@@ -76,11 +76,7 @@ def gradient_rank_curve(
     all counted occurrences; the softmax probabilities are formed for the
     drawn contexts only.
     """
-    sizes = [int(k) for k in token_counts]
-    if not sizes:
-        raise ValueError("token_counts must not be empty")
-    if sizes != sorted(sizes) or any(k < 1 for k in sizes):
-        raise ValueError("token_counts must be positive and ascending")
+    sizes = check_token_counts(token_counts)
     if sizes[-1] > counts.total:
         raise ValueError(
             f"requested {sizes[-1]} tokens but the corpus holds {counts.total}"
@@ -267,6 +263,16 @@ class EfficiencyCurve:
             ["alpha", "delta_logit", "delta_hidden"],
             zip(self.fractions, self.delta_logit, self.delta_hidden),
         )
+
+
+def check_token_counts(token_counts) -> list:
+    """The rank curve's sample sizes as ints, positive and ascending."""
+    sizes = [int(k) for k in token_counts]
+    if not sizes:
+        raise ValueError("token_counts must not be empty")
+    if sizes != sorted(sizes) or any(k < 1 for k in sizes):
+        raise ValueError("token_counts must be positive and ascending")
+    return sizes
 
 
 def check_fractions(fractions) -> list:

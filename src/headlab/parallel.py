@@ -1,39 +1,54 @@
 """How many CPUs a computation may use, and the two ways it uses them.
 
-`cpu_budget()` is the one rule: the usable CPUs over the BLAS threads of one
-computation. `_map_cells` runs independent jobs (the sweeps' training runs,
-`diagnose`'s measurements) in a fork process pool of that many workers, and
-`map_threads` runs the fixed shards of one logit pass on that many threads.
-A pool worker's budget is 1, so its jobs never start threads of their own.
+Importing this module sets numpy's and scipy's OpenBLAS to one thread, so
+`cpu_budget()`, the one rule, is the usable CPUs. `_map_cells` runs independent
+jobs (the sweeps' training runs, `diagnose`'s measurements) in a fork process
+pool of that many workers, and `map_threads` runs the fixed shards of one logit
+pass on that many threads. A pool worker's budget is 1, so its jobs never start
+threads of their own.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
-# OpenBLAS's thread-count variables, in the order it reads them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+import scipy.linalg  # noqa: F401 - loads numpy's and scipy's OpenBLAS, for _pin_blas
+
+# OpenBLAS's thread-count setter in numpy's wheel, in scipy's, in a plain build
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads")
 
 _budget = None  # fixed at 1 in each pool worker by _start_worker
 _worker_jobs = None  # set in each pool worker by _start_worker, never in the parent
 _executor = None  # the ThreadPoolExecutor of map_threads, built on first use
 
 
+def _pin_blas() -> bool:
+    """Set each OpenBLAS mapped into this process to one thread, as
+    threadpoolctl does. True when there was one and each took the setting."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    setters = [next((getattr(lib, name) for name in _BLAS_SETTERS if hasattr(lib, name)), None)
+               for lib in map(ctypes.CDLL, sorted(paths))]
+    for setter in filter(None, setters):
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    return bool(setters) and None not in setters
+
+
+_blas_pinned = _pin_blas()
+
+
 def cpu_budget() -> int:
-    """How many computations can run at once: the usable CPUs over the BLAS
-    threads of each. Unless a thread variable says otherwise, OpenBLAS runs
-    one thread per CPU, and a second computation would then oversubscribe
-    every core. Always 1 in a pool worker."""
+    """How many computations can run at once: the usable CPUs, since each
+    runs its BLAS on one thread. 1 where the BLAS could not be pinned, as its
+    own threads would then fill every core. Always 1 in a pool worker."""
     if _budget is not None:
         return _budget
-    cpus = len(os.sched_getaffinity(0))
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
+    return len(os.sched_getaffinity(0)) if _blas_pinned else 1
 
 
 def _drop_executor() -> None:
@@ -82,9 +97,8 @@ def _map_cells(jobs: list) -> list:
     The zero-argument jobs run in a fork pool of min(len(jobs), cpu_budget())
     workers, or in this process when that is one. Fork carries them into the
     workers unpickled, so they may close over count matrices or lambdas; only
-    their results are pickled. Workers keep the parent's BLAS thread setting
-    and run their logit passes on one thread, so the results equal the serial
-    ones at that setting.
+    their results are pickled. Workers inherit the one-thread BLAS and run
+    their logit passes on one thread, so the results equal the serial ones.
     """
     workers = min(len(jobs), cpu_budget())
     if workers <= 1:

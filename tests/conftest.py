@@ -16,10 +16,7 @@ settings.register_profile("deterministic", derandomize=True, deadline=None, data
 
 @pytest.fixture()
 def two_cpus(monkeypatch):
-    """The real `parallel.cpu_budget` reads two CPUs and one BLAS thread:
-    budget 2, whatever the machine."""
+    """The real `parallel.cpu_budget` reads two CPUs: budget 2, whatever the
+    machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    for var in parallel._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert parallel.cpu_budget() == 2

@@ -76,6 +76,13 @@ class TestGenCorpus:
             lo, hi = key.split(":")
             assert float(lo) < float(hi)
 
+    def test_negative_prefix_size_refused_before_the_corpus_is_written(self, tmp_path, capsys):
+        assert run(["gen-corpus", "--out", str(tmp_path), "--vocab_size", "16",
+                    "--num_seqs", "4", "--seq_len", "4", "--stats_prefix_sizes", "[2,-1]"]
+                   ) == cli.EXIT_USAGE
+        assert "stats_prefix_sizes must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "corpus" / "corpus.txt").exists()
+
     def test_deterministic_bytes(self, tmp_path):
         args = ["gen-corpus", "--kind", "zipf", "--vocab_size", "12", "--num_seqs", "9",
                 "--seq_len", "7", "--seed", "3"]
@@ -196,6 +203,18 @@ class TestDiagnoseCommand:
         assert run(args) == cli.EXIT_USAGE
         assert "vocab_sze" in capsys.readouterr().err
         assert not (trained / "d5" / "summary.json").exists()
+
+    @pytest.mark.parametrize("token_counts", ["[0,4]", "[16,4]", "[-3]"])
+    def test_bad_token_counts_refused_before_the_first_pass(
+        self, token_counts, trained, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli.diagnostics, "gradient_pass", lambda *args: calls.append(args))
+        args = _diag_args(trained, "d7")
+        args[args.index("[1,8,32,128]")] = token_counts
+        assert run(args) == cli.EXIT_USAGE
+        assert calls == []
+        assert "token_counts must be positive and ascending" in capsys.readouterr().err
 
     def test_empty_fractions_exit_usage(self, trained, capsys):
         assert run(_diag_args(trained, "d6") + ["--fractions", "[]"]) == cli.EXIT_USAGE
@@ -626,20 +645,22 @@ class TestSweepPool:
         assert len(steps) == diverged and all(0 <= step < 60 for step in steps)
         assert all(row["diverged_step"] == "" for row in rows if row["status"] == "ok")
 
-    @pytest.mark.parametrize("cpus, env, workers", [
-        (2, {}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (2, {"OMP_NUM_THREADS": "1"}, 2),
-        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
-        (3, {"OPENBLAS_NUM_THREADS": "2"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        (4, {"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+    @pytest.mark.parametrize("cpus, pinned, env, workers", [
+        (2, True, {}, 2),
+        (2, True, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+        (8, True, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "2"}, 8),
+        (3, True, {"GOTO_NUM_THREADS": "3"}, 3),
+        (1, True, {}, 1),
+        (2, False, {}, 1),
+        (8, False, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (1, False, {}, 1),
     ])
-    def test_pool_workers_leave_room_for_blas_threads(self, cpus, env, workers, monkeypatch):
+    def test_pool_workers_are_the_usable_cpus_once_blas_is_pinned(
+        self, cpus, pinned, env, workers, monkeypatch
+    ):
+        # the BLAS thread variables no longer count: the pin overrides them
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        for var in parallel._BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(parallel, "_blas_pinned", pinned)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         assert parallel.cpu_budget() == workers
@@ -841,6 +862,19 @@ class TestSweepGrids:
         assert run([kind, "--out", str(tmp_path)] + tiny + [f"--{key}", value]) == cli.EXIT_USAGE
         assert calls == []
         assert key in capsys.readouterr().err
+        assert not list(tmp_path.rglob("runs"))
+
+    def test_learning_rates_that_share_a_run_directory_refused_before_training(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
+        lrs = ["[0.01,0.0100000001]" if arg == "[0.02]" else arg for arg in TINY_SPAM]
+        assert run(["spamlang-sweep", "--out", str(tmp_path)] + lrs) == cli.EXIT_USAGE
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "0.01 and 0.0100000001" in err and "runs/v8_lr0.01_seed0" in err
         assert not list(tmp_path.rglob("runs"))
 
 

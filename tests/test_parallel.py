@@ -1,16 +1,19 @@
 """The CPU budget, the kernel thread pool, and both under fork."""
 
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 from functools import partial
 
 import numpy as np
 import pytest
 
+from headlab import cli, parallel
 from headlab import corpus as cp
 from headlab import model as md
-from headlab import parallel
 
 TIMEOUT_S = 60
 
@@ -110,3 +113,67 @@ def test_diverging_run_raises_at_the_same_step_on_threads(monkeypatch):
         errors.append(raised.value)
     assert errors[0].step == errors[1].step
     assert str(errors[0]) == str(errors[1])
+
+
+# what the getters of numpy's and scipy's OpenBLAS read, in this process and
+# in two pool workers, after `import headlab.cli`
+_PIN_PROBE = """
+import ctypes, json, os
+import headlab.cli
+from headlab import parallel
+
+def threads():
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+    return {name: getattr(lib, name)() for lib in map(ctypes.CDLL, sorted(paths))
+            for name in names if hasattr(lib, name)}
+
+print(json.dumps({"threads": threads(), "workers": parallel._map_cells([threads, threads]),
+                  "budget": parallel.cpu_budget(), "cpus": len(os.sched_getaffinity(0))}))
+"""
+
+# a shape at which OpenBLAS's own threads once changed diagnose's lost fraction
+# in the last digit
+_DIAGNOSE_CORPUS = [
+    "--corpus.kind", "zipf", "--corpus.vocab_size", "256", "--corpus.num_seqs", "16",
+    "--corpus.seq_len", "16", "--corpus.seed", "0", "--max_context_len", "1",
+]
+
+
+def _run_child(args, blas_threads, cwd):
+    """`python args` with the BLAS thread variables unset, then
+    OPENBLAS_NUM_THREADS set to `blas_threads` unless that is None."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=TIMEOUT_S)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("blas_threads", [None, "1", "2"])
+    def test_import_pins_both_openblas_to_one_thread(self, blas_threads, tmp_path):
+        probe = json.loads(_run_child(["-c", _PIN_PROBE], blas_threads, tmp_path))
+        one = {"scipy_openblas_get_num_threads64_": 1, "scipy_openblas_get_num_threads": 1}
+        assert probe["threads"] == one
+        assert probe["workers"] == [one, one]
+        assert probe["budget"] == probe["cpus"]
+
+    def test_diagnose_bytes_do_not_depend_on_the_thread_variable(self, tmp_path):
+        assert cli.main(["train", "--out", str(tmp_path), "--width", "4", "--steps", "10",
+                         "--eval_every", "10"] + _DIAGNOSE_CORPUS) == 0
+        trees = []
+        for blas_threads in (None, "1", "2"):
+            out = tmp_path / f"blas{blas_threads}"
+            _run_child(["-m", "headlab", "diagnose", "--out", str(out), "--name", "diagnose",
+                        "--checkpoint", str(tmp_path / "train" / "checkpoint.bin"),
+                        "--token_counts", "[1,16]"] + _DIAGNOSE_CORPUS, blas_threads, tmp_path)
+            trees.append({path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()})
+        assert len(trees[0]) == 10
+        assert trees[0] == trees[1] == trees[2]

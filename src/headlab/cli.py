@@ -283,6 +283,8 @@ def _typed(name: str, value, default):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, int):
         if number and (isinstance(value, int) or value.is_integer()):
+            if value < 0 and name.endswith(("seed", "seeds")):  # numpy refuses it unnamed
+                raise UsageError(f"{name} must be nonnegative, got {value!r}")
             return int(value)
         raise UsageError(f"{name} must be a whole number, got {value!r}")
     if isinstance(default, float):
@@ -628,16 +630,17 @@ def _spearman(xs, ys) -> float:
     return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
-def _spamlang_cell(config, vocab_size, seed, lr):
-    """One (V, seed, lr) cell: its row and its trajectory (None if diverged)."""
+def _spamlang_cell(config, vocab_size, tc):
+    """One (V, seed, lr) cell trained by `tc`: its row and trajectory (None if diverged)."""
     # the corpus depends only on (V, seed): cells stay independent of the
     # learning-rate grid composition
     corpus = corpus_mod.gen_spamlang(
-        vocab_size, config["seqs_per_symbol"] * vocab_size, config["seq_len"], seed
+        vocab_size, config["seqs_per_symbol"] * vocab_size, config["seq_len"], tc.seed
     )
     _, counts = build_counts(corpus, config["max_context_len"])
-    row = {"vocab_size": vocab_size, "lr": lr, "seed": seed, "entropy_floor": entropy_floor(counts)}
-    return _train_cell(row, counts, _train_config({**config, "lr": lr, "seed": seed}), None, {
+    row = {"vocab_size": vocab_size, "lr": tc.lr, "seed": tc.seed,
+           "entropy_floor": entropy_floor(counts)}
+    return _train_cell(row, counts, tc, None, {
         "final_loss": lambda result: result.trajectory.final_train_loss,
         # the final eval's top-1, on these counts and the final params
         "top1_weighted": lambda result: result.trajectory.points[-1].top1_acc,
@@ -649,12 +652,21 @@ def _spamlang_label(cell) -> str:
     return f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}"
 
 
+def _bottleneck_label(row) -> str:
+    """A bottleneck-sweep cell's run directory name, from its row."""
+    return f"{'full' if row['baseline'] else 'rank' + str(row['rank'])}_seed{row['seed']}"
+
+
 def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
     """Final-loss grid over vocabulary sizes and learning rates (fixed width).
 
     Cells whose training diverges are recorded as failed cells, not crashes.
     """
     vocab_sizes, seeds, lrs = (_grid(config, key) for key in ("vocab_sizes", "seeds", "lrs"))
+    # gen_spamlang's own sizes, refused here before any cell trains
+    for key, least in (("vocab_sizes", 2), ("seq_len", 2), ("seqs_per_symbol", 1)):
+        if np.min(config[key]) < least:
+            raise UsageError(f"{key} must be at least {least}, got {config[key]}")
     grid = [
         {"vocab_size": vocab_size, "seed": seed, "lr": lr}
         for vocab_size in vocab_sizes
@@ -670,7 +682,9 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
                 f"lrs {named[label]['lr']!r} and {cell['lr']!r} would share the run "
                 f"directory runs/{label}"
             )
-    jobs = [partial(_spamlang_cell, config, **cell) for cell in grid]
+    jobs = [partial(_spamlang_cell, config, cell["vocab_size"],
+                    _train_config({**config, "lr": cell["lr"], "seed": cell["seed"]}))
+            for cell in grid]
     cells, _ = _run_cells(run_dir, jobs, _spamlang_label)
 
     _write_table(
@@ -777,10 +791,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
                    "baseline": int(is_baseline)}
             tc = _train_config({**config, "seed": seed, "head_rank": None if is_baseline else rank})
             jobs.append(partial(_train_cell, row, counts, tc, val_counts, measures))
-    rows, trajectories = _run_cells(
-        run_dir, jobs,
-        lambda row: f"{'full' if row['baseline'] else 'rank' + str(row['rank'])}_seed{row['seed']}",
-    )
+    rows, trajectories = _run_cells(run_dir, jobs, _bottleneck_label)
 
     _write_table(
         run_dir / "bottleneck.csv",
@@ -792,12 +803,14 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     factored = [r for r in rows if r["head"] == "factored" and r["status"] == "ok"]
     spearman = _spearman([r["rank"] for r in factored], [r["final_val_loss"] for r in factored])
 
+    def factored_trajectory(rank, seed):
+        return trajectories.get(_bottleneck_label({"rank": rank, "seed": seed, "baseline": 0}))
+
     # tokens-to-match ratio: how much sooner the widest head reaches the
     # narrowest head's final validation loss (full-batch, so steps ~ tokens)
     speedups = []
     for seed in seeds:
-        lo = trajectories.get(f"rank{ranks[0]}_seed{seed}")
-        hi = trajectories.get(f"rank{ranks[-1]}_seed{seed}")
+        lo, hi = factored_trajectory(ranks[0], seed), factored_trajectory(ranks[-1], seed)
         if lo is None or hi is None:
             continue
         target = lo.final_val_loss
@@ -809,7 +822,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         (f"r={rank}", [p.step for p in traj.points], [p.val_loss for p in traj.points])
         for seed in seeds[:1]
         for rank in ranks
-        if (traj := trajectories.get(f"rank{rank}_seed{seed}")) is not None
+        if (traj := factored_trajectory(rank, seed)) is not None
     ]
     svg.line_plot(
         run_dir / "val_loss.svg",

@@ -50,52 +50,40 @@ class RankCurve:
         write_csv(path, ["token_count", "rank", "max_rank"], self.points)
 
 
-def token_occurrences(counts: CountMatrix):
-    """All counted (context row, next token) occurrences, with multiplicity."""
-    return np.repeat(counts.rows, counts.n), np.repeat(counts.cols, counts.n)
-
-
-def per_token_gradient_matrix(p: np.ndarray, occ_rows, occ_cols) -> np.ndarray:
-    """One gradient row per token occurrence: p[context] minus the token one-hot."""
-    m = p[occ_rows].copy()
-    m[np.arange(len(occ_rows)), occ_cols] -= 1.0
-    return m
-
-
 def gradient_rank_curve(
-    counts: CountMatrix,
-    params: md.ModelParams,
-    token_counts,
-    seed: int = 0,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
+    counts: CountMatrix, params: md.ModelParams, token_counts, seed: int = 0
 ) -> RankCurve:
     """Rank of the stacked per-token gradient rows at growing sample sizes,
     for a model `params` with one row per counted context.
 
     For each requested size a token subset is drawn without replacement from
-    all counted occurrences; the softmax probabilities are formed for the
-    drawn contexts only.
+    all counted occurrences; the softmax probabilities are formed in place
+    for the drawn contexts only, and each drawn token's row is its context's
+    probabilities minus the token's one-hot.
     """
     sizes = check_token_counts(token_counts)
     if sizes[-1] > counts.total:
         raise ValueError(
             f"requested {sizes[-1]} tokens but the corpus holds {counts.total}"
         )
-    occ_rows, occ_cols = token_occurrences(counts)
+    occ_rows, occ_cols = np.repeat(counts.rows, counts.n), np.repeat(counts.cols, counts.n)
     rng = np.random.default_rng(seed)
     curve = RankCurve()
     for k in sizes:
         draw = rng.choice(counts.total, size=k, replace=False)
         rows, inverse = np.unique(occ_rows[draw], return_inverse=True)
-        p = linalg.softmax_rows(params.head.logits(params.h[rows]))
-        m = per_token_gradient_matrix(p, inverse, occ_cols[draw])
+        p = params.head.logits(params.h[rows])
+        p /= linalg._softmax_block(p)[0]
+        m = p[inverse]
         del p
-        rank = linalg.qr_rank(m, rank_tol)
+        m[np.arange(k), occ_cols[draw]] -= 1.0
+        # qr_rank refuses a non-finite matrix: the logits of a diverged model
+        rank = linalg.qr_rank(m)
         curve.points.append((k, rank, min(k, counts.vocab_size)))
     return curve
 
 
-def kernel_cosine(g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL):
+def kernel_cosine(g, head):
     """Mean and std over rows of cos(row, its projection off the kernel), as
     `compression_report` measures them.
 
@@ -103,7 +91,7 @@ def kernel_cosine(g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL):
     fraction of the row. Zero rows are excluded; an all-zero gradient is an
     error.
     """
-    report = compression_report(g, head, rank_tol)
+    report = compression_report(g, head)
     if report.zero_gradient:
         raise ValueError("all gradient rows are zero")
     return report.cosine_mean, report.cosine_std
@@ -137,8 +125,8 @@ class _KernelSplit:
     order: one pivoted QR of the head, then per block the split of
     `linalg.split_rows`, its squared norms and its per-row norms."""
 
-    def __init__(self, head, rank_tol: float):
-        self.basis = linalg.range_basis(head.matrix, rank_tol)
+    def __init__(self, head):
+        self.basis = linalg.range_basis(head.matrix)
         self.grad_sq = 0.0
         self.lost_sq = 0.0
         self.row_norms = []  # (row, kept, lost) norms of each block
@@ -167,9 +155,7 @@ class _KernelSplit:
         )
 
 
-def compression_report(
-    g, head, rank_tol: float = linalg.DEFAULT_RANK_TOL
-) -> CompressionReport:
+def compression_report(g, head) -> CompressionReport:
     """Kernel-compression measurement of the logit gradient `g` under `head`.
 
     The stacked lost fraction follows the Frobenius form; a per-row series is
@@ -177,7 +163,7 @@ def compression_report(
     `zero_gradient` when the whole gradient vanishes. All figures read one
     kernel split of the gradient, taken as a single row block.
     """
-    split = _KernelSplit(head, rank_tol)
+    split = _KernelSplit(head)
     split.add(np.asarray(g, dtype=np.float64))
     return split.report()
 
@@ -295,7 +281,7 @@ def _perturbed_logp_sums(lm, directions, budgets, cells, i, n) -> np.ndarray:
         for b in budgets:
             np.multiply(d, b, out=x)
             x += lm
-            sums.append(md._softmax_block(x, cells, i, n)[2])
+            sums.append(linalg._softmax_block(x, cells, i, n)[2])
     return np.array(sums)
 
 
@@ -313,9 +299,7 @@ class GradientPass:
     hidden_norm: float  # ||g W W^T||_F, W the head matrix
 
 
-def gradient_pass(
-    counts: CountMatrix, params: md.ModelParams, rank_tol: float = linalg.DEFAULT_RANK_TOL
-) -> GradientPass:
+def gradient_pass(counts: CountMatrix, params: md.ModelParams) -> GradientPass:
     """One pass over row blocks of BLOCK_BYTES of logits: the loss, the
     kernel split of g (`_KernelSplit`), its coefficient profile
     (`_ProfileMoments`), ||logits||, ||g||, ||g W W^T|| and the Gram matrix
@@ -324,7 +308,7 @@ def gradient_pass(
     the update efficiency nothing to move along, is refused here.
     """
     v = counts.vocab_size
-    split = _KernelSplit(params.head, rank_tol)
+    split = _KernelSplit(params.head)
     moments = _ProfileMoments(v)
     wm = params.head.matrix
     gram = np.zeros((v, v), order="F")

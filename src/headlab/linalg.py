@@ -34,16 +34,38 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _softmax_block(lm: np.ndarray, cells=None, i=None, n=None):
+    """Overwrite the C-ordered logits `lm` with exp(lm - row max): the row
+    softmax before its divide by the row normalizers z. Private, as the
+    kernel threads run it (see `model._row_block_shard`).
+
+    Returns z and the row maxima (as columns) and, given the flat indices
+    `cells` of some cells, their rows `i` and counts `n`, the sum of
+    n * log softmax(lm) over those cells, with log p computed as in
+    `model.probs_and_loss` (else None).
+    """
+    # non-finite logits flow through to a non-finite sum, as in probs_and_loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_max = lm.max(axis=1, keepdims=True)
+        lm -= row_max
+        shifted = None if n is None else lm.reshape(-1)[cells]
+        np.exp(lm, out=lm)
+        z = lm.sum(axis=1, keepdims=True)
+        if n is None:
+            return z, row_max, None
+        logp = shifted - np.log(z[:, 0])[i]
+        return z, row_max, float((n * logp).sum())
+
+
 def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax, computed with per-row max subtraction.
+    """Row-wise softmax: `_softmax_block` on a copy of `m`, divided by z.
 
     Output rows are strictly positive and sum to 1 (within 1e-12) for any
     finite input.
     """
-    a = as_matrix(m)
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    p = as_matrix(m).copy()
+    p /= _softmax_block(p)[0]
+    return p
 
 
 def log_softmax_rows(m) -> np.ndarray:

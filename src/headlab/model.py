@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .corpus import ContextTable, CountMatrix, batch_counts
-from .linalg import as_matrix
 from .parallel import map_threads
 from .tables import write_csv
 
@@ -68,7 +68,7 @@ class FullHead:
     w: np.ndarray  # (V, D)
 
     def __post_init__(self):
-        self.w = as_matrix(self.w)
+        self.w = linalg.as_matrix(self.w)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -112,8 +112,8 @@ class FactoredHead:
     b: np.ndarray  # (r, D)
 
     def __post_init__(self):
-        self.a = as_matrix(self.a)
-        self.b = as_matrix(self.b)
+        self.a = linalg.as_matrix(self.a)
+        self.b = linalg.as_matrix(self.b)
         if self.a.shape[1] != self.b.shape[0]:
             raise ValueError("inner dimensions of the factors do not match")
         if self.rank > self.width:
@@ -161,7 +161,7 @@ class ModelParams:
     head: FullHead | FactoredHead
 
     def __post_init__(self):
-        self.h = as_matrix(self.h)
+        self.h = linalg.as_matrix(self.h)
         if self.h.shape[1] != self.head.width:
             raise ValueError("representation width does not match the head width")
 
@@ -336,7 +336,7 @@ def loss_from_logits(counts: CountMatrix, logit_matrix: np.ndarray) -> float:
     if lm.shape != counts.shape:
         raise ValueError(f"logit shape {lm.shape} does not match counts shape {counts.shape}")
     cells = counts.rows * counts.vocab_size + counts.cols
-    return -_softmax_block(lm, cells, counts.rows, counts.n)[2] / counts.total
+    return -linalg._softmax_block(lm, cells, counts.rows, counts.n)[2] / counts.total
 
 
 def loss(counts: CountMatrix, params: ModelParams) -> float:
@@ -349,10 +349,10 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False
     `h` holds every context row; with `counts.row_ids` the counted rows are
     gathered from it block by block. Each block holds about BLOCK_BYTES of
     logits h_b W^T, turned in place into exp(logits - row max) with row
-    normalizers z by `_softmax_block`. Two passes read it:
+    normalizers z by `linalg._softmax_block`. Two passes read it:
     - the evaluation pass (the default): the sum of n log p over the block's
       triplets, then the argmax of e / z (the probabilities of
-      `softmax_rows`, so ties break the same) against `counts.targets`;
+      `linalg.softmax_rows`, so ties break the same) against `counts.targets`;
     - the gradient pass (`grad`): g_b = e * (w / z) with n / N subtracted at
       the triplets, from which gh_b = g_b W and the V x D sum of g_b^T h_b
       (gW, or the effective head gradient behind gA and gB) are accumulated.
@@ -416,12 +416,12 @@ def _row_block_shard(counts: CountMatrix, h, head, starts: range, gh, match):
             h_b = h[rows] if counts.row_ids is None else h[counts.row_ids[rows]]
             lm = head.logits(h_b)
             if grad:
-                z, row_max, _ = _softmax_block(lm)
+                z, row_max, _ = linalg._softmax_block(lm)
                 _gradient_in_place(counts, lm, z, rows, nz, cells)
                 gh[rows] = head.pullback(lm)
                 gw += lm.T @ h_b
             else:
-                z, row_max, block_sum = _softmax_block(lm, cells, i, counts.n[nz])
+                z, row_max, block_sum = linalg._softmax_block(lm, cells, i, counts.n[nz])
                 logp_sum += block_sum
                 lm /= z
                 match[rows] = lm.argmax(axis=1) == counts.targets[rows]
@@ -458,30 +458,9 @@ def _gradient_blocks(counts: CountMatrix, params: ModelParams, block: int):
         with np.errstate(over="ignore"):
             lm = params.head.logits(params.h[rows])
         g = lm.copy()
-        z, _, logp_sum = _softmax_block(g, cells, i, counts.n[nz])
+        z, _, logp_sum = linalg._softmax_block(g, cells, i, counts.n[nz])
         _gradient_in_place(counts, g, z, rows, nz, cells)
         yield rows, nz, i, cells, lm, g, logp_sum
-
-
-def _softmax_block(lm: np.ndarray, cells=None, i=None, n=None):
-    """Overwrite the C-ordered logits `lm` with exp(lm - row max).
-
-    Returns the row normalizers z and the row maxima (as columns) and, given
-    the flat indices `cells` of some cells, their rows `i` and counts `n`,
-    the sum of n * log softmax(lm) over those cells, with log p computed as
-    in `probs_and_loss` (else None).
-    """
-    # non-finite logits flow through to a non-finite sum, as in probs_and_loss
-    with np.errstate(over="ignore", invalid="ignore"):
-        row_max = lm.max(axis=1, keepdims=True)
-        lm -= row_max
-        shifted = None if n is None else lm.reshape(-1)[cells]
-        np.exp(lm, out=lm)
-        z = lm.sum(axis=1, keepdims=True)
-        if n is None:
-            return z, row_max, None
-        logp = shifted - np.log(z[:, 0])[i]
-        return z, row_max, float((n * logp).sum())
 
 
 def entropy_floor(counts: CountMatrix) -> float:

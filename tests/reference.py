@@ -3,7 +3,6 @@
 import numpy as np
 
 from headlab import corpus as cp
-from headlab import diagnostics as dg
 from headlab import linalg
 from headlab import model as md
 
@@ -88,15 +87,36 @@ def update_efficiency_dense(counts, lm, base_loss, g, head, fractions):
             [md.loss_from_logits(counts, lm + a * budget * d2) - base_loss for a in fractions])
 
 
+def softmax_rows_dense(m):
+    """Row-wise softmax in three out-of-place steps: shift by the row max,
+    exponentiate, divide by the row sums."""
+    a = linalg.as_matrix(m)
+    shifted = a - a.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def token_occurrences(counts):
+    """All counted (context row, next token) occurrences, with multiplicity."""
+    return np.repeat(counts.rows, counts.n), np.repeat(counts.cols, counts.n)
+
+
+def per_token_gradient_matrix(p, occ_rows, occ_cols):
+    """One gradient row per token occurrence: p[context] minus the token one-hot."""
+    m = p[occ_rows].copy()
+    m[np.arange(len(occ_rows)), occ_cols] -= 1.0
+    return m
+
+
 def gradient_rank_curve_dense(counts, p, token_counts, seed, rank_tol=linalg.DEFAULT_RANK_TOL):
     """The (token_count, rank, max_rank) points, with the per-token rows
     read from the whole C x V probability matrix `p`."""
-    occ_rows, occ_cols = dg.token_occurrences(counts)
+    occ_rows, occ_cols = token_occurrences(counts)
     rng = np.random.default_rng(seed)
     points = []
     for k in token_counts:
         draw = rng.choice(counts.total, size=k, replace=False)
-        m = dg.per_token_gradient_matrix(p, occ_rows[draw], occ_cols[draw])
+        m = per_token_gradient_matrix(p, occ_rows[draw], occ_cols[draw])
         points.append((k, linalg.qr_rank(m, rank_tol), min(k, counts.vocab_size)))
     return points
 

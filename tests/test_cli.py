@@ -508,9 +508,10 @@ class TestIntegerKeys:
 
 def _like(name, default):
     """JSON values that resolve_config takes for the key `name`: ints and
-    whole floats for an int, ints and floats for a float, 0, 1, true and false
-    for a bool; strings and paths keep their defaults."""
-    ints = st.integers(-2**53, 2**53)
+    whole floats for an int (nonnegative for a seed), ints and floats for a
+    float, 0, 1, true and false for a bool; strings and paths keep their
+    defaults."""
+    ints = st.integers(0 if name.endswith(("seed", "seeds")) else -2**53, 2**53)
     if isinstance(default, bool):
         return st.sampled_from([0, 1, True, False])
     if isinstance(default, int) or default is None and name in cli._ANNOTATIONS:
@@ -556,6 +557,21 @@ class TestTypedConfig:
         assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{key} must" in err or f"unknown config key(s): {key}" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args, key", [
+        (["train", "--seed", "-1"], "seed"),
+        (["train", "--corpus.seed", "-2"], "corpus.seed"),
+        (["gen-corpus", "--seed", "-1"], "seed"),
+        (["diagnose", "--seed", "-1"], "seed"),
+        (["verify", "--seed", "-1.0"], "seed"),
+        (["bottleneck-sweep", "--corpus_seed", "-1"], "corpus_seed"),
+        (["bottleneck-sweep", "--seeds", "[-3]"], "seeds"),
+        (["spamlang-sweep", "--seeds", "[0,-1]"], "seeds"),
+    ])
+    def test_negative_seed_exits_usage_naming_the_key(self, args, key, tmp_path, capsys):
+        assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE
+        assert f"error: {key} must be nonnegative" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_whole_float_verifier_size(self, tmp_path):
@@ -862,6 +878,24 @@ class TestSweepGrids:
         assert run([kind, "--out", str(tmp_path)] + tiny + [f"--{key}", value]) == cli.EXIT_USAGE
         assert calls == []
         assert key in capsys.readouterr().err
+        assert not list(tmp_path.rglob("runs"))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("vocab_sizes", "[8,1]", "vocab_sizes must be at least 2"),
+        ("seq_len", "1", "seq_len must be at least 2"),
+        ("seqs_per_symbol", "0", "seqs_per_symbol must be at least 1"),
+        ("lrs", "[0.02,-0.01]", "lr must be nonnegative"),
+    ])
+    def test_spamlang_cell_refused_before_any_cell_trains(
+        self, key, value, message, monkeypatch, tmp_path, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
+        assert run(["spamlang-sweep", "--out", str(tmp_path)] + TINY_SPAM
+                   + [f"--{key}", value]) == cli.EXIT_USAGE
+        assert calls == []
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("runs"))
 
     def test_learning_rates_that_share_a_run_directory_refused_before_training(

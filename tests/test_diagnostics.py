@@ -5,7 +5,13 @@ from headlab import corpus as cp
 from headlab import diagnostics as dg
 from headlab import linalg
 from headlab import model as md
-from reference import gradient_rank_curve_dense, logit_state, lost_norm_fraction
+from reference import (
+    gradient_rank_curve_dense,
+    logit_state,
+    lost_norm_fraction,
+    per_token_gradient_matrix,
+    token_occurrences,
+)
 
 
 def efficiency(counts, params, fractions):
@@ -54,7 +60,7 @@ class TestGradientRankCurve:
         p = logit_state(counts, params)[2]
         curve = dg.gradient_rank_curve(counts, params, sizes, seed=11)
         assert curve.points == gradient_rank_curve_dense(counts, p, sizes, seed=11)
-        occ_r, occ_c = dg.token_occurrences(counts)
+        occ_r, occ_c = token_occurrences(counts)
         rng = np.random.default_rng(11)
         for k, rank, max_rank in curve.points:
             assert max_rank == min(k, 64)
@@ -62,8 +68,35 @@ class TestGradientRankCurve:
             assert rank <= counts.num_contexts
             assert rank >= 0.8 * min(k, 64)
             draw = rng.choice(counts.total, size=k, replace=False)
-            m = dg.per_token_gradient_matrix(p, occ_r[draw], occ_c[draw])
+            m = per_token_gradient_matrix(p, occ_r[draw], occ_c[draw])
             assert abs(rank - svd_rank(m)) <= 1
+
+    def test_ranked_rows_are_the_softmax_rows_less_the_one_hots(self, monkeypatch):
+        corpus = cp.gen_zipf_bigram(64, 1.2, 120, 40, seed=5)
+        _, counts = cp.build_counts(corpus, 1)
+        params = md.init_params(counts.num_contexts, 64, 8, seed=9)
+        sizes = [8, 32, 64, 256]
+        ranked, qr_rank = [], linalg.qr_rank
+
+        def spy(m, *args):
+            ranked.append(m.copy())
+            return qr_rank(m, *args)
+
+        def no_softmax_rows(m):
+            raise AssertionError("the rank curve called softmax_rows")
+
+        monkeypatch.setattr(linalg, "qr_rank", spy)
+        monkeypatch.setattr(linalg, "softmax_rows", no_softmax_rows)
+        dg.gradient_rank_curve(counts, params, sizes, seed=11)
+        monkeypatch.undo()
+        occ_r, occ_c = token_occurrences(counts)
+        rng = np.random.default_rng(11)
+        assert len(ranked) == len(sizes)
+        for k, m in zip(sizes, ranked):
+            draw = rng.choice(counts.total, size=k, replace=False)
+            rows, inverse = np.unique(occ_r[draw], return_inverse=True)
+            p = linalg.softmax_rows(params.head.logits(params.h[rows]))
+            assert np.array_equal(m, per_token_gradient_matrix(p, inverse, occ_c[draw]))
 
     def test_oversized_request_rejected(self):
         corpus = cp.gen_spamlang(4, 2, 5, seed=2)
@@ -252,7 +285,7 @@ class TestUpdateEfficiency:
         def no_loss(*args, **kwargs):
             raise AssertionError("a perturbed loss was evaluated")
 
-        monkeypatch.setattr(md, "_softmax_block", no_loss)
+        monkeypatch.setattr(linalg, "_softmax_block", no_loss)
         with pytest.raises(ValueError, match="fractions must hold at least one"):
             dg.update_efficiency(counts, params, first, [])
 

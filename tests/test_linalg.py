@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headlab import linalg
+from reference import softmax_rows_dense
 
 PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=200)
 
@@ -85,6 +86,26 @@ class TestSoftmax:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             linalg.softmax_rows([[np.nan, 0.0]])
+
+
+@st.composite
+def softmax_inputs(draw):
+    """Logits up to 64 x 512 at a scale from 1e-3 to 1e3, with optionally a
+    row whose one logit dominates and a constant row."""
+    rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 512))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(rows, cols)) * scale
+    if draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] += 50 * scale
+    if draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = draw(st.floats(-1e3, 1e3))
+    return m
+
+
+@PROPERTY_SETTINGS
+@given(softmax_inputs())
+def test_softmax_rows_equals_the_three_step_formula_bit_for_bit(m):
+    assert np.array_equal(linalg.softmax_rows(m), softmax_rows_dense(m))
 
 
 class TestLogSoftmax:

@@ -96,11 +96,10 @@ def blocked_gradients(draw):
 @given(blocked_gradients())
 def test_merged_blocks_equal_one_block(case):
     g, head, cuts = case
-    split, moments = dg._KernelSplit(head, linalg.DEFAULT_RANK_TOL), dg._ProfileMoments(g.shape[1])
+    split, moments = dg._KernelSplit(head), dg._ProfileMoments(g.shape[1])
     for lo, hi in zip(cuts, cuts[1:]):
         moments.add(g[lo:hi], split.add(g[lo:hi]))
-    one_split, one_moments = dg._KernelSplit(head, linalg.DEFAULT_RANK_TOL), dg._ProfileMoments(
-        g.shape[1])
+    one_split, one_moments = dg._KernelSplit(head), dg._ProfileMoments(g.shape[1])
     one_moments.add(g, one_split.add(g))
     close(split.grad_sq, one_split.grad_sq)
     close(split.lost_sq, one_split.lost_sq)

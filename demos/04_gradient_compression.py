@@ -32,7 +32,7 @@ report = first.report
 print(f"V=512, width=8 model after {cfg.steps} steps")
 print(f"  lost gradient norm fraction : {report.lost_fraction:.4f}")
 print(f"  cosine(row, surviving part) : {report.cosine_mean:.4f} +- {report.cosine_std:.4f}")
-print(f"  best rank-2D residual bound : {gradient_gap(counts, params, first):.6f}")
+print(f"  best rank-2D residual bound : {gradient_gap(counts, params):.6f}")
 
 curve = gradient_rank_curve(counts, params, [4, 16, 64, 256, 1024], seed=1)
 print("  per-token gradient rank curve:")

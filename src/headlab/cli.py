@@ -458,13 +458,15 @@ def run_train(config: dict, run_dir: Path) -> dict:
 
 def run_diagnose(config: dict, run_dir: Path) -> dict:
     """The checkpoint's gradient bottleneck on its corpus, read in row blocks
-    with no C x V matrix: the kernel split, the coefficient profile and the
-    Gram matrix in one pass (`diagnostics.gradient_pass`), then in the fork
-    pool the Eckart-Young gap (from the Gram matrix's top eigenvalues, see
-    `linalg.gram_residual`), the rank curve and the update efficiency's
-    second pass."""
+    with no C x V matrix: the kernel split and the coefficient profile in one
+    threaded pass (`diagnostics.gradient_pass`), then in the fork pool the
+    Eckart-Young gap (from the top eigenvalues of a Gram matrix summed in its
+    own walk of the blocks, see `linalg.gram_residual`), the rank curve and
+    the update efficiency's second pass. The lists are checked first."""
     if not config["checkpoint"]:
         raise UsageError("diagnose needs a checkpoint path")
+    token_counts = diagnostics.check_token_counts(config["token_counts"])
+    fractions = diagnostics.check_fractions(config["fractions"])
     params = load_checkpoint(config["checkpoint"])
     corpus = _make_corpus(config["corpus"])
     table, counts = build_counts(corpus, config["max_context_len"])
@@ -473,21 +475,18 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
             f"checkpoint dimensions (C={params.h.shape[0]}, V={params.vocab_size}) do not "
             f"match the corpus counts (C={counts.num_contexts}, V={counts.vocab_size})"
         )
-    sizes = [k for k in config["token_counts"] if k <= counts.total]
+    sizes = [k for k in token_counts if k <= counts.total]
     if not sizes:
         raise UsageError(
-            f"no entry of token_counts {config['token_counts']} fits the corpus's "
-            f"{counts.total} tokens"
+            f"no entry of token_counts {token_counts} fits the corpus's {counts.total} tokens"
         )
-    diagnostics.check_token_counts(config["token_counts"])
-    fractions = diagnostics.check_fractions(config["fractions"])
     first = diagnostics.gradient_pass(counts, params)
     report, profile = first.report, first.profile
     # longest first, as timed at V = 2048, C = 2049: the Gram matrix's
     # eigenvalues, then the rank curve and the perturbed losses; each worker
     # takes the next job when it is free
     gap, curve, curve_eff = _map_cells([
-        partial(diagnostics.gradient_gap, counts, params, first),
+        partial(diagnostics.gradient_gap, counts, params),
         partial(diagnostics.gradient_rank_curve, counts, params, sizes, seed=config["seed"]),
         partial(diagnostics.update_efficiency, counts, params, first, fractions),
     ])

@@ -7,12 +7,14 @@ of the head, cosine alignment with the retained part, sorted coefficient
 profiles, update-direction efficiency, and the unavoidable low-rank residual
 of the parameter-induced logit update.
 
-`diagnose` reads them off the snapshot in row blocks and never forms a
-C x V matrix: `gradient_pass` accumulates the kernel split, the coefficient
-profile, the norms and the V x V Gram matrix of the logit gradient in one
-pass, and `update_efficiency` takes the perturbed losses in a second.
-`compression_report` and `coefficient_profile` are the one-block case of
-the first pass's accumulators.
+`diagnose` reads them off the snapshot in the row blocks of
+`model._row_blocks` and never forms a C x V matrix. `gradient_pass`
+accumulates the kernel split, the coefficient profile and the norms of the
+logit gradient, and `update_efficiency` the perturbed losses, each in a pass
+of `model._sharded_pass` whose runs' accumulators merge in run order.
+`gradient_gap` sums the V x V Gram matrix in a serial walk of the same
+blocks. `compression_report` and `coefficient_profile` are the one-block
+case of the first pass's accumulators.
 """
 
 from __future__ import annotations
@@ -27,18 +29,6 @@ from . import linalg
 from . import model as md
 from .corpus import CountMatrix
 from .tables import write_csv
-
-# Bytes of logits in one row block of `gradient_pass` and `update_efficiency`.
-# Larger than model.BLOCK_BYTES: each block adds a rank-(block rows) update
-# to the V x V Gram matrix, and at V = 2048 the Gram pass took 2.6 s in
-# 32-row blocks (512 KiB) against 0.7 s in 256-row blocks (4 MiB). A fixed
-# constant, so that reruns sum in the same order on any machine.
-BLOCK_BYTES = 4 * 1024**2
-
-
-def _block_rows(vocab_size: int) -> int:
-    return max(1, BLOCK_BYTES // (8 * vocab_size))
-
 
 @dataclass
 class RankCurve:
@@ -122,22 +112,28 @@ class CompressionReport:
 
 class _KernelSplit:
     """`compression_report` over the row blocks of a gradient, added in row
-    order: one pivoted QR of the head, then per block the split of
-    `linalg.split_rows`, its squared norms and its per-row norms."""
+    order, given the head's `linalg.range_basis`: per block the split of
+    `linalg._split_rows`, its squared norms and its per-row norms."""
 
-    def __init__(self, head):
-        self.basis = linalg.range_basis(head.matrix)
+    def __init__(self, basis: np.ndarray):
+        self.basis = basis
         self.grad_sq = 0.0
         self.lost_sq = 0.0
         self.row_norms = []  # (row, kept, lost) norms of each block
 
     def add(self, g: np.ndarray) -> np.ndarray:
         """Add the block `g`; return its part in the kernel."""
-        kept, lost = linalg.split_rows(g, self.basis)
+        kept, lost = linalg._split_rows(g, self.basis)
         self.grad_sq += float(np.vdot(g, g))
         self.lost_sq += float(np.vdot(lost, lost))
         self.row_norms.append(tuple(np.linalg.norm(x, axis=1) for x in (g, kept, lost)))
         return lost
+
+    def merge(self, other: _KernelSplit) -> None:
+        """Add the split of the rows that follow this one's."""
+        self.grad_sq += other.grad_sq
+        self.lost_sq += other.lost_sq
+        self.row_norms += other.row_norms
 
     def report(self) -> CompressionReport:
         row, kept, lost = (np.concatenate(parts) for parts in zip(*self.row_norms))
@@ -163,8 +159,8 @@ def compression_report(g, head) -> CompressionReport:
     `zero_gradient` when the whole gradient vanishes. All figures read one
     kernel split of the gradient, taken as a single row block.
     """
-    split = _KernelSplit(head)
-    split.add(np.asarray(g, dtype=np.float64))
+    split = _KernelSplit(linalg.range_basis(head.matrix))
+    split.add(linalg.as_matrix(g))
     return split.report()
 
 
@@ -194,8 +190,8 @@ class CoefficientProfile:
 class _ProfileMoments:
     """`coefficient_profile` over row blocks, added in row order: each
     block's per-position mean and sum of squared deviations (M2), merged
-    into the running ones by Chan et al.'s pairwise update. A single block
-    gives numpy's mean and (population) std."""
+    into the running ones by Chan et al.'s pairwise update (`merge`). A
+    single block gives numpy's mean and (population) std."""
 
     def __init__(self, vocab_size: int):
         self.rows = 0
@@ -212,15 +208,21 @@ class _ProfileMoments:
         p_sorted = np.take_along_axis(g_proj, order, axis=1)
         p_sorted *= flip
         del order
-        before, block = self.rows, len(g_full)
-        self.rows += block
+        block = _ProfileMoments(g_full.shape[1])
+        block.rows = len(g_full)
         for k, x in enumerate((f_sorted, p_sorted)):
-            mean = x.mean(axis=0)
-            x -= mean
+            block.mean[k] = x.mean(axis=0)
+            x -= block.mean[k]
             np.square(x, out=x)
-            delta = mean - self.mean[k]
-            self.mean[k] += delta * (block / self.rows)
-            self.m2[k] += x.sum(axis=0) + delta**2 * (before * block / self.rows)
+            block.m2[k] = x.sum(axis=0)
+        self.merge(block)
+
+    def merge(self, other: _ProfileMoments) -> None:
+        """Merge in the moments of the rows that follow this one's."""
+        before, self.rows = self.rows, self.rows + other.rows
+        delta = other.mean - self.mean
+        self.mean += delta * (other.rows / self.rows)
+        self.m2 += other.m2 + delta**2 * (before * other.rows / self.rows)
 
     def profile(self) -> CoefficientProfile:
         (full_mean, proj_mean), (full_std, proj_std) = self.mean, np.sqrt(self.m2 / self.rows)
@@ -271,20 +273,6 @@ def check_fractions(fractions) -> list:
     return fractions
 
 
-def _perturbed_logp_sums(lm, directions, budgets, cells, i, n) -> np.ndarray:
-    """Sum of n log softmax(lm + b * d) over the cells (flat indices into the
-    C-ordered `lm`, with rows `i` and counts `n`), for each unit direction d
-    of `directions` and then each budget b of `budgets`."""
-    x = np.empty_like(lm)
-    sums = []
-    for d in directions:
-        for b in budgets:
-            np.multiply(d, b, out=x)
-            x += lm
-            sums.append(linalg._softmax_block(x, cells, i, n)[2])
-    return np.array(sums)
-
-
 @dataclass
 class GradientPass:
     """What `gradient_pass` accumulates over the row blocks of the logit
@@ -292,7 +280,6 @@ class GradientPass:
 
     report: CompressionReport
     profile: CoefficientProfile
-    gram: np.ndarray  # V x V, g^T g in its lower triangle, Fortran order
     base_loss: float
     logit_norm: float  # ||logits||_F
     grad_norm: float  # ||g||_F
@@ -300,43 +287,66 @@ class GradientPass:
 
 
 def gradient_pass(counts: CountMatrix, params: md.ModelParams) -> GradientPass:
-    """One pass over row blocks of BLOCK_BYTES of logits: the loss, the
-    kernel split of g (`_KernelSplit`), its coefficient profile
-    (`_ProfileMoments`), ||logits||, ||g||, ||g W W^T|| and the Gram matrix
-    sum of g_b^T g_b. At most a few blocks and the V x V Gram matrix are held
-    at once. A gradient or hidden-state direction of zero norm, which leaves
-    the update efficiency nothing to move along, is refused here.
+    """One pass of `model._sharded_pass`: the loss, the kernel split of g
+    (`_KernelSplit`), its coefficient profile (`_ProfileMoments`),
+    ||logits||, ||g|| and ||g W W^T||, merged in run order. Non-finite
+    logits, and a gradient or hidden-state direction of zero norm, which
+    leaves the update efficiency nothing to move along, are refused here.
     """
-    v = counts.vocab_size
-    split = _KernelSplit(params.head)
-    moments = _ProfileMoments(v)
     wm = params.head.matrix
-    gram = np.zeros((v, v), order="F")
-    logp_sum = logit_sq = hidden_sq = 0.0
-    for *_, lm, g, block_logp in md._gradient_blocks(counts, params, _block_rows(v)):
-        logp_sum += block_logp
-        logit_sq += float(np.vdot(lm, lm))
-        moments.add(g, split.add(g))
-        hidden = (g @ wm) @ wm.T
-        hidden_sq += float(np.vdot(hidden, hidden))
-        # g.T is the block in Fortran order: syrk adds g^T g to the lower
-        # triangle in place, with no copy
-        scipy.linalg.blas.dsyrk(1.0, g.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
+    shards = md._sharded_pass(_gradient_pass_shard, counts, params, linalg.range_basis(wm), wm)
+    split, moments, sums = shards[0]
+    for other_split, other_moments, other_sums in shards[1:]:
+        split.merge(other_split)
+        moments.merge(other_moments)
+        sums += other_sums
+    if not np.isfinite(sums).all():
+        raise ValueError("the model's logits or their update directions are not finite")
+    logp_sum, logit_sq, hidden_sq = sums
     grad_norm, hidden_norm = float(np.sqrt(split.grad_sq)), float(np.sqrt(hidden_sq))
     if grad_norm == 0.0:
         raise ValueError("logit gradient has zero norm")
     if hidden_norm == 0.0:
         raise ValueError("hidden-state update direction has zero norm")
-    return GradientPass(split.report(), moments.profile(), gram, -logp_sum / counts.total,
+    return GradientPass(split.report(), moments.profile(), -logp_sum / counts.total,
                         float(np.sqrt(logit_sq)), grad_norm, hidden_norm)
+
+
+def _gradient_pass_shard(counts: CountMatrix, params: md.ModelParams, basis, wm, starts: range):
+    """`gradient_pass`'s shard of `model._sharded_pass`: (kernel split,
+    profile moments, [sum of n log p, ||logits||^2, ||g W W^T||^2]) of the
+    row blocks at `starts`."""
+    split, moments, sums = _KernelSplit(basis), _ProfileMoments(counts.vocab_size), np.zeros(3)
+    for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head, starts):
+        logit_sq = np.vdot(g, g)
+        _, logp_sum = md._gradient_in_place(counts, g, rows, nz, i, cells, logp=True)
+        moments.add(g, split.add(g))
+        hidden = (g @ wm) @ wm.T
+        sums += (logp_sum, logit_sq, np.vdot(hidden, hidden))
+    return split, moments, sums
+
+
+def _efficiency_shard(counts: CountMatrix, params: md.ModelParams, wm, first: GradientPass,
+                      budgets, starts: range):
+    """`update_efficiency`'s shard of `model._sharded_pass`: the sum of
+    n log softmax(logits + b * d) over the row blocks at `starts`, for each
+    unit direction d and then each budget b of `budgets`."""
+    sums = 0.0
+    for rows, nz, i, cells, _, lm in md._row_blocks(counts, params.h, params.head, starts):
+        g = lm.copy()
+        md._gradient_in_place(counts, g, rows, nz, i, cells)
+        directions = [-g / first.grad_norm, -((g @ wm) @ wm.T) / first.hidden_norm]
+        sums = sums + np.array([linalg._softmax_block(d * b + lm, cells, i, counts.n[nz])[2]
+                                for d in directions for b in budgets])
+    return sums
 
 
 def update_efficiency(
     counts: CountMatrix, params: md.ModelParams, first: GradientPass, fractions
 ) -> EfficiencyCurve:
     """Loss change when moving the model's logits by a norm fraction in two
-    directions, in a second pass over the row blocks of `gradient_pass`,
-    which supplied `first`: the loss and the norms.
+    directions, in a second pass of `model._sharded_pass` after
+    `gradient_pass`, which supplied `first`: the loss and the norms.
 
     Direction one is the (negated, unit-Frobenius) logit gradient g;
     direction two is the logit-space image g W W^T of a hidden-state gradient
@@ -346,32 +356,34 @@ def update_efficiency(
     """
     fractions = check_fractions(fractions)
     budgets = [a * first.logit_norm for a in fractions]
-    wm = params.head.matrix
-    sums = 0.0
-    for _, nz, i, cells, lm, g, _ in md._gradient_blocks(
-        counts, params, _block_rows(counts.vocab_size)
-    ):
-        hidden = (g @ wm) @ wm.T
-        directions = [-g / first.grad_norm, -hidden / first.hidden_norm]
-        del g, hidden
-        sums = sums + _perturbed_logp_sums(lm, directions, budgets, cells, i, counts.n[nz])
+    sums = sum(md._sharded_pass(_efficiency_shard, counts, params, params.head.matrix, first,
+                                budgets))
     deltas = [-s / counts.total - first.base_loss for s in sums]
     return EfficiencyCurve(fractions, deltas[: len(fractions)], deltas[len(fractions) :])
 
 
 def _dense_gradient(counts: CountMatrix, params: md.ModelParams) -> np.ndarray:
-    """The C x V logit gradient, assembled from the row blocks of `gradient_pass`."""
+    """The C x V logit gradient, assembled from `model._row_blocks`."""
     g = np.empty(counts.shape)
-    for rows, *_, block, _ in md._gradient_blocks(counts, params, _block_rows(counts.vocab_size)):
+    for rows, nz, i, cells, _, block in md._row_blocks(counts, params.h, params.head):
+        md._gradient_in_place(counts, block, rows, nz, i, cells)
         g[rows] = block
     return g
 
 
-def gradient_gap(counts: CountMatrix, params: md.ModelParams, first: GradientPass) -> float:
+def gradient_gap(counts: CountMatrix, params: md.ModelParams) -> float:
     """Eckart-Young gap of the logit gradient at the model's width, the
-    Frobenius error of its best rank-2*width approximation, from the Gram
-    matrix of `first`, which it overwrites. The dense gradient is rebuilt
-    from row blocks only where `linalg.gram_residual` needs its singular
-    values; the count matrix already passed the dense-size guard."""
-    return linalg.gram_residual(first.gram, 2 * params.width, min(counts.shape),
+    Frobenius error of its best rank-2*width approximation, from its V x V
+    Gram matrix, summed in a serial walk of `model._row_blocks`: one matrix,
+    not one per thread. The dense gradient is rebuilt only where
+    `linalg.gram_residual` needs its singular values; the count matrix
+    already passed the dense-size guard."""
+    v = counts.vocab_size
+    gram = np.zeros((v, v), order="F")
+    for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head):
+        md._gradient_in_place(counts, g, rows, nz, i, cells)
+        # g.T is the block in Fortran order: syrk adds g^T g to the lower
+        # triangle in place, with no copy
+        scipy.linalg.blas.dsyrk(1.0, g.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
+    return linalg.gram_residual(gram, 2 * params.width, min(counts.shape),
                                 partial(_dense_gradient, counts, params))

@@ -37,7 +37,7 @@ def as_matrix(m) -> np.ndarray:
 def _softmax_block(lm: np.ndarray, cells=None, i=None, n=None):
     """Overwrite the C-ordered logits `lm` with exp(lm - row max): the row
     softmax before its divide by the row normalizers z. Private, as the
-    kernel threads run it (see `model._row_block_shard`).
+    kernel threads run it (see `model._sharded_pass`).
 
     Returns z and the row maxima (as columns) and, given the flat indices
     `cells` of some cells, their rows `i` and counts `n`, the sum of
@@ -118,32 +118,29 @@ def range_basis(w, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return q[:, :rank]
 
 
-def split_rows(g, basis):
-    """Split each row of `g` into its parts in span(basis) and orthogonal to it.
-
-    Returns (kept, lost), kept + lost = g, for a `basis` of orthonormal
-    columns (as `range_basis` returns). With as many columns as rows `lost`
-    is exactly zero, with none `kept` is.
-    """
-    rows = as_matrix(g)
-    if rows.shape[1] != basis.shape[0]:
-        raise ValueError(
-            f"row dimension {rows.shape[1]} does not match head rows {basis.shape[0]}"
-        )
+def _split_rows(g: np.ndarray, basis: np.ndarray):
+    """Split each row of the float64 `g` into its parts in span(basis) and
+    orthogonal to it, for a `basis` of orthonormal columns (as `range_basis`
+    returns): (kept, lost), kept + lost = g. With as many columns as rows
+    `lost` is exactly zero, with none `kept` is. Private and unchecked, as
+    `diagnose`'s kernel threads run it."""
     if basis.shape[1] == basis.shape[0]:  # (g Q) Q^T would leave rounding-level residue
-        return rows.copy(), np.zeros_like(rows)
-    kept = (rows @ basis) @ basis.T
-    return kept, rows - kept
+        return g.copy(), np.zeros_like(g)
+    kept = (g @ basis) @ basis.T
+    return kept, g - kept
 
 
 def kernel_split(g, w, tol: float = DEFAULT_RANK_TOL):
     """Split each row of `g` into its parts in range(w) and in ker(w.T).
 
-    Returns (kept, lost), kept + lost = g, from `split_rows` on the
+    Returns (kept, lost), kept + lost = g, from `_split_rows` on the
     `range_basis` of the V x D `w`. At rank V `lost` is exactly zero, at
     rank 0 `kept` is.
     """
-    return split_rows(g, range_basis(w, tol))
+    rows, basis = as_matrix(g), range_basis(w, tol)
+    if rows.shape[1] != basis.shape[0]:
+        raise ValueError(f"row dimension {rows.shape[1]} does not match head rows {basis.shape[0]}")
+    return _split_rows(rows, basis)
 
 
 def kernel_basis(w, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

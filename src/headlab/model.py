@@ -28,13 +28,14 @@ CHECKPOINT_MAGIC = b"MLMCKPT1"
 # must be made interior before taking logs.
 INTERIOR_SMOOTHING = 1e-6
 
-# Bytes of logits in one row block of `_row_block_pass`, the one kernel behind
-# every pass over the logits (loss, top-1, gradients). A fixed constant, so
-# the block row count follows from V alone: blocked sums round differently
-# for another block size, and reruns stay bit-identical on any machine.
+# Bytes of logits in one row block of `_row_blocks`, the one block generator
+# behind every pass over the logits (training's loss, top-1 and gradients,
+# and `diagnose`). A fixed constant, so the block row count follows from V
+# alone: blocked sums round differently for another block size, and reruns
+# stay bit-identical on any machine.
 BLOCK_BYTES = 512 * 1024
 
-# Contiguous runs of whole row blocks that one `_row_block_pass` is cut into,
+# Contiguous runs of whole row blocks that one `_sharded_pass` is cut into,
 # each run on its own thread where the CPU budget allows. A fixed count, for
 # the same reason as BLOCK_BYTES: the shards' sums are combined in shard
 # order, so the thread count never changes a bit.
@@ -344,123 +345,114 @@ def loss(counts: CountMatrix, params: ModelParams) -> float:
 
 
 def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False):
-    """One pass over row blocks of the logits of the counted rows.
+    """One `_sharded_pass` over the logits of the counted rows; `h` holds
+    every context row, gathered by `counts.row_ids` where it has them.
 
-    `h` holds every context row; with `counts.row_ids` the counted rows are
-    gathered from it block by block. Each block holds about BLOCK_BYTES of
-    logits h_b W^T, turned in place into exp(logits - row max) with row
-    normalizers z by `linalg._softmax_block`. Two passes read it:
-    - the evaluation pass (the default): the sum of n log p over the block's
-      triplets, then the argmax of e / z (the probabilities of
-      `linalg.softmax_rows`, so ties break the same) against `counts.targets`;
-    - the gradient pass (`grad`): g_b = e * (w / z) with n / N subtracted at
-      the triplets, from which gh_b = g_b W and the V x D sum of g_b^T h_b
-      (gW, or the effective head gradient behind gA and gB) are accumulated.
-      No C x V gradient is formed.
-    The blocks are cut into SHARDS contiguous runs of whole blocks, run by
-    `_row_block_shard` on up to `parallel.cpu_budget()` threads; their sums
-    are combined in shard order, so the result is the same at any thread
-    count. Returns (sum of n log p, max |row max|, top-1 matches, None) from
-    the evaluation pass and (None, max |row max|, None, Gradients) from the
-    gradient pass. A row's normalizer is non-finite exactly when its max is,
-    so a non-finite max |row max| signals divergence, and then equals
-    max |logit|.
+    - The evaluation pass (the default, `_eval_shard`) returns (sum of
+      n log p, max |row max|, top-1 matches, None). The matches take the
+      argmax of e / z, the probabilities of `linalg.softmax_rows`, so ties
+      break the same, against `counts.targets`.
+    - The gradient pass (`grad`, `_gradient_shard`) returns (None,
+      max |row max|, None, Gradients): per block the logit gradient g_b,
+      gh_b = g_b W and the V x D sum of g_b^T h_b (gW, or the effective head
+      gradient behind gA and gB). No C x V gradient is formed.
+    A row's normalizer is non-finite exactly when its max is, so a
+    non-finite max |row max| signals divergence, and then equals max |logit|.
     """
     c, v = counts.shape
     if (counts.row_ids is None and h.shape[0] != c) or head.vocab_size != v:
         raise ValueError(
             f"model shape ({h.shape[0]}, {head.vocab_size}) does not match counts shape {counts.shape}"
         )
-    block = max(1, BLOCK_BYTES // (8 * v))
-    blocks = -(-c // block)
-    cuts = [min(c, block * (blocks * k // SHARDS)) for k in range(SHARDS + 1)]
-    match = gh = None
     if grad:
         gh = np.empty((c, h.shape[1]))
+        shards = _sharded_pass(_gradient_shard, counts, h, head, gh)
+        gw = shards[0][1]
+        for shard in shards[1:]:
+            gw += shard[1]
+        logp_sum, match, grads = None, None, Gradients(h=gh, **head.part_grads(gw))
     else:
         counts.targets  # filled here: the shards only read the cached argmax
         match = np.empty(c, dtype=bool)
-    shards = map_threads(_row_block_shard, [
-        (counts, h, head, range(lo, hi, block), gh, match)
-        for lo, hi in zip(cuts, cuts[1:]) if lo < hi
-    ])
-    logp_sum = None if grad else sum(s[0] for s in shards)
-    max_abs = np.max([0.0, *(s[1] for s in shards)])  # NaN-propagating
-    grads = None
-    if grad:
-        gw = shards[0][2]
-        for shard in shards[1:]:
-            gw += shard[2]
-        grads = Gradients(h=gh, **head.part_grads(gw))
+        shards = _sharded_pass(_eval_shard, counts, h, head, match)
+        logp_sum, grads = sum(s[1] for s in shards), None
+    max_abs = np.max([0.0, *(s[0] for s in shards)])  # NaN-propagating
     return logp_sum, float(max_abs), match, grads
 
 
-def _row_block_shard(counts: CountMatrix, h, head, starts: range, gh, match):
-    """`_row_block_pass` over the row blocks that begin at `starts`, a
-    range(lo, hi, block rows).
+def _sharded_pass(shard, counts: CountMatrix, *args) -> list:
+    """[shard(counts, *args, starts) per run of row blocks], in run order.
 
-    Writes the rows lo:hi of `gh` (the gradient pass, given `gh`) or of
-    `match` (the evaluation pass) and returns (sum of n log p or None,
-    max |row max|, this shard's V x D gW term or None). Runs on a kernel
-    thread, so it calls no public headlab function: the benchmark's tracer
-    keeps one span stack, and a span recorded here would nest under whatever
-    the main thread is running.
+    The row blocks of `_block_starts` are cut into SHARDS contiguous runs,
+    each on its own thread where `parallel.cpu_budget()` allows; callers
+    combine the results in run order, so the thread count never changes a
+    bit. `shard` calls no public headlab function (the benchmark's tracer
+    keeps one span stack) and sets its own numpy error state (per thread).
     """
-    grad = gh is not None
-    logp_sum, gw = (None, np.zeros((counts.vocab_size, h.shape[1]))) if grad else (0.0, None)
-    max_abs = 0.0
-    # a diverged pass lets non-finite values flow through; the caller reads
-    # max_abs. The error state is per thread, so each shard sets its own.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows, nz, i, cells in _triplet_blocks(counts, starts):
-            h_b = h[rows] if counts.row_ids is None else h[counts.row_ids[rows]]
-            lm = head.logits(h_b)
-            if grad:
-                z, row_max, _ = linalg._softmax_block(lm)
-                _gradient_in_place(counts, lm, z, rows, nz, cells)
-                gh[rows] = head.pullback(lm)
-                gw += lm.T @ h_b
-            else:
-                z, row_max, block_sum = linalg._softmax_block(lm, cells, i, counts.n[nz])
-                logp_sum += block_sum
-                lm /= z
-                match[rows] = lm.argmax(axis=1) == counts.targets[rows]
-            max_abs = np.maximum(max_abs, np.abs(row_max).max())
-    return logp_sum, max_abs, gw
+    starts = _block_starts(counts)
+    cuts = [len(starts) * k // SHARDS for k in range(SHARDS + 1)]
+    return map_threads(shard, [(counts, *args, starts[lo:hi])
+                               for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
 
 
-def _triplet_blocks(counts: CountMatrix, starts: range):
-    """Per row block beginning at `starts`, a range(lo, hi, block rows):
-    (rows, nz, i, cells), the block's row slice, the slice of its count
-    triplets, their rows within the block and their flat indices into the
-    block's C-ordered logits."""
+def _block_starts(counts: CountMatrix) -> range:
+    """The first rows of the row blocks of BLOCK_BYTES of logits."""
+    return range(0, counts.num_contexts, max(1, BLOCK_BYTES // (8 * counts.vocab_size)))
+
+
+def _row_blocks(counts: CountMatrix, h, head, starts: range | None = None):
+    """(rows, nz, i, cells, h_b, logits) per row block beginning at `starts`
+    (a slice of `_block_starts`, by default all of it): its row slice, the
+    slice of its count triplets, their rows in the block, their flat indices
+    into its C-ordered logits, its rows of `h` and its logits h_b W^T."""
+    starts = _block_starts(counts) if starts is None else starts
     bounds = np.searchsorted(counts.rows, [*starts, starts.stop])
     for lo, nz_lo, nz_hi in zip(starts, bounds[:-1], bounds[1:]):
-        nz = slice(nz_lo, nz_hi)
+        rows, nz = slice(lo, lo + starts.step), slice(nz_lo, nz_hi)
         i = counts.rows[nz] - lo
-        yield slice(lo, lo + starts.step), nz, i, i * counts.vocab_size + counts.cols[nz]
+        h_b = h[rows] if counts.row_ids is None else h[counts.row_ids[rows]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lm = head.logits(h_b)
+        yield rows, nz, i, i * counts.vocab_size + counts.cols[nz], h_b, lm
 
 
-def _gradient_in_place(counts: CountMatrix, lm: np.ndarray, z, rows: slice, nz: slice, cells):
-    """Overwrite a block's exp(logits - row max) `lm`, with row normalizers
-    `z`, with its logit gradient g_b = w p - n / N, the counts read from
-    their triplets."""
+def _gradient_in_place(counts: CountMatrix, lm: np.ndarray, rows: slice, nz: slice, i, cells,
+                       logp: bool = False):
+    """Overwrite a block's logits `lm` with its logit gradient
+    g_b = w p - n / N, the counts read from their triplets. Returns the row
+    maxima and, given `logp`, the sum of n log p over the triplets."""
+    triplets = (cells, i, counts.n[nz]) if logp else ()
+    z, row_max, logp_sum = linalg._softmax_block(lm, *triplets)
     lm *= counts.weights[rows, None] / z
     lm.reshape(-1)[cells] -= counts.n[nz] / counts.total
+    return row_max, logp_sum
 
 
-def _gradient_blocks(counts: CountMatrix, params: ModelParams, block: int):
-    """(rows, nz, i, cells, logits, g, sum of n log p) per row block of
-    `block` rows of a model with one row per counted context, in row order,
-    as `_triplet_blocks` and the gradient pass of `_row_block_shard` form
-    them: one block's logits and logit gradient at a time."""
-    for rows, nz, i, cells in _triplet_blocks(counts, range(0, counts.num_contexts, block)):
-        with np.errstate(over="ignore"):
-            lm = params.head.logits(params.h[rows])
-        g = lm.copy()
-        z, _, logp_sum = linalg._softmax_block(g, cells, i, counts.n[nz])
-        _gradient_in_place(counts, g, z, rows, nz, cells)
-        yield rows, nz, i, cells, lm, g, logp_sum
+def _eval_shard(counts: CountMatrix, h, head, match, starts: range):
+    """Writes the blocks' rows of `match`; returns (max |row max|, sum of
+    n log p). Non-finite values of a diverged model flow through."""
+    max_abs = logp_sum = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, nz, i, cells, _, lm in _row_blocks(counts, h, head, starts):
+            z, row_max, block_sum = linalg._softmax_block(lm, cells, i, counts.n[nz])
+            logp_sum += block_sum
+            lm /= z
+            match[rows] = lm.argmax(axis=1) == counts.targets[rows]
+            max_abs = np.maximum(max_abs, np.abs(row_max).max())
+    return max_abs, logp_sum
+
+
+def _gradient_shard(counts: CountMatrix, h, head, gh, starts: range):
+    """Writes the blocks' rows of `gh`; returns (max |row max|, the blocks'
+    V x D gW term). Non-finite values of a diverged model flow through."""
+    max_abs, gw = 0.0, np.zeros((counts.vocab_size, h.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, nz, i, cells, h_b, lm in _row_blocks(counts, h, head, starts):
+            row_max, _ = _gradient_in_place(counts, lm, rows, nz, i, cells)
+            gh[rows] = head.pullback(lm)
+            gw += lm.T @ h_b
+            max_abs = np.maximum(max_abs, np.abs(row_max).max())
+    return max_abs, gw
 
 
 def entropy_floor(counts: CountMatrix) -> float:

@@ -216,6 +216,26 @@ class TestDiagnoseCommand:
         assert calls == []
         assert "token_counts must be positive and ascending" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--token_counts", "[]", "token_counts must not be empty"),
+        ("--fractions", "[]", "fractions must hold at least one"),
+    ])
+    def test_bad_lists_refused_before_the_checkpoint_or_the_corpus(
+        self, option, value, message, trained, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("diagnose read the checkpoint or counted the corpus")
+
+        monkeypatch.setattr(cli, "load_checkpoint", no_work)
+        monkeypatch.setattr(cli, "build_counts", no_work)
+        args = _diag_args(trained, "d8")
+        if option in args:
+            args[args.index(option) + 1] = value
+        else:
+            args += [option, value]
+        assert run(args) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_empty_fractions_exit_usage(self, trained, capsys):
         assert run(_diag_args(trained, "d6") + ["--fractions", "[]"]) == cli.EXIT_USAGE
         assert "fractions" in capsys.readouterr().err
@@ -754,9 +774,13 @@ class TestSweepPool:
         args[args.index("[1,8,32,128]")] = token_counts
         assert run(args) == cli.EXIT_USAGE
         assert pools == []
-        total = corpus_mod.build_counts(corpus_mod.gen_zipf_bigram(16, 1.2, 24, 12, 4), 1)[1].total
         err = capsys.readouterr().err
-        assert "token_counts" in err and f"{total} tokens" in err
+        if token_counts == "[]":  # refused before the corpus is counted
+            assert "token_counts must not be empty" in err
+        else:
+            total = corpus_mod.build_counts(corpus_mod.gen_zipf_bigram(16, 1.2, 24, 12, 4),
+                                            1)[1].total
+            assert "token_counts" in err and f"{total} tokens" in err
 
 
 class TestSpamlangSweep:

@@ -277,6 +277,14 @@ class TestUpdateEfficiency:
         with pytest.raises(ValueError):
             efficiency(counts, params, [0.0])
 
+    def test_overflowing_logits_refused_by_the_first_pass(self):
+        counts = cp.CountMatrix.from_counts(np.array([[1, 1]]))
+        params = md.init_params(1, 2, 2, seed=0)
+        params.h[:] = 1e200
+        params.head.w[:] = 1e200
+        with pytest.raises(ValueError, match="not finite"):
+            dg.gradient_pass(counts, params)
+
     def test_empty_fractions_refused_before_any_loss(self, monkeypatch):
         counts = cp.CountMatrix.from_counts(np.array([[1, 1]]))
         params = md.init_params(1, 2, 2, seed=0)

@@ -1,7 +1,8 @@
 """Property tests: the row-block softmax kernel behind `loss`, `top1_accuracy`
 and `param_gradients` against the dense oracle
-`logit_gradient(probs_and_loss(...))` and against itself on one and two
-threads, and the memory held by triplet counts."""
+`logit_gradient(probs_and_loss(...))`, it and `diagnose`'s two threaded
+passes against themselves on one and two threads, and the memory held by
+triplet counts."""
 
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headlab import corpus as cp
+from headlab import diagnostics as dg
 from headlab import model as md
 from headlab import parallel
 from reference import logit_gradient
@@ -114,19 +116,38 @@ def _pass_bytes(result):
     return b"|".join(parts)
 
 
+def _diagnose_bytes(counts, params):
+    """Every figure of `diagnostics.gradient_pass` and `update_efficiency`, as
+    bytes, or the message of the error that refused them."""
+    try:
+        first = dg.gradient_pass(counts, params)
+    except ValueError as error:
+        return str(error)
+    curve = dg.update_efficiency(counts, params, first, [0.1, 1.0])
+    report = first.report
+    figures = [report.lost_fraction, report.cosine_mean, report.cosine_std,
+               report.per_row_lost, *vars(first.profile).values(), first.base_loss,
+               first.logit_norm, first.grad_norm, first.hidden_norm, curve.delta_logit,
+               curve.delta_hidden]
+    return b"|".join(np.asarray(x, dtype=np.float64).tobytes() for x in figures)
+
+
 @PROPERTY_SETTINGS
 @given(kernel_cases())
 def test_row_block_kernel_is_bit_identical_on_one_and_two_threads(case):
     counts, params, block_rows, shards = case
+    passes = {
+        "eval": lambda: _pass_bytes(md._row_block_pass(counts, params.h, params.head)),
+        "grad": lambda: _pass_bytes(md._row_block_pass(counts, params.h, params.head, True)),
+        "diagnose": lambda: _diagnose_bytes(counts, params),
+    }
     with kernel_layout(counts, block_rows, shards):
-        for grad in (False, True):
+        for name, run in passes.items():
             results = []
             for budget in (1, 2):
                 with mock.patch.object(parallel, "cpu_budget", lambda: budget):
-                    results.append(_pass_bytes(
-                        md._row_block_pass(counts, params.h, params.head, grad)
-                    ))
-            assert results[0] == results[1], grad
+                    results.append(run())
+            assert results[0] == results[1], name
 
 
 def test_counts_hold_no_dense_array():

@@ -1,9 +1,12 @@
 """Each public name has one import path: its submodule. The package root
-re-exports nothing, and the package holds no name that only tests use."""
+re-exports nothing, the package holds no name that only tests use, and every
+name the README cites exists."""
 
 import ast
+import functools
 import importlib
 import inspect
+import re
 import tomllib
 from pathlib import Path
 
@@ -57,3 +60,17 @@ def test_every_public_name_has_a_caller_outside_the_tests(monkeypatch):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in named]
     assert unused == []
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    """Each dotted `headlab.<module>.<name>` in README.md is an attribute of
+    its module, so a renamed or deleted name cannot stay in the docs."""
+    cited = set(re.findall(r"\bheadlab(?:\.\w+){2,}", (REPO / "README.md").read_text()))
+    unresolved = []
+    for dotted in sorted(cited):
+        _, module, *names = dotted.split(".")
+        try:
+            functools.reduce(getattr, names, importlib.import_module(f"headlab.{module}"))
+        except (ImportError, AttributeError):
+            unresolved.append(dotted)
+    assert cited and unresolved == []

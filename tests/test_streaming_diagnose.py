@@ -75,9 +75,10 @@ def block_bytes(rows, vocab_size=CORPUS["vocab_size"]):
 
 @st.composite
 def blocked_gradients(draw):
-    """(g, head, cuts): a gradient with some zero rows, a full, rank-deficient
-    or full-rank square head, and the row offsets that cut g into blocks,
-    1-row blocks included."""
+    """(g, head, cuts, run_cut): a gradient with some zero rows, a full,
+    rank-deficient or full-rank square head, the row offsets that cut g into
+    blocks, 1-row blocks included, and the index into them of the offset that
+    cuts the blocks into two runs, the second possibly empty."""
     kind = draw(st.sampled_from(["full", "deficient", "square"]))
     d = draw(st.integers(1, 5))
     v = d if kind == "square" else draw(st.integers(d + 1, 16))
@@ -88,18 +89,27 @@ def blocked_gradients(draw):
     c = draw(st.integers(1, 24))
     g = rng.normal(size=(c, v)) * 10.0 ** draw(st.integers(-3, 3))
     g[draw(st.lists(st.integers(0, c - 1), max_size=c // 2))] = 0.0
-    cuts = sorted(draw(st.sets(st.integers(1, c - 1), max_size=c - 1)) if c > 1 else [])
-    return g, md.FullHead(w), [0, *cuts, c]
+    cuts = [0, *sorted(draw(st.sets(st.integers(1, c - 1), max_size=c - 1)) if c > 1 else []), c]
+    return g, md.FullHead(w), cuts, draw(st.integers(1, len(cuts) - 1))
 
 
 @PROPERTY_SETTINGS
 @given(blocked_gradients())
 def test_merged_blocks_equal_one_block(case):
-    g, head, cuts = case
-    split, moments = dg._KernelSplit(head), dg._ProfileMoments(g.shape[1])
-    for lo, hi in zip(cuts, cuts[1:]):
-        moments.add(g[lo:hi], split.add(g[lo:hi]))
-    one_split, one_moments = dg._KernelSplit(head), dg._ProfileMoments(g.shape[1])
+    """Blocks added in row order within each of two runs, as one shard of
+    `model._sharded_pass` adds them, and the second run merged into the
+    first, equal one block."""
+    g, head, cuts, run_cut = case
+    basis = linalg.range_basis(head.matrix)
+    runs = []
+    for run in (cuts[: run_cut + 1], cuts[run_cut:]):
+        runs.append((dg._KernelSplit(basis), dg._ProfileMoments(g.shape[1])))
+        for lo, hi in zip(run, run[1:]):
+            runs[-1][1].add(g[lo:hi], runs[-1][0].add(g[lo:hi]))
+    (split, moments), (later_split, later_moments) = runs
+    split.merge(later_split)
+    moments.merge(later_moments)
+    one_split, one_moments = dg._KernelSplit(basis), dg._ProfileMoments(g.shape[1])
     one_moments.add(g, one_split.add(g))
     close(split.grad_sq, one_split.grad_sq)
     close(split.lost_sq, one_split.lost_sq)
@@ -118,7 +128,7 @@ class TestBlockwiseMatchesDense:
         root, checkpoint = trained
         counts = counted(CORPUS)
         assert counts.num_contexts % 7 != 0 and counts.num_contexts < 10**6
-        monkeypatch.setattr(dg, "BLOCK_BYTES", block_bytes(rows))
+        monkeypatch.setattr(md, "BLOCK_BYTES", block_bytes(rows))
         code, run_dir = diagnose(root, f"rows{rows}", checkpoint)
         assert code == 0
         want = diagnose_dense(counts, md.load_checkpoint(checkpoint), TOKEN_COUNTS, FRACTIONS,
@@ -141,7 +151,7 @@ class TestBlockwiseMatchesDense:
         counts = counted(CORPUS)
         v = counts.vocab_size
         params = md.init_params(counts.num_contexts, v, v, seed=3)
-        monkeypatch.setattr(dg, "BLOCK_BYTES", block_bytes(1))
+        monkeypatch.setattr(md, "BLOCK_BYTES", block_bytes(1))
         report = dg.gradient_pass(counts, params).report
         assert report.lost_fraction == 0.0 and not report.per_row_lost.any()
 
@@ -161,16 +171,24 @@ class TestGap:
         assert code == 0
         assert json.loads((run_dir / "summary.json").read_text())["eckart_young_gap"] == 0.0
 
-    def test_width_zero_is_the_frobenius_norm(self, trained):
-        # a checkpoint has width >= 1, so k = 0 is taken on the pass's Gram matrix
+    def test_width_zero_is_the_frobenius_norm(self, trained, monkeypatch):
+        # a checkpoint has width >= 1, so k = 0 is taken on the Gram matrix
+        # that gradient_gap forms
         counts = counted(CORPUS)
-        first = dg.gradient_pass(counts, md.load_checkpoint(trained[1]))
+        params = md.load_checkpoint(trained[1])
+        grams, real = [], linalg.gram_residual
+
+        def spy(gram, *args):
+            grams.append(gram.copy())
+            return real(gram, *args)
 
         def no_matrix():
             raise AssertionError("the dense gradient was rebuilt")
 
-        gap = linalg.gram_residual(first.gram, 0, min(counts.shape), no_matrix)
-        close(gap, first.grad_norm)
+        monkeypatch.setattr(linalg, "gram_residual", spy)
+        dg.gradient_gap(counts, params)
+        gap = real(grams[0], 0, min(counts.shape), no_matrix)
+        close(gap, dg.gradient_pass(counts, params).grad_norm)
 
     def test_tail_below_the_floor_rebuilds_the_dense_gradient(self, trained, monkeypatch):
         root, checkpoint = trained
@@ -182,7 +200,7 @@ class TestGap:
             return rebuilt[-1]
 
         monkeypatch.setattr(dg, "_dense_gradient", spy)
-        monkeypatch.setattr(dg, "BLOCK_BYTES", block_bytes(5))
+        monkeypatch.setattr(md, "BLOCK_BYTES", block_bytes(5))
         monkeypatch.setattr(linalg, "_GRAM_TAIL_FLOOR", 1.0)  # every tail is below it
         monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)  # the spy runs here
         code, run_dir = diagnose(root, "floor", checkpoint)
@@ -224,6 +242,23 @@ class TestGap:
         assert "numeric failure" in capsys.readouterr().err
 
 
+def test_files_are_bit_identical_at_budgets_one_and_two(trained, two_cpus, monkeypatch,
+                                                       tmp_path):
+    """Threaded passes and the fork pool at budget 2, with several row
+    blocks per run, write the bytes of the serial run at budget 1."""
+    monkeypatch.setattr(md, "BLOCK_BYTES", block_bytes(7))
+    trees = []
+    for budget in (2, 1):
+        if budget == 1:
+            monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
+        code, run_dir = diagnose(tmp_path / f"budget{budget}", "d", trained[1])
+        assert code == 0
+        trees.append({path.relative_to(run_dir): path.read_bytes()
+                      for path in sorted(run_dir.rglob("*")) if path.is_file()})
+    assert len(trees[0]) == 10
+    assert trees[0] == trees[1]
+
+
 def test_peak_memory_stays_below_one_dense_matrix(tmp_path, monkeypatch):
     """C >> V (two tokens of context), blocks of three rows and no pool: the
     traced peak of a whole `diagnose` run stays under one C x V float64
@@ -234,7 +269,7 @@ def test_peak_memory_stays_below_one_dense_matrix(tmp_path, monkeypatch):
     assert counts.num_contexts > 16 * counts.vocab_size
     md.save_checkpoint(tmp_path / "checkpoint.bin",
                        md.init_params(counts.num_contexts, counts.vocab_size, 4, seed=1))
-    monkeypatch.setattr(dg, "BLOCK_BYTES", block_bytes(3, counts.vocab_size))
+    monkeypatch.setattr(md, "BLOCK_BYTES", block_bytes(3, counts.vocab_size))
     monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)
     tracemalloc.start()
     try:

@@ -248,9 +248,9 @@ def _typed(name: str, value, default):
     """`value`, given for the config key `name`, as the type of its `default`.
 
     A whole float is taken as an int (int(8.9) is 8, so a fraction is
-    refused: the run would differ from what config.json records), an int as
-    a float, a number as a string's text, and a bool only from true, false,
-    0 or 1 (bool("False") is True). A list is typed element by element, a
+    refused: the run would differ from what config.json records), a finite
+    number as a float, a number as a string's text, and a bool only from
+    true, false, 0 or 1 (bool("False") is True). A list is typed element by element, a
     block key by key. A None default takes the annotation of the TrainConfig
     field or verifier keyword it feeds, and is otherwise a path.
     """
@@ -288,9 +288,10 @@ def _typed(name: str, value, default):
             return int(value)
         raise UsageError(f"{name} must be a whole number, got {value!r}")
     if isinstance(default, float):
-        if isinstance(value, float) or number and abs(value) <= sys.float_info.max:
+        # json.loads reads NaN and Infinity: a float must be finite
+        if number and abs(value) <= sys.float_info.max:
             return float(value)
-        raise UsageError(f"{name} must be a number, got {value!r}")
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
     if isinstance(value, str) or number:
         return str(value)
     raise UsageError(f"{name} must be a string, got {value!r}")
@@ -373,13 +374,9 @@ def _split_corpus(corpus, val_fraction: float):
         return corpus, None
     if n - n_val < 1:
         raise UsageError("val_fraction leaves no training sequences")
-    train_part = corpus_mod.Corpus(
-        corpus.vocab_size, [s.copy() for s in corpus.sequences[: n - n_val]], corpus.seed
-    )
-    val_part = corpus_mod.Corpus(
-        corpus.vocab_size, [s.copy() for s in corpus.sequences[n - n_val :]], corpus.seed
-    )
-    return train_part, val_part
+    seqs = [s.copy() for s in corpus.sequences]
+    return (corpus_mod.Corpus(corpus.vocab_size, seqs[: n - n_val]),
+            corpus_mod.Corpus(corpus.vocab_size, seqs[n - n_val :]))
 
 
 def _train_config(cfg: dict) -> TrainConfig:

@@ -17,15 +17,15 @@ import numpy as np
 
 from .tables import write_csv
 
-# Counts are stored sparsely, but the dense reference paths and the exact
-# fallback of `diagnose`'s Eckart-Young gap form C x V float64 matrices:
-# refuse corpora where one would exceed this many bytes.
+# Counts are stored sparsely, but `CountMatrix.to_dense` and the exact
+# fallback of `diagnose`'s Eckart-Young gap form C x V matrices of 8-byte
+# cells: each refuses one that would exceed this many bytes.
 MAX_DENSE_BYTES = 2 * 1024**3
 DEFAULT_CONTEXT_LEN = 16
 
 
 class ContextOverflowError(RuntimeError):
-    """A corpus's C x V float64 matrix would exceed the byte limit."""
+    """A dense C x V matrix would exceed MAX_DENSE_BYTES."""
 
 
 class CorpusFormatError(ValueError):
@@ -34,11 +34,10 @@ class CorpusFormatError(ValueError):
 
 @dataclass
 class Corpus:
-    """Token sequences with their vocabulary size and generation seed."""
+    """Token sequences with their vocabulary size."""
 
     vocab_size: int
     sequences: list
-    seed: int = 0
 
     def __post_init__(self):
         if self.vocab_size < 1:
@@ -137,9 +136,18 @@ class CountMatrix:
         order = np.lexsort((self.cols, -self.n, self.rows))
         return self.cols[order[np.searchsorted(self.rows, np.arange(self.num_contexts))]]
 
+    def check_dense(self, what: str) -> None:
+        """Refuse `what`, a C x V matrix of 8-byte cells, before it is
+        allocated when it would exceed MAX_DENSE_BYTES."""
+        c, v = self.shape
+        if c * v * 8 > MAX_DENSE_BYTES:
+            raise ContextOverflowError(f"{what}: {c} contexts x {v} tokens exceed "
+                                       f"{MAX_DENSE_BYTES} bytes as a dense matrix")
+
     def to_dense(self, normalized: bool = False) -> np.ndarray:
         """The C x V count matrix, or with `normalized` every count divided by
         its row sum (the empirical next-token distributions)."""
+        self.check_dense("the dense count matrix")
         out = np.zeros((self.num_contexts, self.vocab_size),
                        dtype=np.float64 if normalized else np.int64)
         out[self.rows, self.cols] = self.n / self.row_sums[self.rows] if normalized else self.n
@@ -153,7 +161,7 @@ def gen_spamlang(vocab_size: int, num_seqs: int, seq_len: int, seed: int) -> Cor
     rng = np.random.default_rng(seed)
     symbols = rng.integers(0, vocab_size, size=num_seqs)
     seqs = [np.full(seq_len, s, dtype=np.int64) for s in symbols]
-    return Corpus(vocab_size=vocab_size, sequences=seqs, seed=seed)
+    return Corpus(vocab_size=vocab_size, sequences=seqs)
 
 
 def zipf_weights(vocab_size: int, exponent: float) -> np.ndarray:
@@ -198,7 +206,7 @@ def gen_zipf_bigram(
     tokens[:, 0] = np.searchsorted(init_cdf, u, side="right")
     for t in range(1, seq_len):
         tokens[:, t] = _count_at_most(body, tokens[:, t - 1], rng.random(num_seqs))
-    return Corpus(vocab_size=vocab_size, sequences=list(tokens), seed=seed)
+    return Corpus(vocab_size=vocab_size, sequences=list(tokens))
 
 
 def _count_at_most(rows: np.ndarray, which: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -240,9 +248,6 @@ def _count_matrix(rows, tokens, vocab_size: int, keep_row_ids: bool = True) -> C
     """Counts of `tokens` grouped by `rows`, one row per distinct value in
     ascending order: what `CountMatrix.from_counts` builds, without its checks."""
     row_ids, local = np.unique(rows, return_inverse=True)
-    if row_ids.size * vocab_size * 8 > MAX_DENSE_BYTES:
-        raise ContextOverflowError(f"{row_ids.size} contexts x {vocab_size} tokens exceed "
-                                   f"{MAX_DENSE_BYTES} bytes as a dense float64 matrix")
     cells, n = np.unique(local * vocab_size + tokens, return_counts=True)
     row_sums = np.bincount(local)
     return CountMatrix(cells // vocab_size, cells % vocab_size, n, row_sums, vocab_size,
@@ -432,4 +437,4 @@ def load_corpus(path) -> Corpus:
             sequences.append(np.asarray(ids, dtype=np.int64))
     if not sequences:
         raise CorpusFormatError("corpus file contains no sequences")
-    return Corpus(vocab_size=vocab_size, sequences=sequences, seed=0)
+    return Corpus(vocab_size=vocab_size, sequences=sequences)

@@ -363,7 +363,9 @@ def update_efficiency(
 
 
 def _dense_gradient(counts: CountMatrix, params: md.ModelParams) -> np.ndarray:
-    """The C x V logit gradient, assembled from `model._row_blocks`."""
+    """The C x V logit gradient, assembled from `model._row_blocks`; refused
+    before it is allocated when it would exceed `corpus.MAX_DENSE_BYTES`."""
+    counts.check_dense("the Eckart-Young gap's SVD fallback (the dense logit gradient)")
     g = np.empty(counts.shape)
     for rows, nz, i, cells, _, block in md._row_blocks(counts, params.h, params.head):
         md._gradient_in_place(counts, block, rows, nz, i, cells)
@@ -376,8 +378,8 @@ def gradient_gap(counts: CountMatrix, params: md.ModelParams) -> float:
     Frobenius error of its best rank-2*width approximation, from its V x V
     Gram matrix, summed in a serial walk of `model._row_blocks`: one matrix,
     not one per thread. The dense gradient is rebuilt only where
-    `linalg.gram_residual` needs its singular values; the count matrix
-    already passed the dense-size guard."""
+    `linalg.gram_residual` needs its singular values, and refused where it
+    would exceed the dense-size guard (`_dense_gradient`)."""
     v = counts.vocab_size
     gram = np.zeros((v, v), order="F")
     for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head):

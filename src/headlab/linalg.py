@@ -103,18 +103,18 @@ def singular_values(m) -> np.ndarray:
         raise SvdConvergenceError(str(exc)) from exc
 
 
-def range_basis(w, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def range_basis(w) -> np.ndarray:
     """Orthonormal basis of range(w), as the columns of a (V, r) array.
 
     The first r columns of Q from a pivoted economic QR of the V x D `w`, r
-    counting |R_ii| > `tol` as `qr_rank` does.
+    counting |R_ii| > DEFAULT_RANK_TOL as `qr_rank` does.
     """
     a = as_matrix(w)
     v, d = a.shape
     if v < d:
         raise ValueError(f"need rows >= cols, got shape {a.shape}")
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    rank = int(np.count_nonzero(np.abs(np.diag(r)) > tol))
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > DEFAULT_RANK_TOL))
     return q[:, :rank]
 
 
@@ -130,26 +130,26 @@ def _split_rows(g: np.ndarray, basis: np.ndarray):
     return kept, g - kept
 
 
-def kernel_split(g, w, tol: float = DEFAULT_RANK_TOL):
+def kernel_split(g, w):
     """Split each row of `g` into its parts in range(w) and in ker(w.T).
 
     Returns (kept, lost), kept + lost = g, from `_split_rows` on the
     `range_basis` of the V x D `w`. At rank V `lost` is exactly zero, at
     rank 0 `kept` is.
     """
-    rows, basis = as_matrix(g), range_basis(w, tol)
+    rows, basis = as_matrix(g), range_basis(w)
     if rows.shape[1] != basis.shape[0]:
         raise ValueError(f"row dimension {rows.shape[1]} does not match head rows {basis.shape[0]}")
     return _split_rows(rows, basis)
 
 
-def kernel_basis(w, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def kernel_basis(w) -> np.ndarray:
     """Orthonormal basis of the null space of w.T, as columns of a (V, V-r) array.
 
     Computed from a pivoted full QR of `w`: the trailing V - r columns of Q,
-    where r is the diagonal count above `tol`. For inputs whose discarded
-    singular values are at rounding level (exact low rank or full rank), each
-    returned column v satisfies ||w.T @ v|| < 1e-8. This V x V construction
+    where r is the diagonal count above DEFAULT_RANK_TOL. For inputs whose
+    discarded singular values are at rounding level (exact low rank or full
+    rank), each returned column v satisfies ||w.T @ v|| < 1e-8. This V x V construction
     and `project_rows_onto_span` are the reference path `kernel_split`
     replaces; only the tests call them.
     """
@@ -158,7 +158,7 @@ def kernel_basis(w, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if v < d:
         raise ValueError(f"need rows >= cols, got shape {a.shape}")
     q, r, _ = scipy.linalg.qr(a, mode="full", pivoting=True)
-    rank = int(np.count_nonzero(np.abs(np.diag(r)) > tol))
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > DEFAULT_RANK_TOL))
     return q[:, rank:]
 
 

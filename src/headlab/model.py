@@ -88,7 +88,7 @@ class FullHead:
 
     @property
     def parts(self) -> dict:
-        """The trainable matrices, keyed by their `Gradients` field."""
+        """The head's trainable matrices by name, in checkpoint order."""
         return {"w": self.w}
 
     def logits(self, h: np.ndarray) -> np.ndarray:
@@ -102,9 +102,10 @@ class FullHead:
         """The parts' gradients from the V x D effective head gradient."""
         return {"w": gw}
 
-    def matrix_step(self, grads: "Gradients") -> np.ndarray:
-        """First-order change of the head matrix under a unit-lr step."""
-        return grads.w
+    def matrix_step(self, grads: dict) -> np.ndarray:
+        """First-order change of the head matrix under a unit-lr step, from
+        the gradients keyed as `ModelParams.parts`."""
+        return grads["w"]
 
 
 @dataclass
@@ -152,8 +153,8 @@ class FactoredHead:
     def part_grads(self, gw: np.ndarray) -> dict:
         return {"a": gw @ self.b.T, "b": self.a.T @ gw}
 
-    def matrix_step(self, grads: "Gradients") -> np.ndarray:
-        return grads.a @ self.b + self.a @ grads.b
+    def matrix_step(self, grads: dict) -> np.ndarray:
+        return grads["a"] @ self.b + self.a @ grads["b"]
 
 
 @dataclass
@@ -181,15 +182,11 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.h.copy(), self.head.copy())
 
-
-@dataclass
-class Gradients:
-    """Analytic gradient blocks, mirroring the parameter layout."""
-
-    h: np.ndarray
-    w: np.ndarray | None = None
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
+    @property
+    def parts(self) -> dict:
+        """Every trainable matrix by name, in checkpoint order: the one
+        layout that gradients, optimizer state and checkpoints follow."""
+        return {"h": self.h, **self.head.parts}
 
 
 @dataclass
@@ -208,14 +205,15 @@ class TrainConfig:
     seed: int = 0
     init_scale: float = 1.0
     eval_every: int = 100
-    update_h: bool = True
-    update_head: bool = True
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        if not self.lr >= 0:  # also refuses NaN
+            raise ValueError(f"lr must be nonnegative, got {self.lr!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
         if self.width < 1:
             raise ValueError("width must be positive")
         if self.head_rank is not None and not (1 <= self.head_rank <= self.width):
@@ -353,9 +351,9 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False
       argmax of e / z, the probabilities of `linalg.softmax_rows`, so ties
       break the same, against `counts.targets`.
     - The gradient pass (`grad`, `_gradient_shard`) returns (None,
-      max |row max|, None, Gradients): per block the logit gradient g_b,
-      gh_b = g_b W and the V x D sum of g_b^T h_b (gW, or the effective head
-      gradient behind gA and gB). No C x V gradient is formed.
+      max |row max|, None, the gradients keyed as `ModelParams.parts`): per
+      block the logit gradient g_b, gh_b = g_b W and the V x D sum of
+      g_b^T h_b (gW, or the effective head gradient behind gA and gB). No C x V gradient is formed.
     A row's normalizer is non-finite exactly when its max is, so a
     non-finite max |row max| signals divergence, and then equals max |logit|.
     """
@@ -370,7 +368,7 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False
         gw = shards[0][1]
         for shard in shards[1:]:
             gw += shard[1]
-        logp_sum, match, grads = None, None, Gradients(h=gh, **head.part_grads(gw))
+        logp_sum, match, grads = None, None, {"h": gh, **head.part_grads(gw)}
     else:
         counts.targets  # filled here: the shards only read the cached argmax
         match = np.empty(c, dtype=bool)
@@ -468,30 +466,20 @@ def smoothed_log_target(counts: CountMatrix, delta: float = INTERIOR_SMOOTHING) 
     return np.log((1.0 - delta) * counts.to_dense(normalized=True) + delta / v)
 
 
-def param_gradients(counts: CountMatrix, params: ModelParams) -> Gradients:
-    """Exact analytic gradients for the representations and the head."""
+def param_gradients(counts: CountMatrix, params: ModelParams) -> dict:
+    """Exact analytic gradients of every part, keyed as `params.parts`."""
     return _row_block_pass(counts, params.h, params.head, grad=True)[3]
 
 
-def first_order_logit_update(
-    counts: CountMatrix,
-    params: ModelParams,
-    update_h: bool = True,
-    update_head: bool = True,
-) -> np.ndarray:
-    """Rescaled first-order logit change under one plain gradient step.
-
-    Equals -(grad_H @ W^T + H @ grad_W^T) when both parameter groups move;
-    either term can be switched off. Its rank is at most twice the head width
-    for a full head.
+def first_order_logit_update(counts: CountMatrix, params: ModelParams) -> np.ndarray:
+    """Rescaled first-order logit change under one plain gradient step of
+    every part: -(grad_H @ W^T + H @ grad_W^T). Its rank is at most twice the
+    head width for a full head.
     """
     grads = param_gradients(counts, params)
-    wm = params.head.matrix
     delta = np.zeros((params.num_contexts, params.vocab_size))
-    if update_h:
-        delta -= grads.h @ wm.T
-    if update_head:
-        delta -= params.h @ params.head.matrix_step(grads).T
+    delta -= grads["h"] @ params.head.matrix.T
+    delta -= params.h @ params.head.matrix_step(grads).T
     return delta
 
 
@@ -530,34 +518,26 @@ def _lr_at(config: TrainConfig, step: int) -> float:
 
 
 class _Optimizer:
-    """Plain gradient descent, or Adam with bias correction, over H and the
-    head's parts. Adam's moment rows of H are only touched when the
+    """Plain gradient descent, or Adam with bias correction, over every part
+    of `ModelParams.parts`. Adam's moment rows of H are only touched when the
     corresponding context appears in the step's batch."""
 
     def __init__(self, config: TrainConfig, params: ModelParams):
         self.config = config
         self.t = 0
-        moments = self._parts(params) if config.optimizer == "adam" else {}
+        moments = params.parts if config.optimizer == "adam" else {}
         self.m = {name: np.zeros_like(p) for name, p in moments.items()}
         self.v = {name: np.zeros_like(p) for name, p in moments.items()}
 
-    def _parts(self, params: ModelParams) -> dict:
-        """The matrices this optimizer moves, keyed by their `Gradients` field."""
-        cfg = self.config
-        return {
-            **({"h": params.h} if cfg.update_h else {}),
-            **(params.head.parts if cfg.update_head else {}),
-        }
-
-    def step(self, params: ModelParams, grads: Gradients, lr: float, h_rows=None):
+    def step(self, params: ModelParams, grads: dict, lr: float, h_rows=None):
         cfg = self.config
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         self.t += 1
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        for name, target in self._parts(params).items():
+        for name, target in params.parts.items():
             rows = h_rows if name == "h" and h_rows is not None else slice(None)
-            grad = getattr(grads, name)
+            grad = grads[name]
             if cfg.optimizer == "gd":
                 target[rows] -= lr * grad
             else:
@@ -683,7 +663,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<4q", c, v, d, r))
-        for mat in (params.h, *head.parts.values()):
+        for mat in params.parts.values():
             fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
 
 

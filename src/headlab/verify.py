@@ -390,11 +390,11 @@ def verify_batch_rank_floor(
     batch_fraction: float = 0.25,
     delta_grid=(1e-4, 1e-3, 1e-2, 1e-1),
     seed: int = 0,
-    max_context_len: int = 1,
     assert_delta: float = 1e-3,
     rank_tol: float = RANK_TOL,
 ) -> dict | None:
-    """Check the in-batch rank floor on one corpus and one batch draw.
+    """Check the in-batch rank floor on one corpus and one batch draw, its
+    contexts one token long.
 
     Builds predictions P = (1 - delta) * normalized + delta * uniform for
     each delta, and requires rank(P_batch - batch-normalized counts) to reach
@@ -412,7 +412,7 @@ def verify_batch_rank_floor(
         deltas.append(float(assert_delta))
         deltas.sort()
     rng = np.random.default_rng(seed)
-    table, counts = build_counts(corpus, max_context_len)
+    table, counts = build_counts(corpus, 1)
     num_seqs = len(corpus.sequences)
     k = max(1, int(round(batch_fraction * num_seqs)))
     batch_ids = rng.choice(num_seqs, size=k, replace=False)

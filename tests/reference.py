@@ -34,7 +34,7 @@ def logit_state(counts, params):
     return lm, base_loss, p, logit_gradient(counts, p)
 
 
-def lost_norm_fraction(g, head, rank_tol=linalg.DEFAULT_RANK_TOL):
+def lost_norm_fraction(g, head):
     """Fraction of ||g||_F that lies in the kernel of the head transpose.
 
     This is exactly the part of the logit gradient that cannot reach any
@@ -44,18 +44,18 @@ def lost_norm_fraction(g, head, rank_tol=linalg.DEFAULT_RANK_TOL):
     total = np.linalg.norm(g)
     if total == 0.0:
         return 0.0
-    _, lost = linalg.kernel_split(g, head.matrix, rank_tol)
+    _, lost = linalg.kernel_split(g, head.matrix)
     return float(np.linalg.norm(lost) / total)
 
 
-def compression_dense(g, head, rank_tol=linalg.DEFAULT_RANK_TOL):
+def compression_dense(g, head):
     """(lost_fraction, cosine_mean, cosine_std, per_row_lost, lost): the
     kernel split of the whole C x V gradient at once."""
     g = np.asarray(g, dtype=np.float64)
     total = np.linalg.norm(g)
     if total == 0.0:
         return 0.0, 0.0, 0.0, np.zeros(len(g)), np.zeros_like(g)
-    kept, lost = linalg.kernel_split(g, head.matrix, rank_tol)
+    kept, lost = linalg.kernel_split(g, head.matrix)
     row_norms = np.linalg.norm(g, axis=1)
     nz = row_norms > 0
     per_row = np.zeros(g.shape[0])
@@ -138,16 +138,14 @@ def diagnose_dense(counts, params, token_counts, fractions, seed):
     }
 
 
-def exact_logit_update(counts, params, lr, update_h=True, update_head=True):
+def exact_logit_update(counts, params, lr):
     """(logits(params - lr * grad) - logits(params)) / lr, computed exactly."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     grads = md.param_gradients(counts, params)
     stepped = params.copy()
-    parts = {**({"h": stepped.h} if update_h else {}),
-             **(stepped.head.parts if update_head else {})}
-    for name, mat in parts.items():
-        mat -= lr * getattr(grads, name)
+    for name, mat in stepped.parts.items():
+        mat -= lr * grads[name]
     return (md.logits(stepped) - md.logits(params)) / lr
 
 
@@ -169,7 +167,7 @@ def gen_zipf_bigram_dense(vocab_size, exponent, num_seqs, seq_len, seed):
         u = rng.random(num_seqs)
         tokens[:, t] = (rows <= u[:, None]).sum(axis=1)
     np.clip(tokens, 0, vocab_size - 1, out=tokens)
-    return cp.Corpus(vocab_size=vocab_size, sequences=list(tokens), seed=seed)
+    return cp.Corpus(vocab_size=vocab_size, sequences=list(tokens))
 
 
 def gen_zipf_bigram_out_of_place(vocab_size, exponent, num_seqs, seq_len, seed):
@@ -186,4 +184,4 @@ def gen_zipf_bigram_out_of_place(vocab_size, exponent, num_seqs, seq_len, seed):
     tokens[:, 0] = np.searchsorted(init_cdf, u, side="right")
     for t in range(1, seq_len):
         tokens[:, t] = cp._count_at_most(body, tokens[:, t - 1], rng.random(num_seqs))
-    return cp.Corpus(vocab_size=vocab_size, sequences=list(tokens), seed=seed)
+    return cp.Corpus(vocab_size=vocab_size, sequences=list(tokens))

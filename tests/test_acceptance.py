@@ -133,17 +133,17 @@ def test_criterion_01_gradient_correctness():
         worst = max(worst, rel_err(logit_gradient(counts, p), fd_l))
 
         grads = md.param_gradients(counts, params)
-        worst = max(worst, rel_err(grads.h, fd_gradient(lambda: md.loss(counts, params), params.h)))
+        worst = max(worst, rel_err(grads["h"], fd_gradient(lambda: md.loss(counts, params), params.h)))
         if r is None:
             worst = max(
-                worst, rel_err(grads.w, fd_gradient(lambda: md.loss(counts, params), params.head.w))
+                worst, rel_err(grads["w"], fd_gradient(lambda: md.loss(counts, params), params.head.w))
             )
         else:
             worst = max(
-                worst, rel_err(grads.a, fd_gradient(lambda: md.loss(counts, params), params.head.a))
+                worst, rel_err(grads["a"], fd_gradient(lambda: md.loss(counts, params), params.head.a))
             )
             worst = max(
-                worst, rel_err(grads.b, fd_gradient(lambda: md.loss(counts, params), params.head.b))
+                worst, rel_err(grads["b"], fd_gradient(lambda: md.loss(counts, params), params.head.b))
             )
     elapsed = time.monotonic() - started
     report(

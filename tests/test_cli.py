@@ -15,7 +15,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headlab import cli, parallel
+from headlab import cli, linalg, parallel
 from headlab import corpus as corpus_mod
 from headlab import model
 from headlab import verify as vf
@@ -381,7 +381,6 @@ NON_DEFAULT = {
     "steps": 9, "lr": 0.25, "width": 6, "head_rank": 3, "optimizer": "gd",
     "adam_beta1": 0.5, "adam_beta2": 0.75, "adam_eps": 1e-7, "warmup_steps": 3,
     "batch_sequences": 2, "seed": 4, "init_scale": 0.5, "eval_every": 7,
-    "update_h": False, "update_head": False,
 }
 TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
@@ -440,12 +439,22 @@ class TestTrainConfigKeys:
 
     def test_json_numbers_are_cast_to_field_types(self, seen, tmp_path):
         args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "6",
-                "--corpus.seq_len", "5", "--steps", "12.0", "--lr", "1", "--update_h", "0",
-                "--eval_every", "1e3"]
+                "--corpus.seq_len", "5", "--steps", "12.0", "--lr", "1", "--eval_every", "1e3"]
         assert run(args) == cli.EXIT_NUMERIC
         tc = seen[0]
-        assert (tc.steps, tc.lr, tc.update_h, tc.eval_every) == (12, 1.0, False, 1000)
+        assert (tc.steps, tc.lr, tc.eval_every) == (12, 1.0, 1000)
         assert type(tc.steps) is int and type(tc.lr) is float
+
+    @pytest.mark.parametrize("value", ["0", "false"])
+    def test_json_false_and_zero_leave_out_the_full_baseline(self, value, tmp_path):
+        args = ["bottleneck-sweep", "--out", str(tmp_path), *TINY_BOTTLENECK,
+                "--include_full_baseline", value]
+        assert run(args) == 0
+        config = json.loads((tmp_path / "bottleneck" / "config.json").read_text())
+        assert config["include_full_baseline"] is False
+        with open(tmp_path / "bottleneck" / "bottleneck.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["head"] == "factored" for row in rows)
 
 
     @pytest.mark.parametrize("flag, value", [
@@ -460,20 +469,43 @@ class TestTrainConfigKeys:
 
     @pytest.mark.parametrize("value", ["False", "2", "1.0", '"true"'])
     def test_bool_field_refuses_other_values(self, value, tmp_path, capsys):
-        args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "4",
-                "--corpus.seq_len", "5", "--steps", "3", "--update_h", value]
+        args = ["bottleneck-sweep", "--out", str(tmp_path), *TINY_BOTTLENECK,
+                "--include_full_baseline", value]
         assert run(args) == cli.EXIT_USAGE
-        assert "update_h" in capsys.readouterr().err
+        assert "include_full_baseline" in capsys.readouterr().err
 
-    def test_json_false_keeps_the_rows_fixed(self, tmp_path):
-        args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "4",
-                "--corpus.seq_len", "5", "--steps", "3", "--update_h", "false",
-                "--snapshot_steps", "[0]"]
-        assert run(args) == 0
-        start = load_checkpoint(tmp_path / "train" / "checkpoint_step0.bin")
-        end = load_checkpoint(tmp_path / "train" / "checkpoint.bin")
-        assert np.array_equal(start.h, end.h)
-        assert not np.array_equal(start.head.w, end.head.w)
+    @pytest.mark.parametrize("args, key", [
+        (["gen-corpus", "--exponent", "NaN", "--vocab_size", "8", "--num_seqs", "3",
+          "--seq_len", "6"], "exponent"),
+        (["train", "--lr", "Infinity"], "lr"),
+        (["train", "--lr", "NaN"], "lr"),
+        (["train", "--init_scale", "-Infinity"], "init_scale"),
+        (["train", "--corpus.exponent", "NaN"], "corpus.exponent"),
+        (["spamlang-sweep", "--lrs", "[0.01, NaN]"], "lrs"),
+        (["diagnose", "--fractions", "[Infinity]"], "fractions"),
+        (["verify", "--rank_tol", "NaN"], "rank_tol"),
+        (["verify", "--batch_rank_floor.delta_grid", "[0.001, Infinity]"],
+         "batch_rank_floor.delta_grid"),
+    ])
+    def test_non_finite_float_exits_usage_naming_the_key(self, args, key, tmp_path, capsys):
+        assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE
+        assert f"error: {key} must be a finite number" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("summary.json"))
+
+    @pytest.mark.parametrize("args, key", [
+        (["train", "--adam_beta1", "1"], "adam_beta1"),
+        (["train", "--adam_beta2", "1.5"], "adam_beta2"),
+        (["train", "--adam_beta1", "-0.1"], "adam_beta1"),
+        (["spamlang-sweep", *TINY_SPAM, "--adam_beta2", "1"], "adam_beta2"),
+        (["bottleneck-sweep", *TINY_BOTTLENECK, "--adam_beta1", "1"], "adam_beta1"),
+    ])
+    def test_adam_beta_outside_the_unit_interval_exits_usage(self, args, key, tmp_path, capsys):
+        args = args[:1] + ["--out", str(tmp_path)] + args[1:]
+        if args[0] == "train":
+            args += ["--corpus.num_seqs", "4", "--corpus.seq_len", "5", "--steps", "3"]
+        assert run(args) == cli.EXIT_USAGE
+        assert f"error: {key} must lie in [0, 1)" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("summary.json"))
 
     def test_snapshot_step_beyond_the_run_exits_usage(self, tmp_path, capsys):
         args = ["train", "--out", str(tmp_path), "--corpus.num_seqs", "4",
@@ -1148,11 +1180,27 @@ class TestArgHandling:
         assert a == (tmp_path / "b" / "corpus" / "corpus.txt").read_bytes()
         assert run(["train", "--out", str(tmp_path / "c"), "--config", str(sidecar)]) == 1
 
-    def test_dense_size_guard(self, tmp_path, capsys):
-        # three contexts over four billion tokens: ~96 GB as a dense matrix;
-        # fails here, before any allocation, if the guard is gone
-        assert 3 * 4_000_000_000 * 8 > corpus_mod.MAX_DENSE_BYTES
-        path = tmp_path / "huge.txt"
-        path.write_text("#vocab 4000000000\n1 2 3\n")
-        assert run(["train", "--out", str(tmp_path), "--corpus", str(path), "--steps", "1"]) == 1
-        assert "bytes as a dense float64 matrix" in capsys.readouterr().err
+
+class TestDenseSizeGuard:
+    """With room for no dense C x V matrix, `train` and `diagnose` still run
+    on their row blocks; the paths that form one exit 1 before allocating."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_limit(self, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 64)
+
+    def test_train_and_diagnose_stream(self, trained):
+        # the fixture's train ran under the limit too: C x V = 16 x 16
+        assert run(_diag_args(trained, "streamed")) == 0
+        assert (trained / "streamed" / "summary.json").exists()
+
+    def test_to_dense_exits_usage(self, tmp_path, capsys):
+        assert run(["verify", "--out", str(tmp_path)] + TestVerifyCommand.TINY) == 1
+        assert "the dense count matrix" in capsys.readouterr().err
+        assert not (tmp_path / "verify" / "summary.json").exists()
+
+    def test_svd_fallback_of_the_gap_exits_usage(self, trained, monkeypatch, capsys):
+        monkeypatch.setattr(linalg, "_GRAM_TAIL_FLOOR", 1.0)  # every tail takes the fallback
+        assert run(_diag_args(trained, "fallback")) == 1
+        assert "SVD fallback" in capsys.readouterr().err
+        assert not (trained / "fallback" / "summary.json").exists()

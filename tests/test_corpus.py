@@ -178,18 +178,24 @@ class TestBuildCounts:
     def test_sequence_order_insensitive_up_to_row_permutation(self):
         c = cp.gen_zipf_bigram(6, 1.2, 10, 8, seed=29)
         perm = list(reversed(range(10)))
-        shuffled = cp.Corpus(6, [c.sequences[i] for i in perm], c.seed)
+        shuffled = cp.Corpus(6, [c.sequences[i] for i in perm])
         t1, n1 = cp.build_counts(c, 2)
         t2, n2 = cp.build_counts(shuffled, 2)
         assert counts_as_dict(t1, n1) == counts_as_dict(t2, n2)
         assert n1.total == n2.total
 
-    def test_context_cap(self, monkeypatch):
-        # room for a dense 4-context x 8-token float64 matrix, no more
+    def test_dense_cap_refuses_to_dense_only(self, monkeypatch):
+        # room for a dense 4-context x 8-token matrix, no more: counting and
+        # batches stay sparse and run, the dense matrix is refused
         monkeypatch.setattr(cp, "MAX_DENSE_BYTES", 4 * 8 * 8)
         c = cp.gen_zipf_bigram(8, 1.0, 10, 10, seed=1)
-        with pytest.raises(cp.ContextOverflowError):
-            cp.build_counts(c, 3)
+        table, counts = cp.build_counts(c, 3)
+        batch = cp.batch_counts(table, range(5))
+        assert counts.num_contexts > 4 and batch.num_contexts > 4
+        for normalized in (False, True):
+            with pytest.raises(cp.ContextOverflowError, match="the dense count matrix"):
+                counts.to_dense(normalized)
+        assert cp.CountMatrix.from_counts(np.ones((4, 8))).to_dense().shape == (4, 8)
 
 
 class TestBatchCounts:
@@ -287,7 +293,6 @@ class TestCorpusIo:
         cp.save_corpus(path, c)
         loaded = cp.load_corpus(path)
         assert loaded.vocab_size == 10
-        assert loaded.seed == 0
         assert all(np.array_equal(a, b) for a, b in zip(loaded.sequences, c.sequences))
 
     def test_header_format(self, tmp_path):

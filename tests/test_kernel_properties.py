@@ -68,7 +68,8 @@ def kernel_layout(counts, block_rows, shards):
 
 
 def dense_oracle(counts, params):
-    """(loss, top-1 matches, Gradients) through C x V matrices."""
+    """(loss, top-1 matches, gradients keyed as `params.parts`) through
+    C x V matrices."""
     h = params.h if counts.row_ids is None else params.h[counts.row_ids]
     p, loss_value = md.probs_and_loss(counts, md.logits(md.ModelParams(h, params.head)))
     match = p.argmax(axis=1) == counts.to_dense(normalized=True).argmax(axis=1)
@@ -76,9 +77,9 @@ def dense_oracle(counts, params):
     head = params.head
     if isinstance(head, md.FactoredHead):
         gw_eff = g.T @ h
-        grads = md.Gradients(h=(g @ head.a) @ head.b, a=gw_eff @ head.b.T, b=head.a.T @ gw_eff)
+        grads = {"h": (g @ head.a) @ head.b, "a": gw_eff @ head.b.T, "b": head.a.T @ gw_eff}
     else:
-        grads = md.Gradients(h=g @ head.w, w=g.T @ h)
+        grads = {"h": g @ head.w, "w": g.T @ h}
     return loss_value, match, grads
 
 
@@ -93,13 +94,10 @@ def test_row_block_kernel_matches_dense_oracle(case):
         got = md.param_gradients(counts, params)
     assert abs(got_loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
     assert top1 == (float(min((counts.weights * match).sum(), 1.0)), float(match.mean()))
-    for name in ("h", "w", "a", "b"):
-        expected = getattr(want, name)
-        if expected is None:
-            assert getattr(got, name) is None
-        else:
-            assert getattr(got, name).shape == expected.shape
-            np.testing.assert_allclose(getattr(got, name), expected, rtol=1e-10, atol=1e-13)
+    assert list(got) == list(want)
+    for name, expected in want.items():
+        assert got[name].shape == expected.shape
+        np.testing.assert_allclose(got[name], expected, rtol=1e-10, atol=1e-13)
 
 
 def _pass_bytes(result):
@@ -111,8 +109,7 @@ def _pass_bytes(result):
     if match is not None:
         parts.append(match.tobytes())
     if grads is not None:
-        parts += [getattr(grads, name).tobytes() for name in ("h", "w", "a", "b")
-                  if getattr(grads, name) is not None]
+        parts += [grad.tobytes() for grad in grads.values()]
     return b"|".join(parts)
 
 

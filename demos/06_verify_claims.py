@@ -8,11 +8,11 @@ counterexample).
 from headlab.verify import run_all
 
 results = run_all(seed=0, sizes={
-    "loss_floor": {"trials": 400},
-    "logit_rank_caps": {"trials": 200},
+    "loss_floor": {"instances": 400},
+    "logit_rank_caps": {"instances": 200},
     "top1_reachability": {"instances": 12},
     "error_rank_floor": {"instances": 80},
-    "batch_rank_floor": {"n_instances": 25},
+    "batch_rank_floor": {"instances": 25},
     "update_residual_gap": {"instances": 50},
 })
 

@@ -118,7 +118,7 @@ VERIFY_DEFAULTS = {
     "name": "verify",
     "seed": 0,
     "rank_tol": verify.RANK_TOL,
-    # one block per check: its verifier's keyword defaults
+    # one block per check: its verifier's instance count, {"instances": N}
     **{
         check_id: {
             name: param.default
@@ -232,16 +232,9 @@ def _parse_overrides(tokens) -> dict:
 # values that mean a full head / full-batch training
 _NONE_ALIASES = {"head_rank": (None, 0, "full"), "batch_sequences": (None, 0)}
 
-# a key whose default is None takes the annotation of the TrainConfig field or
-# verifier keyword it feeds; any other such key is a path
-_ANNOTATIONS = {
-    **typing.get_type_hints(TrainConfig),
-    **{
-        f"{check_id}.{name}": param.annotation
-        for check_id, check in verify.CHECKS.items()
-        for name, param in inspect.signature(check, eval_str=True).parameters.items()
-    },
-}
+# a key whose default is None takes the annotation of the TrainConfig field
+# it feeds; any other such key is a path
+_ANNOTATIONS = typing.get_type_hints(TrainConfig)
 
 
 def _typed(name: str, value, default):
@@ -252,7 +245,7 @@ def _typed(name: str, value, default):
     number as a float, a number as a string's text, and a bool only from
     true, false, 0 or 1 (bool("False") is True). A list is typed element by element, a
     block key by key. A None default takes the annotation of the TrainConfig
-    field or verifier keyword it feeds, and is otherwise a path.
+    field it feeds, and is otherwise a path.
     """
     if isinstance(default, dict):
         if isinstance(value, dict):
@@ -430,12 +423,11 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
 def run_train(config: dict, run_dir: Path) -> dict:
     corpus = _make_corpus(config["corpus"])
     train_part, val_part = _split_corpus(corpus, config["val_fraction"])
-    mcl = config["max_context_len"]
-    table, counts = build_counts(train_part, mcl)
+    table, counts = build_counts(train_part, config["max_context_len"])
     val_counts = None
     skipped = 0
     if val_part is not None:
-        val_counts, skipped = counts_for_table(val_part, table, mcl)
+        val_counts, skipped = counts_for_table(val_part, table)
     result = train(counts, _train_config(config), val_counts=val_counts,
                    snapshot_steps=config["snapshot_steps"], table=table)
     save_checkpoint(run_dir / "checkpoint.bin", result.params)
@@ -466,12 +458,7 @@ def run_diagnose(config: dict, run_dir: Path) -> dict:
     fractions = diagnostics.check_fractions(config["fractions"])
     params = load_checkpoint(config["checkpoint"])
     corpus = _make_corpus(config["corpus"])
-    table, counts = build_counts(corpus, config["max_context_len"])
-    if params.h.shape[0] != counts.num_contexts or params.vocab_size != counts.vocab_size:
-        raise CheckpointError(
-            f"checkpoint dimensions (C={params.h.shape[0]}, V={params.vocab_size}) do not "
-            f"match the corpus counts (C={counts.num_contexts}, V={counts.vocab_size})"
-        )
+    _, counts = build_counts(corpus, config["max_context_len"])
     sizes = [k for k in token_counts if k <= counts.total]
     if not sizes:
         raise UsageError(
@@ -769,9 +756,8 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
             f"val_fraction {config['val_fraction']} leaves no validation sequences of "
             f"{len(corpus.sequences)}; bottleneck-sweep ranks the heads by validation loss"
         )
-    mcl = config["max_context_len"]
-    table, counts = build_counts(train_part, mcl)
-    val_counts, _ = counts_for_table(val_part, table, mcl)
+    table, counts = build_counts(train_part, config["max_context_len"])
+    val_counts, _ = counts_for_table(val_part, table)
 
     variants = [(r, False) for r in ranks]
     if config["include_full_baseline"]:

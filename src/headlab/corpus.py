@@ -19,13 +19,22 @@ from .tables import write_csv
 
 # Counts are stored sparsely, but `CountMatrix.to_dense` and the exact
 # fallback of `diagnose`'s Eckart-Young gap form C x V matrices of 8-byte
-# cells: each refuses one that would exceed this many bytes.
+# cells, and `model.init_params` the C x D rows and the V x D head: each
+# refuses (`check_dense`) one that would exceed this many bytes.
 MAX_DENSE_BYTES = 2 * 1024**3
 DEFAULT_CONTEXT_LEN = 16
 
 
 class ContextOverflowError(RuntimeError):
-    """A dense C x V matrix would exceed MAX_DENSE_BYTES."""
+    """A dense matrix would exceed MAX_DENSE_BYTES."""
+
+
+def check_dense(what: str, rows: int, cols: int) -> None:
+    """Refuse `what`, a rows x cols matrix of 8-byte cells, before it is
+    allocated when it would exceed MAX_DENSE_BYTES."""
+    if rows * cols * 8 > MAX_DENSE_BYTES:
+        raise ContextOverflowError(f"{what}: {rows} x {cols} exceed "
+                                   f"{MAX_DENSE_BYTES} bytes as a dense matrix")
 
 
 class CorpusFormatError(ValueError):
@@ -136,18 +145,10 @@ class CountMatrix:
         order = np.lexsort((self.cols, -self.n, self.rows))
         return self.cols[order[np.searchsorted(self.rows, np.arange(self.num_contexts))]]
 
-    def check_dense(self, what: str) -> None:
-        """Refuse `what`, a C x V matrix of 8-byte cells, before it is
-        allocated when it would exceed MAX_DENSE_BYTES."""
-        c, v = self.shape
-        if c * v * 8 > MAX_DENSE_BYTES:
-            raise ContextOverflowError(f"{what}: {c} contexts x {v} tokens exceed "
-                                       f"{MAX_DENSE_BYTES} bytes as a dense matrix")
-
     def to_dense(self, normalized: bool = False) -> np.ndarray:
         """The C x V count matrix, or with `normalized` every count divided by
         its row sum (the empirical next-token distributions)."""
-        self.check_dense("the dense count matrix")
+        check_dense("the dense count matrix (contexts x tokens)", *self.shape)
         out = np.zeros((self.num_contexts, self.vocab_size),
                        dtype=np.float64 if normalized else np.int64)
         out[self.rows, self.cols] = self.n / self.row_sums[self.rows] if normalized else self.n
@@ -292,19 +293,15 @@ def batch_counts(table: ContextTable, batch) -> CountMatrix:
     return _count_matrix(table.token_rows[idx], table.tokens[idx], table.vocab_size)
 
 
-def counts_for_table(
-    corpus: Corpus, table: ContextTable, max_context_len: int = DEFAULT_CONTEXT_LEN
-):
-    """Count a (held-out) corpus against an existing table.
+def counts_for_table(corpus: Corpus, table: ContextTable):
+    """Count a (held-out) corpus against an existing table, its contexts as
+    long as the table's keys.
 
     Tokens whose context key is absent from the table are skipped. Returns
     (CountMatrix with row_ids into the table, skipped token count).
     """
-    tokens, _, keys = _token_keys(corpus, max_context_len)
-    width = max(table.keys.shape[1], max_context_len)
-    padded = [np.pad(k, ((0, 0), (width - k.shape[1], 0)), constant_values=-1)
-              for k in (table.keys, keys)]
-    inv = np.unique(_row_scalars(np.concatenate(padded)), return_inverse=True)[1]
+    tokens, _, keys = _token_keys(corpus, table.keys.shape[1])
+    inv = np.unique(_row_scalars(np.concatenate((table.keys, keys))), return_inverse=True)[1]
     row_of = np.full(inv.max() + 1, -1)
     row_of[inv[: len(table)]] = np.arange(len(table))
     rows = row_of[inv[len(table) :]]

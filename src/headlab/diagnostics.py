@@ -27,7 +27,7 @@ import scipy.linalg.blas
 
 from . import linalg
 from . import model as md
-from .corpus import CountMatrix
+from .corpus import CountMatrix, check_dense
 from .tables import write_csv
 
 @dataclass
@@ -52,6 +52,7 @@ def gradient_rank_curve(
     probabilities minus the token's one-hot.
     """
     sizes = check_token_counts(token_counts)
+    md._check_shape(counts, params.h, params.head)
     if sizes[-1] > counts.total:
         raise ValueError(
             f"requested {sizes[-1]} tokens but the corpus holds {counts.total}"
@@ -365,7 +366,7 @@ def update_efficiency(
 def _dense_gradient(counts: CountMatrix, params: md.ModelParams) -> np.ndarray:
     """The C x V logit gradient, assembled from `model._row_blocks`; refused
     before it is allocated when it would exceed `corpus.MAX_DENSE_BYTES`."""
-    counts.check_dense("the Eckart-Young gap's SVD fallback (the dense logit gradient)")
+    check_dense("the Eckart-Young gap's SVD fallback (the dense logit gradient)", *counts.shape)
     g = np.empty(counts.shape)
     for rows, nz, i, cells, _, block in md._row_blocks(counts, params.h, params.head):
         md._gradient_in_place(counts, block, rows, nz, i, cells)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .corpus import ContextTable, CountMatrix, batch_counts
+from .corpus import ContextTable, CountMatrix, batch_counts, check_dense
 from .parallel import map_threads
 from .tables import write_csv
 
@@ -284,11 +284,15 @@ def init_params(
     seed: int = 0,
     rng=None,
 ) -> ModelParams:
-    """Fan-in-scaled normal initialization for all parameter matrices."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    """Fan-in-scaled normal initialization for all parameter matrices. The
+    C x D rows and the V x D head are refused before they are allocated when
+    either would exceed `corpus.MAX_DENSE_BYTES`."""
     if init_scale <= 0:
         raise ValueError("init_scale must be positive")
+    check_dense("the model's context rows (contexts x width)", num_contexts, width)
+    check_dense("the model's head (tokens x width)", vocab_size, width)
+    if rng is None:
+        rng = np.random.default_rng(seed)
     h = rng.normal(0.0, init_scale / math.sqrt(width), size=(num_contexts, width))
     if head_rank is None:
         w = rng.normal(0.0, init_scale / math.sqrt(width), size=(vocab_size, width))
@@ -357,11 +361,7 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False
     A row's normalizer is non-finite exactly when its max is, so a
     non-finite max |row max| signals divergence, and then equals max |logit|.
     """
-    c, v = counts.shape
-    if (counts.row_ids is None and h.shape[0] != c) or head.vocab_size != v:
-        raise ValueError(
-            f"model shape ({h.shape[0]}, {head.vocab_size}) does not match counts shape {counts.shape}"
-        )
+    c = counts.num_contexts
     if grad:
         gh = np.empty((c, h.shape[1]))
         shards = _sharded_pass(_gradient_shard, counts, h, head, gh)
@@ -398,11 +398,22 @@ def _block_starts(counts: CountMatrix) -> range:
     return range(0, counts.num_contexts, max(1, BLOCK_BYTES // (8 * counts.vocab_size)))
 
 
+def _check_shape(counts: CountMatrix, h: np.ndarray, head) -> None:
+    """Refuse a model whose rows `h` or whose head's vocabulary do not match
+    `counts`; `h` holds every context row where the counts carry `row_ids`."""
+    if ((counts.row_ids is None and h.shape[0] != counts.num_contexts)
+            or head.vocab_size != counts.vocab_size):
+        raise ValueError(f"model shape ({h.shape[0]}, {head.vocab_size}) does not match "
+                         f"counts shape {counts.shape}")
+
+
 def _row_blocks(counts: CountMatrix, h, head, starts: range | None = None):
     """(rows, nz, i, cells, h_b, logits) per row block beginning at `starts`
     (a slice of `_block_starts`, by default all of it): its row slice, the
     slice of its count triplets, their rows in the block, their flat indices
-    into its C-ordered logits, its rows of `h` and its logits h_b W^T."""
+    into its C-ordered logits, its rows of `h` and its logits h_b W^T. A
+    model of the wrong shape is refused (`_check_shape`) at the first block."""
+    _check_shape(counts, h, head)
     starts = _block_starts(counts) if starts is None else starts
     bounds = np.searchsorted(counts.rows, [*starts, starts.stop])
     for lo, nz_lo, nz_hi in zip(starts, bounds[:-1], bounds[1:]):

@@ -117,24 +117,16 @@ def _positive(**counts) -> None:
             raise ValueError(f"{name} must be positive")
 
 
-def _sizes(dims, names) -> tuple:
-    """`dims` as one size per name, refused if it holds another number of sizes."""
-    if len(dims) != len(names):
-        raise ValueError(f"dims must hold {len(names)} sizes ({', '.join(names)}), "
-                         f"got {list(dims)}")
-    return tuple(dims)
-
-
-def verify_loss_floor(trials: int = 1000, dims=(10, 12, 4), seed: int = 0) -> VerificationResult:
-    """Loss >= weighted empirical entropy; equality at the matched model."""
-    _positive(trials=trials)
-    c_max, v_max, d_max = _sizes(dims, ("c_max", "v_max", "d_max"))
+def verify_loss_floor(instances: int = 1000, seed: int = 0) -> VerificationResult:
+    """Loss >= weighted empirical entropy; equality at the matched model.
+    C is drawn from [1, 10], V from [2, 12] and D from [1, 4]."""
+    _positive(instances=instances)
     rng = np.random.default_rng(seed)
     details, margins = [], []
-    for _ in range(trials):
-        c = int(rng.integers(1, c_max + 1))
-        v = int(rng.integers(2, v_max + 1))
-        d = int(rng.integers(1, d_max + 1))
+    for _ in range(instances):
+        c = int(rng.integers(1, 11))
+        v = int(rng.integers(2, 13))
+        d = int(rng.integers(1, 5))
         counts = _random_counts(rng, c, v)
         params = init_params(c, v, d, rng=rng)
         slack = loss(counts, params) - entropy_floor(counts)
@@ -153,19 +145,17 @@ def verify_loss_floor(trials: int = 1000, dims=(10, 12, 4), seed: int = 0) -> Ve
 
 
 def verify_logit_rank_caps(
-    trials: int = 500, dims=(10, 16, 4), seed: int = 0, rank_tol: float = RANK_TOL
+    instances: int = 500, seed: int = 0, rank_tol: float = RANK_TOL
 ) -> VerificationResult:
-    """rank(logits) <= width and rank(log-softmax(logits)) <= width + 1."""
-    _positive(trials=trials)
-    c_max, v_max, d_max = _sizes(dims, ("c_max", "v_max", "d_max"))
-    if v_max < d_max + 3:
-        raise ValueError("need v_max >= d_max + 3")
+    """rank(logits) <= width and rank(log-softmax(logits)) <= width + 1.
+    D is drawn from [1, 4], V from [D + 3, 16] and C from [2, 10]."""
+    _positive(instances=instances)
     rng = np.random.default_rng(seed)
     details, margins = [], []
-    for _ in range(trials):
-        d = int(rng.integers(1, d_max + 1))
-        v = int(rng.integers(d + 3, v_max + 1))
-        c = int(rng.integers(2, c_max + 1))
+    for _ in range(instances):
+        d = int(rng.integers(1, 5))
+        v = int(rng.integers(d + 3, 17))
+        c = int(rng.integers(2, 11))
         h = rng.normal(size=(c, d))
         w = rng.normal(size=(v, d))
         lm = h @ w.T
@@ -249,20 +239,17 @@ def construct_top1(counts: CountMatrix, epsilon: float) -> ModelParams:
 
 
 def verify_top1_reachability(
-    instances: int = 20,
-    dims=(64, 256),
-    epsilon: float = 1e-3,
-    seed: int = 0,
-    rank_tol: float = RANK_TOL,
+    instances: int = 20, seed: int = 0, rank_tol: float = RANK_TOL
 ) -> VerificationResult:
-    """construct_top1 meets its epsilon across random target matrices."""
+    """construct_top1 meets an epsilon of 1e-3 across random target matrices,
+    C drawn from [1, 64] and V from [2, 256]."""
     _positive(instances=instances)
-    c_max, v_max = _sizes(dims, ("c_max", "v_max"))
+    epsilon = 1e-3
     rng = np.random.default_rng(seed)
     details, margins = [], []
     for _ in range(instances):
-        c = int(rng.integers(1, c_max + 1))
-        v = int(rng.integers(2, v_max + 1))
+        c = int(rng.integers(1, 65))
+        v = int(rng.integers(2, 257))
         n = rng.integers(0, 5, size=(c, v))
         # mix in one-hot and near-uniform rows to hit both ends of the range
         for i in range(c):
@@ -324,14 +311,15 @@ def _svd_rank(m, tol: float = RANK_TOL) -> int:
 
 
 def verify_error_rank_floor(
-    instances: int = 200, seed: int = 0, v_max: int = 32, rank_tol: float = RANK_TOL
+    instances: int = 200, seed: int = 0, rank_tol: float = RANK_TOL
 ) -> VerificationResult:
-    """rank(P - normalized counts) >= min(#unique continuation tokens, V-1)."""
+    """rank(P - normalized counts) >= min(#unique continuation tokens, V-1),
+    V drawn from [4, 32]."""
     _positive(instances=instances)
     rng = np.random.default_rng(seed)
     details, margins = [], []
     for _ in range(instances):
-        v = int(rng.integers(4, v_max + 1))
+        v = int(rng.integers(4, 33))
         n_unique = int(rng.integers(1, v + 1))
         c = min(64, n_unique + int(rng.integers(0, 9)))
         counts, tokens = _plant_unique_structure(rng, c, v, n_unique)
@@ -386,35 +374,25 @@ def unique_batch_contexts(counts: CountMatrix, batch: CountMatrix):
 
 
 def verify_batch_rank_floor(
-    corpus: Corpus,
-    batch_fraction: float = 0.25,
-    delta_grid=(1e-4, 1e-3, 1e-2, 1e-1),
-    seed: int = 0,
-    assert_delta: float = 1e-3,
-    rank_tol: float = RANK_TOL,
+    corpus: Corpus, seed: int = 0, rank_tol: float = RANK_TOL
 ) -> dict | None:
-    """Check the in-batch rank floor on one corpus and one batch draw, its
-    contexts one token long.
+    """Check the in-batch rank floor on one corpus and one batch draw of a
+    quarter of its sequences, its contexts one token long.
 
     Builds predictions P = (1 - delta) * normalized + delta * uniform for
-    each delta, and requires rank(P_batch - batch-normalized counts) to reach
-    min(#unique distinct batch continuations, V - 1) at `assert_delta`.
+    each delta of 1e-4, 1e-3, 1e-2 and 1e-1, and requires
+    rank(P_batch - batch-normalized counts) to reach
+    min(#unique distinct batch continuations, V - 1) at delta = 1e-3.
     Returns the instance's row: its unique batch contexts, that bound,
-    whether it held at `assert_delta` (1 or 0), the largest delta at which it
-    held and the max-norm error of P at `assert_delta`. An instance with no
-    qualifying context, or whose co-occurrence graph is not connected, does
-    not qualify and returns None.
+    whether it held at 1e-3 (1 or 0), the largest delta at which it held and
+    the max-norm error of P at 1e-3. An instance with no qualifying context,
+    or whose co-occurrence graph is not connected, does not qualify and
+    returns None.
     """
-    if not 0 < batch_fraction <= 1:
-        raise ValueError("batch_fraction must lie in (0, 1]")
-    deltas = sorted(float(d) for d in delta_grid)
-    if assert_delta not in deltas:
-        deltas.append(float(assert_delta))
-        deltas.sort()
     rng = np.random.default_rng(seed)
     table, counts = build_counts(corpus, 1)
     num_seqs = len(corpus.sequences)
-    k = max(1, int(round(batch_fraction * num_seqs)))
+    k = max(1, int(round(0.25 * num_seqs)))
     batch_ids = rng.choice(num_seqs, size=k, replace=False)
     batch = batch_counts(table, batch_ids)
     rows, tokens = unique_batch_contexts(counts, batch)
@@ -428,13 +406,13 @@ def verify_batch_rank_floor(
     bound = min(rows.size, v - 1)
     largest_held = None
     batch_normalized = batch.to_dense(normalized=True)
-    for delta in deltas:
+    for delta in (1e-4, 1e-3, 1e-2, 1e-1):
         p = (1.0 - delta) * normalized + delta / v
         diff = p[batch.row_ids] - batch_normalized
         held = min(linalg.qr_rank(diff, rank_tol), _svd_rank(diff, rank_tol)) >= bound
         if held:
             largest_held = delta
-        if delta == assert_delta:
+        if delta == 1e-3:
             held_at_assert = int(held)
             inf_err = float(np.abs(p[rows] - normalized[rows]).max())
     return {
@@ -447,43 +425,26 @@ def verify_batch_rank_floor(
 
 
 def batch_rank_floor_suite(
-    n_instances: int = 50,
-    vocab_size: int = 32,
-    batch_fraction: float = 0.25,
-    delta_grid=(1e-4, 1e-3, 1e-2, 1e-1),
-    seed: int = 0,
-    assert_delta: float = 1e-3,
-    num_seqs: int = 24,
-    seq_len: int = 9,
-    exponent: float = 0.9,
-    max_attempts: int | None = None,
-    rank_tol: float = RANK_TOL,
+    instances: int = 50, seed: int = 0, rank_tol: float = RANK_TOL
 ) -> VerificationResult:
-    """Run the batch rank floor over seeded corpora until enough instances
-    satisfy the connectivity precondition; non-qualifying draws count as skipped."""
-    if max_attempts is None:
-        max_attempts = 20 * n_instances
-    _positive(n_instances=n_instances, max_attempts=max_attempts)
+    """Run the batch rank floor over seeded Zipf bigram corpora (V = 32,
+    exponent 0.9, 24 sequences of 9 tokens) until `instances` of them
+    satisfy the connectivity precondition; non-qualifying draws count as
+    skipped. At most 20 draws per instance are made."""
+    _positive(instances=instances)
     details = []
     attempt = 0
-    while len(details) < n_instances and attempt < max_attempts:
+    while len(details) < instances and attempt < 20 * instances:
         corpus_seed = seed * 1_000_003 + attempt
-        corpus = gen_zipf_bigram(vocab_size, exponent, num_seqs, seq_len, corpus_seed)
-        row = verify_batch_rank_floor(
-            corpus,
-            batch_fraction=batch_fraction,
-            delta_grid=delta_grid,
-            seed=corpus_seed + 1,
-            assert_delta=assert_delta,
-            rank_tol=rank_tol,
-        )
+        corpus = gen_zipf_bigram(32, 0.9, 24, 9, corpus_seed)
+        row = verify_batch_rank_floor(corpus, seed=corpus_seed + 1, rank_tol=rank_tol)
         attempt += 1
         if row is not None:
             details.append({"corpus_seed": corpus_seed, **row})
-    if len(details) < n_instances:
+    if len(details) < instances:
         raise ValueError(
-            f"max_attempts {max_attempts} is too small: only {len(details)} of "
-            f"{n_instances} instances met the connectivity precondition"
+            f"only {len(details)} of {instances} instances met the connectivity "
+            f"precondition in {attempt} draws"
         )
     margins = [0.0 if det["held_at_assert_delta"] else -1.0 for det in details]
     return _finish("batch_rank_floor", seed, details, margins, skipped=attempt - len(details))
@@ -548,22 +509,18 @@ CHECKS = {
 }
 
 
-# the verifiers' keywords that count instances, trials or draws
-_COUNT_KEYS = ("trials", "instances", "n_instances", "max_attempts")
-
-
 def run_all(seed: int = 0, rank_tol: float = RANK_TOL, sizes: dict | None = None) -> dict:
     """Run every registered check; returns {check_id: VerificationResult}.
 
-    `sizes` maps a check id to keyword arguments of its verifier. `rank_tol`
-    goes to every verifier that takes one. Every block's counts are checked
-    before the first check draws, and a ValueError a verifier raises is
-    raised again prefixed with its check id.
+    `sizes` maps a check id to the keyword arguments of its verifier, which
+    are `{"instances": N}` or none. `rank_tol` goes to every verifier that
+    takes one. Every block's count is checked before the first check draws,
+    and a ValueError a verifier raises is raised again prefixed with its
+    check id.
     """
     sizes = sizes or {}
-    for check_id, block in sizes.items():
-        _positive(**{f"{check_id}.{key}": value for key, value in block.items()
-                     if key in _COUNT_KEYS and value is not None})
+    _positive(**{f"{check_id}.instances": block["instances"]
+                 for check_id, block in sizes.items() if "instances" in block})
     results = {}
     for check_id, check in CHECKS.items():
         kwargs = {**sizes.get(check_id, {}), "seed": seed}

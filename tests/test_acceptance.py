@@ -155,27 +155,27 @@ def test_criterion_01_gradient_correctness():
 
 def test_criterion_02_loss_floor():
     started = time.monotonic()
-    res = vf.verify_loss_floor(trials=1000, seed=0)
+    res = vf.verify_loss_floor()
     elapsed = time.monotonic() - started
     report(
         "criterion 2: loss floor holds with tight equality branch",
         res.violations == 0 and elapsed < 10.0,
-        f"{res.instances_tested} trials, worst margin {res.worst_margin:.2e}, {elapsed:.1f}s",
+        f"{res.instances_tested} instances, worst margin {res.worst_margin:.2e}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_03_logit_rank_caps():
-    res = vf.verify_logit_rank_caps(trials=500, seed=0)
+    res = vf.verify_logit_rank_caps()
     report(
         "criterion 3: logit and log-prob rank caps",
         res.violations == 0,
-        f"{res.instances_tested} trials",
+        f"{res.instances_tested} instances",
     )
 
 
 def test_criterion_04_top1_construction():
     started = time.monotonic()
-    res = vf.verify_top1_reachability(instances=20, dims=(64, 256), epsilon=1e-3, seed=0)
+    res = vf.verify_top1_reachability()
     # pin the extreme corner explicitly: C = 64, V = 256
     rng = np.random.default_rng(7)
     n = rng.integers(0, 4, size=(64, 256))
@@ -199,7 +199,7 @@ def test_criterion_04_top1_construction():
 
 
 def test_criterion_05_error_rank_floor():
-    res = vf.verify_error_rank_floor(instances=200, seed=0, v_max=32)
+    res = vf.verify_error_rank_floor()
     svd_ok = all(d["rank_svd"] >= d["bound"] for d in res.details)
     report(
         "criterion 5: prediction-error rank floor with SVD cross-check",
@@ -209,7 +209,7 @@ def test_criterion_05_error_rank_floor():
 
 
 def test_criterion_06_update_residual_gap():
-    res = vf.verify_update_residual_gap(instances=100, seed=0)
+    res = vf.verify_update_residual_gap()
     strict = min(
         min(d["excess_raw"] for d in res.details),
         min(d["excess_weighted"] for d in res.details),
@@ -222,9 +222,7 @@ def test_criterion_06_update_residual_gap():
 
 
 def test_criterion_07_batch_rank_floor():
-    res = vf.batch_rank_floor_suite(
-        n_instances=50, vocab_size=32, batch_fraction=0.25, seed=0, assert_delta=1e-3
-    )
+    res = vf.batch_rank_floor_suite()
     report(
         "criterion 7: in-batch rank floor on connected instances",
         res.violations == 0 and res.instances_tested == 50,
@@ -329,9 +327,9 @@ def test_criterion_12_determinism(tmp_path):
         "--eval_every", "50", "--val_fraction", "0.2", "--batch_sequences", "8",
     ]
     verify_args = [
-        "verify", "--loss_floor.trials", "60", "--logit_rank_caps.trials", "40",
+        "verify", "--loss_floor.instances", "60", "--logit_rank_caps.instances", "40",
         "--top1_reachability.instances", "4", "--error_rank_floor.instances", "20",
-        "--batch_rank_floor.n_instances", "6", "--update_residual_gap.instances", "12",
+        "--batch_rank_floor.instances", "6", "--update_residual_gap.instances", "12",
     ]
     compared = 0
     for args in (spam_args, bottleneck_args, train_args, verify_args):

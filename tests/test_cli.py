@@ -244,11 +244,11 @@ class TestDiagnoseCommand:
 
 class TestVerifyCommand:
     TINY = [
-        "--loss_floor.trials", "40", "--logit_rank_caps.trials", "30",
-        "--top1_reachability.instances", "3", "--top1_reachability.dims", "[12,32]",
-        "--error_rank_floor.instances", "15", "--batch_rank_floor.n_instances", "5",
-        "--update_residual_gap.instances", "10",
+        "--loss_floor.instances", "40", "--logit_rank_caps.instances", "30",
+        "--top1_reachability.instances", "3", "--error_rank_floor.instances", "15",
+        "--batch_rank_floor.instances", "5", "--update_residual_gap.instances", "10",
     ]
+    COUNT_KEYS = [f"{check_id}.instances" for check_id in vf.CHECKS]
 
     def test_clean_run_exits_zero(self, tmp_path):
         assert run(["verify", "--out", str(tmp_path)] + self.TINY) == 0
@@ -301,31 +301,14 @@ class TestVerifyCommand:
         code = run(["verify", "--out", str(tmp_path)] + self.TINY)
         assert code == cli.EXIT_VIOLATION
 
-    @pytest.mark.parametrize("check, dims", [
-        ("loss_floor", "[3,3]"), ("logit_rank_caps", "[10,16,4,2]"),
-        ("top1_reachability", "[12]"),
-    ])
-    def test_wrong_number_of_dims_exits_usage(self, check, dims, tmp_path, capsys):
-        args = ["verify", "--out", str(tmp_path)] + self.TINY + [f"--{check}.dims", dims]
-        assert run(args) == cli.EXIT_USAGE
-        assert "dims" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", [
-        "logit_rank_caps.trials", "top1_reachability.instances", "error_rank_floor.instances",
-        "batch_rank_floor.n_instances", "batch_rank_floor.max_attempts",
-        "update_residual_gap.instances",
-    ])
+    @pytest.mark.parametrize("key", COUNT_KEYS)
     def test_count_below_one_exits_usage(self, key, tmp_path, capsys):
         args = ["verify", "--out", str(tmp_path)] + self.TINY + [f"--{key}", "0"]
         assert run(args) == cli.EXIT_USAGE
         assert f"{key.split('.')[1]} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "verify" / "summary.json").exists()
 
-    @pytest.mark.parametrize("key", [
-        "loss_floor.trials", "logit_rank_caps.trials", "top1_reachability.instances",
-        "error_rank_floor.instances", "batch_rank_floor.n_instances",
-        "batch_rank_floor.max_attempts", "update_residual_gap.instances",
-    ])
+    @pytest.mark.parametrize("key", COUNT_KEYS)
     def test_count_refused_naming_its_check_before_any_check_runs(
         self, key, monkeypatch, tmp_path, capsys
     ):
@@ -344,28 +327,32 @@ class TestVerifyCommand:
         assert f"error: {key} must be positive" in capsys.readouterr().err
         assert ran == []
 
-    def test_verifier_error_names_its_check(self, tmp_path, capsys):
-        args = ["verify", "--out", str(tmp_path)] + self.TINY + ["--top1_reachability.dims", "[12]"]
-        assert run(args) == cli.EXIT_USAGE
-        assert "error: top1_reachability: dims must hold 2 sizes" in capsys.readouterr().err
-
-    def test_too_few_attempts_exit_usage_without_a_traceback(self, tmp_path, capsys):
-        args = (["verify", "--out", str(tmp_path)] + self.TINY
-                + ["--batch_rank_floor.max_attempts", "1"])
-        assert run(args) == cli.EXIT_USAGE
+    def test_verifier_error_names_its_check_without_a_traceback(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a spamlang context continues one way in the whole corpus, so no
+        # draw meets the batch floor's precondition
+        monkeypatch.setattr(vf, "gen_zipf_bigram", lambda v, exponent, num_seqs, seq_len, seed:
+                            corpus_mod.gen_spamlang(v, num_seqs, seq_len, seed))
+        assert run(["verify", "--out", str(tmp_path)] + self.TINY) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "error: batch_rank_floor: max_attempts 1 is too small" in err
+        assert "error: batch_rank_floor: only 0 of 5 instances" in err
         assert "Traceback" not in err
         assert not (tmp_path / "verify" / "summary.json").exists()
 
-    def test_every_registered_check_has_a_size_block(self):
+    def test_every_registered_check_has_a_count_block(self):
         assert set(cli.VERIFY_DEFAULTS) - {"name", "seed", "rank_tol"} == set(vf.CHECKS)
+        for check_id in vf.CHECKS:
+            assert list(cli.VERIFY_DEFAULTS[check_id]) == ["instances"]
 
     def test_sidecar_lists_every_verifier_size(self, tmp_path):
         assert run(["verify", "--out", str(tmp_path)] + self.TINY) == 0
         sidecar = json.loads((tmp_path / "verify" / "config.json").read_text())
-        assert sidecar["loss_floor"] == {"trials": 40, "dims": [10, 12, 4]}
-        assert sidecar["batch_rank_floor"]["delta_grid"] == [1e-4, 1e-3, 1e-2, 1e-1]
+        assert {check_id: sidecar[check_id] for check_id in vf.CHECKS} == {
+            "loss_floor": {"instances": 40}, "logit_rank_caps": {"instances": 30},
+            "top1_reachability": {"instances": 3}, "error_rank_floor": {"instances": 15},
+            "batch_rank_floor": {"instances": 5}, "update_residual_gap": {"instances": 10},
+        }
 
     def test_command_matches_run_all(self, tmp_path):
         assert run(["verify", "--out", str(tmp_path), "--seed", "3", "--rank_tol", "1e-5"]
@@ -484,8 +471,6 @@ class TestTrainConfigKeys:
         (["spamlang-sweep", "--lrs", "[0.01, NaN]"], "lrs"),
         (["diagnose", "--fractions", "[Infinity]"], "fractions"),
         (["verify", "--rank_tol", "NaN"], "rank_tol"),
-        (["verify", "--batch_rank_floor.delta_grid", "[0.001, Infinity]"],
-         "batch_rank_floor.delta_grid"),
     ])
     def test_non_finite_float_exits_usage_naming_the_key(self, args, key, tmp_path, capsys):
         assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE
@@ -627,12 +612,12 @@ class TestTypedConfig:
         assert not list(tmp_path.iterdir())
 
     def test_whole_float_verifier_size(self, tmp_path):
-        args = ["--loss_floor.trials", "5.0", *TestVerifyCommand.TINY[2:]]
+        args = ["--loss_floor.instances", "5.0", *TestVerifyCommand.TINY[2:]]
         assert run(["verify", "--out", str(tmp_path)] + args) == 0
         summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
         assert summary["checks"]["loss_floor"]["instances"] == 5
         sidecar = json.loads((tmp_path / "verify" / "config.json").read_text())
-        assert type(sidecar["loss_floor"]["trials"]) is int
+        assert type(sidecar["loss_floor"]["instances"]) is int
 
     @settings(settings.get_profile("deterministic"), max_examples=40)
     @given(data=st.data())
@@ -1182,17 +1167,31 @@ class TestArgHandling:
 
 
 class TestDenseSizeGuard:
-    """With room for no dense C x V matrix, `train` and `diagnose` still run
-    on their row blocks; the paths that form one exit 1 before allocating."""
+    """With room for the model's matrices but for no dense C x V matrix of
+    its corpus, `train` and `diagnose` still run on their row blocks; the
+    paths that form one exit 1 before allocating."""
 
     @pytest.fixture(autouse=True)
     def tiny_limit(self, monkeypatch):
-        monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 64)
+        # the fixture's model: 16 x 4 rows and a 16 x 4 head of 512 bytes each;
+        # its 16 x 16 count matrix takes 2048
+        monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 1024)
 
     def test_train_and_diagnose_stream(self, trained):
-        # the fixture's train ran under the limit too: C x V = 16 x 16
+        # the fixture's train ran under the limit too
         assert run(_diag_args(trained, "streamed")) == 0
         assert (trained / "streamed" / "summary.json").exists()
+
+    def test_model_over_the_limit_exits_usage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 64)
+        args = ["train", "--out", str(tmp_path), "--width", "4", "--steps", "2",
+                "--corpus.vocab_size", "16", "--corpus.num_seqs", "24", "--corpus.seq_len", "12",
+                "--max_context_len", "1"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "the model's context rows (contexts x width): " in err and " x 4 exceed 64 bytes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "train" / "summary.json").exists()
 
     def test_to_dense_exits_usage(self, tmp_path, capsys):
         assert run(["verify", "--out", str(tmp_path)] + TestVerifyCommand.TINY) == 1

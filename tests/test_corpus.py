@@ -243,7 +243,7 @@ class TestCountsForTable:
         train = cp.Corpus(4, [[0, 1, 2]])
         held = cp.Corpus(4, [[0, 1, 3], [3, 3]])
         table, _ = cp.build_counts(train, 2)
-        counts, skipped = cp.counts_for_table(held, table, 2)
+        counts, skipped = cp.counts_for_table(held, table)
         # known contexts: (), (0,), (0,1); only (3,) from seq 2 is unknown
         assert skipped == 1
         assert counts.total == 4

@@ -59,7 +59,6 @@ def counting_cases(draw):
         "mcl": draw(st.integers(0, 4)),
         "batch": draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1, max_size=8)),
         "held": held,
-        "held_mcl": draw(st.integers(0, 4)),
     }
 
 
@@ -96,14 +95,14 @@ def test_batch_counts_matches_loop(case):
 @given(counting_cases())
 def test_counts_for_table_matches_loop(case):
     v, seqs, mcl = case["vocab_size"], case["seqs"], case["mcl"]
-    held, held_mcl = case["held"], case["held_mcl"]
+    held = case["held"]
     table, _ = cp.build_counts(cp.Corpus(v, seqs), mcl)
-    rows, n, skipped = reference_counts(held, v, held_mcl, reference_index(seqs, mcl))
+    rows, n, skipped = reference_counts(held, v, mcl, reference_index(seqs, mcl))
     if rows.size == 0:
         with pytest.raises(ValueError):
-            cp.counts_for_table(cp.Corpus(v, held), table, held_mcl)
+            cp.counts_for_table(cp.Corpus(v, held), table)
         return
-    got, got_skipped = cp.counts_for_table(cp.Corpus(v, held), table, held_mcl)
+    got, got_skipped = cp.counts_for_table(cp.Corpus(v, held), table)
     assert got_skipped == skipped
     assert np.array_equal(got.row_ids, rows)
     assert np.array_equal(got.to_dense(), n)

@@ -308,3 +308,39 @@ class TestEckartYoungGap:
     def test_width_zero_gap_is_full_norm(self):
         m = np.eye(7)
         assert linalg.best_rank_k_residual(m, 0) == pytest.approx(np.linalg.norm(m), abs=1e-12)
+
+
+class TestModelShapeRefused:
+    """Every walk of a model's logits, and the rank curve, refuses a model
+    whose rows or vocabulary do not match the counts, naming both shapes."""
+
+    ENTRY_POINTS = {
+        "loss": lambda counts, params, good: md.loss(counts, params),
+        "top1_accuracy": lambda counts, params, good: md.top1_accuracy(counts, params),
+        "param_gradients": lambda counts, params, good: md.param_gradients(counts, params),
+        "gradient_pass": lambda counts, params, good: dg.gradient_pass(counts, params),
+        "gradient_gap": lambda counts, params, good: dg.gradient_gap(counts, params),
+        "update_efficiency": lambda counts, params, good: dg.update_efficiency(
+            counts, params, dg.gradient_pass(counts, good), [0.1]),
+        "gradient_rank_curve": lambda counts, params, good: dg.gradient_rank_curve(
+            counts, params, [1, 8]),
+    }
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        # C = 256 at V = 512 fills two row blocks of 128 rows exactly
+        counts = cp.CountMatrix.from_counts(
+            np.random.default_rng(3).integers(0, 2, size=(256, 512)) + np.eye(256, 512, dtype=int))
+        assert counts.num_contexts % md._block_starts(counts).step == 0
+        return counts
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("extra_rows, extra_tokens", [(1, 0), (-1, 0), (0, 1)])
+    def test_wrong_shape_raises_naming_both_shapes(self, counts, entry, extra_rows, extra_tokens):
+        c, v = counts.shape
+        good = md.init_params(c, v, 4, seed=0)
+        params = md.init_params(c + extra_rows, v + extra_tokens, 4, seed=0)
+        with pytest.raises(ValueError) as exc:
+            self.ENTRY_POINTS[entry](counts, params, good)
+        assert f"({c + extra_rows}, {v + extra_tokens})" in str(exc.value)
+        assert f"{counts.shape}" in str(exc.value)

@@ -92,6 +92,34 @@ class TestLogits:
             md.ModelParams(np.zeros((2, 3)), md.FullHead(np.zeros((4, 2))))
 
 
+class TestInitParamsSizeGuard:
+    """The C x D rows and the V x D head are refused, naming their sizes,
+    before any of them is drawn."""
+
+    class NoDraw:
+        def normal(self, *args, **kwargs):
+            raise AssertionError("a matrix was drawn")
+
+    @pytest.fixture(autouse=True)
+    def tiny_limit(self, monkeypatch):
+        monkeypatch.setattr(cp, "MAX_DENSE_BYTES", 4 * 4 * 8)
+
+    def test_at_the_limit_draws(self):
+        params = md.init_params(4, 4, 4, head_rank=2, seed=0)
+        assert params.h.shape == (4, 4) and params.head.matrix.shape == (4, 4)
+
+    @pytest.mark.parametrize("sizes, head_rank, what, shape", [
+        ((5, 4, 4), None, "context rows", "5 x 4"),
+        ((4, 5, 4), None, "head", "5 x 4"),
+        ((4, 5, 4), 2, "head", "5 x 4"),
+        ((4, 4, 5), None, "context rows", "4 x 5"),
+    ])
+    def test_over_the_limit_refused_before_any_draw(self, sizes, head_rank, what, shape):
+        with pytest.raises(cp.ContextOverflowError,
+                           match=rf"^the model's {what} \(.*\): {shape} exceed 128 bytes"):
+            md.init_params(*sizes, head_rank=head_rank, rng=self.NoDraw())
+
+
 class TestLoss:
     def test_matched_interior_model_hits_floor(self):
         rng = np.random.default_rng(2)

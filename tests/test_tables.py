@@ -70,9 +70,9 @@ def test_every_float_cell_of_a_run_is_its_repr(tmp_path):
          "--val_fraction", "0.25", *corpus],
         ["diagnose", "--checkpoint", f"{out}/train/checkpoint.bin", "--token_counts", "[1,8,32]",
          *corpus],
-        ["verify", "--loss_floor.trials", "20", "--logit_rank_caps.trials", "20",
-         "--top1_reachability.instances", "2", "--top1_reachability.dims", "[12,32]",
-         "--error_rank_floor.instances", "10", "--batch_rank_floor.n_instances", "3",
+        ["verify", "--loss_floor.instances", "20", "--logit_rank_caps.instances", "20",
+         "--top1_reachability.instances", "2", "--error_rank_floor.instances", "10",
+         "--batch_rank_floor.instances", "3",
          "--update_residual_gap.instances", "10"],
         ["bottleneck-sweep", "--vocab_size", "24", "--width", "6", "--ranks", "[2,6]",
          "--seeds", "[0]", "--num_seqs", "24", "--seq_len", "12", "--steps", "20",

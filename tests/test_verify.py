@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ class TestLossFloor:
         assert dev < 1e-8
 
     def test_small_battery_clean(self):
-        res = vf.verify_loss_floor(trials=150, seed=3)
+        res = vf.verify_loss_floor(instances=150, seed=3)
         assert res.passed
         assert res.instances_tested == 150
         assert res.worst_margin >= 0.0
@@ -43,11 +45,11 @@ class TestLogitRankCaps:
         assert linalg.qr_rank(linalg.log_softmax_rows(lm)) <= 2
 
     def test_small_battery_clean(self):
-        res = vf.verify_logit_rank_caps(trials=120, seed=5)
+        res = vf.verify_logit_rank_caps(instances=120, seed=5)
         assert res.passed
 
     def test_degenerate_tolerance_collapses_ranks(self):
-        res = vf.verify_logit_rank_caps(trials=30, seed=5, rank_tol=1e6)
+        res = vf.verify_logit_rank_caps(instances=30, seed=5, rank_tol=1e6)
         # every measured rank degenerates to zero, so the caps hold vacuously
         assert res.passed
         assert all(d["logit_rank"] == 0 for d in res.details)
@@ -85,7 +87,7 @@ class TestConstructTop1:
         assert linalg.qr_rank(params.head.w) == 2
 
     def test_small_battery_clean(self):
-        res = vf.verify_top1_reachability(instances=8, dims=(24, 64), seed=11)
+        res = vf.verify_top1_reachability(instances=8, seed=11)
         assert res.passed
         assert res.worst_margin > 0.0
 
@@ -152,7 +154,7 @@ class TestBatchRankFloor:
             assert row["max_inf_error"] <= 1e-3
 
     def test_small_suite_clean(self):
-        res = vf.batch_rank_floor_suite(n_instances=10, seed=29)
+        res = vf.batch_rank_floor_suite(instances=10, seed=29)
         assert res.passed
         assert res.instances_tested == 10
         for det in res.details:
@@ -191,13 +193,18 @@ class TestResultPlumbing:
         assert a.details == b.details
 
     def test_seed_changes_details_not_outcome(self):
-        a = vf.verify_loss_floor(trials=60, seed=1)
-        b = vf.verify_loss_floor(trials=60, seed=2)
+        a = vf.verify_loss_floor(instances=60, seed=1)
+        b = vf.verify_loss_floor(instances=60, seed=2)
         assert a.passed and b.passed
         assert a.details != b.details
 
+    def test_one_verifier_signature(self):
+        for check_id, check in vf.CHECKS.items():
+            names = list(inspect.signature(check).parameters)
+            assert names in (["instances", "seed"], ["instances", "seed", "rank_tol"]), check_id
+
     def test_writers(self, tmp_path):
-        res = vf.verify_logit_rank_caps(trials=10, seed=43)
+        res = vf.verify_logit_rank_caps(instances=10, seed=43)
         res.write_json(tmp_path / "res.json")
         res.write_instances_csv(tmp_path / "res.csv")
         import json
@@ -209,31 +216,13 @@ class TestResultPlumbing:
         assert lines[0].startswith("instance,")
         assert len(lines) == 11
 
-    @pytest.mark.parametrize("check, sizes", [
-        (vf.verify_loss_floor, 3), (vf.verify_logit_rank_caps, 3),
-        (vf.verify_top1_reachability, 2),
-    ])
-    def test_dims_of_the_wrong_length_refused_before_any_draw(self, check, sizes, monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("an instance was drawn")
-
-        monkeypatch.setattr(vf.np.random, "default_rng", no_draw)
-        for dims in ([4] * (sizes - 1), [12] * (sizes + 1)):
-            with pytest.raises(ValueError, match=f"dims must hold {sizes} sizes"):
-                check(dims=dims)
-
-    @pytest.mark.parametrize("check, key", [
-        (vf.verify_loss_floor, "trials"), (vf.verify_logit_rank_caps, "trials"),
-        (vf.verify_top1_reachability, "instances"), (vf.verify_error_rank_floor, "instances"),
-        (vf.batch_rank_floor_suite, "n_instances"), (vf.batch_rank_floor_suite, "max_attempts"),
-        (vf.verify_update_residual_gap, "instances"),
-    ])
+    @pytest.mark.parametrize("check_id", list(vf.CHECKS))
     @pytest.mark.parametrize("count", [0, -3])
-    def test_count_below_one_refused_before_any_draw(self, check, key, count, monkeypatch):
+    def test_count_below_one_refused_before_any_draw(self, check_id, count, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("an instance was drawn")
 
         monkeypatch.setattr(vf.np.random, "default_rng", no_draw)
         monkeypatch.setattr(vf, "gen_zipf_bigram", no_draw)
-        with pytest.raises(ValueError, match=f"^{key} must be positive$"):
-            check(**{key: count})
+        with pytest.raises(ValueError, match="^instances must be positive$"):
+            vf.CHECKS[check_id](instances=count)

@@ -290,9 +290,19 @@ def _typed(name: str, value, default):
     raise UsageError(f"{name} must be a string, got {value!r}")
 
 
+def _unknown_keys(block: dict, template: dict, prefix: str = "") -> list:
+    """The dotted keys of `block`, in every nested block, that `template` lacks."""
+    unknown = [prefix + key for key in block if key not in template]
+    for key, value in block.items():
+        if isinstance(template.get(key), dict) and isinstance(value, dict):
+            unknown += _unknown_keys(value, template[key], f"{prefix}{key}.")
+    return unknown
+
+
 def _typed_block(block: dict, template: dict, prefix: str = "") -> dict:
-    """Every key of `block` typed by `_typed`; a key `template` lacks is refused."""
-    unknown = sorted(prefix + key for key in set(block) - set(template))
+    """Every key of `block` typed by `_typed`; the keys `template` lacks, in
+    this block and every nested one, are refused together."""
+    unknown = sorted(_unknown_keys(block, template, prefix))
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     return {key: _typed(prefix + key, value, template[key]) for key, value in block.items()}

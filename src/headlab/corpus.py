@@ -225,24 +225,56 @@ def _count_at_most(rows: np.ndarray, which: np.ndarray, u: np.ndarray) -> np.nda
     return lo
 
 
-def _token_keys(corpus: Corpus, max_context_len: int):
-    """(tokens, sequence offsets, keys): every token's context key as a row,
-    right-aligned and left-padded with -1 to `max_context_len` columns."""
-    tokens = np.concatenate(corpus.sequences)
-    lengths = [len(s) for s in corpus.sequences]
-    starts = np.concatenate(([0], np.cumsum(lengths)))
-    pos = np.arange(tokens.size) - np.repeat(starts[:-1], lengths)
-    keys = np.full((tokens.size, max_context_len), -1, dtype=np.int64)
-    for back in range(1, max_context_len + 1):
-        has = np.flatnonzero(pos >= back)
-        keys[has, -back] = tokens[has - back]
-    return tokens, starts, keys
+def _concat(sequences):
+    """(tokens, starts): the sequences end to end, and their offsets."""
+    return np.concatenate(sequences), np.concatenate(([0], np.cumsum([len(s) for s in sequences])))
 
 
-def _row_scalars(keys: np.ndarray) -> np.ndarray:
-    """One void scalar per key row, compared bytewise: a fast `np.unique` input."""
-    keys = np.ascontiguousarray(keys if keys.shape[1] else np.zeros((len(keys), 1), np.int64))
-    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+def _context_codes(tokens: np.ndarray, starts: np.ndarray, sizes) -> dict:
+    """{k: code} for every k in `sizes`: one int64 per token, equal for two
+    tokens exactly when their contexts (the last k tokens before each within
+    its sequence, fewer near the sequence start) are equal.
+
+    Prefix doubling (Manber & Myers 1993): span[1] is the previous token + 1,
+    0 at a sequence start; span[2L] ranks the pair (span[L] L tokens back,
+    0 where that lies before the sequence start; span[L]). A size is split
+    into powers of two: the largest span covers the nearest tokens and each
+    further one is paired on by one more ranking. Code 0 is the all-padding
+    context. Ranks are below T + 1 and span[1] below 2^31 + 1, so a pair is
+    exact in int64 while the token count T and every token id are below 2^31;
+    larger inputs are refused.
+    """
+    sizes = sorted({int(k) for k in sizes})
+    if sizes and sizes[0] < 0:
+        raise ValueError("max_context_len must be nonnegative")
+    if max(tokens.size, int(tokens.max())) >= 2**31:
+        raise ValueError("context codes need fewer than 2^31 tokens and token ids")
+    lengths = np.diff(starts)
+
+    def back(code, shift):
+        out = np.zeros_like(code)
+        out[shift:] = code[: max(code.size - shift, 0)]
+        # each sequence's first `shift` tokens look back past its start; they
+        # are indexed directly, as a T-long position array would cost memory
+        head = np.minimum(lengths, shift)
+        out[np.arange(head.sum()) + np.repeat(starts[:-1] - np.cumsum(head) + head, head)] = 0
+        return out
+
+    def pair(left, right):
+        return np.unique(left * (right.max() + 1) + right, return_inverse=True)[1]
+
+    span = {1: back(tokens + 1, 1)}
+    while 2 * max(span) <= (sizes[-1] if sizes else 0):
+        half = max(span)
+        span[2 * half] = pair(back(span[half], half), span[half])
+    codes = {}
+    for k in sizes:
+        code, cover = np.zeros(tokens.size, dtype=np.int64), 0
+        for part in sorted((p for p in span if k & p), reverse=True):
+            code = span[part] if cover == 0 else pair(back(span[part], cover), code)
+            cover += part
+        codes[k] = code
+    return codes
 
 
 def _count_matrix(rows, tokens, vocab_size: int, keep_row_ids: bool = True) -> CountMatrix:
@@ -268,13 +300,19 @@ def build_counts(corpus: Corpus, max_context_len: int = DEFAULT_CONTEXT_LEN):
 
 def _context_table(corpus: Corpus, max_context_len: int) -> ContextTable:
     """Every token's context row, with rows numbered in first-seen order."""
-    if max_context_len < 0:
-        raise ValueError("max_context_len must be nonnegative")
-    tokens, starts, keys = _token_keys(corpus, max_context_len)
-    _, first, inv = np.unique(_row_scalars(keys), return_index=True, return_inverse=True)
-    order = np.argsort(first)  # sorted keys -> first-seen order
-    return ContextTable(keys[first[order]], tokens, np.argsort(order)[inv], starts,
-                        corpus.vocab_size)
+    tokens, starts = _concat(corpus.sequences)
+    code = _context_codes(tokens, starts, [max_context_len])[max_context_len]
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # sorted codes -> first-seen order
+    # each row's key, right-aligned and -1 padded, gathered at its first token
+    # one column at a time: a C x max_context_len index array would raise the
+    # peak memory of `train` by its size
+    at = first[order]
+    pos = at - starts[np.searchsorted(starts, at, side="right") - 1]
+    keys = np.empty((at.size, max_context_len), dtype=tokens.dtype)
+    for back in range(1, max_context_len + 1):
+        keys[:, -back] = np.where(pos < back, -1, tokens.take(at - back, mode="clip"))
+    return ContextTable(keys, tokens, np.argsort(order)[inv], starts, corpus.vocab_size)
 
 
 def batch_counts(table: ContextTable, batch) -> CountMatrix:
@@ -300,11 +338,16 @@ def counts_for_table(corpus: Corpus, table: ContextTable):
     Tokens whose context key is absent from the table are skipped. Returns
     (CountMatrix with row_ids into the table, skipped token count).
     """
-    tokens, _, keys = _token_keys(corpus, table.keys.shape[1])
-    inv = np.unique(_row_scalars(np.concatenate((table.keys, keys))), return_inverse=True)[1]
-    row_of = np.full(inv.max() + 1, -1)
-    row_of[inv[: len(table)]] = np.arange(len(table))
-    rows = row_of[inv[len(table) :]]
+    width = table.keys.shape[1]
+    tokens, starts = _concat(corpus.sequences)
+    # one stream, the table's corpus first: equal codes are equal contexts
+    code = _context_codes(np.concatenate((table.tokens, tokens)),
+                          np.concatenate((table.starts, table.starts[-1] + starts[1:])),
+                          [width])[width]
+    seen = table.tokens.size
+    row_of = np.full(code.max() + 1, -1)
+    row_of[code[:seen]] = table.token_rows
+    rows = row_of[code[seen:]]
     known = rows >= 0
     if not known.any():
         raise ValueError("no token of the corpus maps to a known context")
@@ -362,15 +405,17 @@ class AssumptionStats:
         return rows
 
 
-def _unique_continuations(table: ContextTable):
-    """Rows with a single observed next token, and those tokens, read from
-    the table's distinct (row, token) pairs."""
-    vocab_size = table.vocab_size
-    cells = np.unique(table.token_rows * vocab_size + table.tokens)
-    cell_rows = cells // vocab_size
-    single_rows = np.flatnonzero(np.bincount(cell_rows) == 1)
-    tokens = cells[np.searchsorted(cell_rows, single_rows)] % vocab_size
-    return single_rows, tokens
+def _unique_continuations(contexts: np.ndarray, tokens: np.ndarray, vocab_size: int):
+    """(contexts with a single observed next token, distinct tokens among
+    those continuations), both counted from the sorted distinct (context,
+    token) cells of nonnegative context ids, one per token."""
+    # sorted and deduplicated by hand: np.unique without return values hashes,
+    # ~20x slower than a sort on these inputs
+    cells = np.sort(contexts * vocab_size + tokens)
+    cells = cells[np.diff(cells, prepend=-1) > 0]
+    ctx = cells // vocab_size
+    single = (np.diff(ctx, prepend=-1) > 0) & (np.diff(ctx, append=ctx[-1] + 1) > 0)
+    return int(single.sum()), int(np.count_nonzero(np.bincount(cells[single] % vocab_size)))
 
 
 def assumption_stats(
@@ -380,19 +425,21 @@ def assumption_stats(
     prefix_sizes=(),
     entropy_bins: int = 24,
 ) -> AssumptionStats:
-    single_rows, tokens = _unique_continuations(table)
-    by_prefix = {}
-    for size in prefix_sizes:
-        _, sized_tokens = _unique_continuations(_context_table(corpus, int(size)))
-        by_prefix[int(size)] = int(np.unique(sized_tokens).size)
+    unique_contexts, unique_tokens = _unique_continuations(
+        table.token_rows, table.tokens, table.vocab_size)
+    prefix_sizes = [int(size) for size in prefix_sizes]
+    corpus_tokens, starts = _concat(corpus.sequences)
+    codes = _context_codes(corpus_tokens, starts, prefix_sizes)
+    by_prefix = {size: _unique_continuations(codes[size], corpus_tokens, corpus.vocab_size)[1]
+                 for size in prefix_sizes}
     h = row_entropies(counts)
     hmax = max(float(np.log(counts.vocab_size)), 1e-12)
     weights, edges = np.histogram(
         np.clip(h, 0.0, hmax), bins=entropy_bins, range=(0.0, hmax), weights=counts.weights
     )
     return AssumptionStats(
-        unique_context_count=int(single_rows.size),
-        unique_next_token_count=int(np.unique(tokens).size),
+        unique_context_count=unique_contexts,
+        unique_next_token_count=unique_tokens,
         unique_token_counts_by_prefix_size=by_prefix,
         entropy_bin_edges=edges,
         entropy_bin_weights=weights,
@@ -408,7 +455,7 @@ def save_corpus(path, corpus: Corpus) -> None:
     with open(path, "w") as fh:
         fh.write(f"#vocab {corpus.vocab_size}\n")
         for seq in corpus.sequences:
-            fh.write(" ".join(str(int(t)) for t in seq))
+            fh.write(" ".join(map(str, seq.tolist())))
             fh.write("\n")
 
 

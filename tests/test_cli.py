@@ -354,6 +354,15 @@ class TestVerifyCommand:
             "batch_rank_floor": {"instances": 5}, "update_residual_gap": {"instances": 10},
         }
 
+    def test_unknown_keys_of_every_block_refused_together(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss_floor": {"dims": 4, "instances": 3},
+                                   "error_rank_floor": {"trials": 2}, "seeed": 1}))
+        assert run(["verify", "--out", str(tmp_path), "--config", str(cfg)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error_rank_floor.trials, loss_floor.dims, seeed" in err
+        assert not (tmp_path / "verify").exists()
+
     def test_command_matches_run_all(self, tmp_path):
         assert run(["verify", "--out", str(tmp_path), "--seed", "3", "--rank_tol", "1e-5"]
                    + self.TINY) == 0

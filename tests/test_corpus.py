@@ -159,6 +159,13 @@ class TestBuildCounts:
         table, _ = cp.build_counts(c, max_context_len=2)
         assert list(context_index(table)) == [(), (1,), (1, 2), (2, 3)]
 
+    def test_token_ids_past_the_code_bound_refused(self):
+        c = cp.Corpus(vocab_size=2**31 + 1, sequences=[[2**31, 0, 2**31]])
+        with pytest.raises(ValueError, match="2\\^31"):
+            cp.build_counts(c, 2)
+        _, counts = cp.build_counts(cp.Corpus(vocab_size=2**31, sequences=[[2**31 - 1, 0]]), 2)
+        assert counts.cols.tolist() == [2**31 - 1, 0]
+
     def test_matches_brute_force_oracle(self):
         c = cp.gen_zipf_bigram(7, 1.1, 12, 9, seed=17)
         table, counts = cp.build_counts(c, 2)
@@ -294,6 +301,13 @@ class TestCorpusIo:
         loaded = cp.load_corpus(path)
         assert loaded.vocab_size == 10
         assert all(np.array_equal(a, b) for a, b in zip(loaded.sequences, c.sequences))
+
+    def test_file_equals_the_per_token_format(self, tmp_path):
+        c = cp.Corpus(1000, [[0, 7, 999, 10], [5], list(range(0, 1000, 37))])
+        path = tmp_path / "corpus.txt"
+        cp.save_corpus(path, c)
+        lines = ["#vocab 1000"] + [" ".join(str(int(t)) for t in seq) for seq in c.sequences]
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "corpus.txt"

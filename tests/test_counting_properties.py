@@ -44,7 +44,7 @@ def reference_counts(sequences, vocab_size, max_context_len, index):
 def corpora(draw, vocab_size=None):
     v = draw(st.integers(1, 4)) if vocab_size is None else vocab_size
     seqs = draw(
-        st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=7), min_size=1, max_size=6)
+        st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=20), min_size=1, max_size=6)
     )
     return v, seqs
 
@@ -56,10 +56,28 @@ def counting_cases(draw):
     return {
         "vocab_size": v,
         "seqs": seqs,
-        "mcl": draw(st.integers(0, 4)),
+        # sizes to 9 split as 3=2+1, 5=4+1, 7=4+2+1, 9=8+1, and reach past
+        # the start of sequences up to 20 tokens long
+        "mcl": draw(st.integers(0, 9)),
         "batch": draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1, max_size=8)),
         "held": held,
     }
+
+
+@PROPERTY_SETTINGS
+@given(corpora(), st.lists(st.integers(0, 9), min_size=1, max_size=4))
+def test_equal_codes_are_equal_contexts(corpus_case, sizes):
+    v, seqs = corpus_case
+    tokens, starts = cp._concat(cp.Corpus(v, seqs).sequences)
+    codes = cp._context_codes(tokens, starts, sizes)
+    assert sorted(codes) == sorted(set(sizes))
+    for k, code in codes.items():
+        index = reference_index(seqs, k)
+        ids = np.array([index[tuple(seq[max(0, t - k) : t])]
+                        for seq in seqs for t in range(len(seq))])
+        assert code.dtype == np.int64 and code.shape == tokens.shape
+        assert np.array_equal(code[:, None] == code, ids[:, None] == ids)
+        assert not code[starts[:-1]].any()  # code 0: the all-padding context
 
 
 @PROPERTY_SETTINGS
@@ -137,7 +155,7 @@ def assert_stats_csv_matches_dense_path(corpus, mcl, prefix_sizes, tmp_dir):
 
 
 @PROPERTY_SETTINGS
-@given(corpora(), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4, unique=True))
+@given(corpora(), st.integers(0, 9), st.lists(st.integers(0, 9), max_size=5, unique=True))
 def test_assumption_stats_match_dense_path(corpus_case, mcl, prefix_sizes):
     v, seqs = corpus_case
     with tempfile.TemporaryDirectory() as tmp_dir:

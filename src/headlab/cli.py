@@ -167,7 +167,6 @@ BOTTLENECK_DEFAULTS = {
     "schedule": "cosine",
     "warmup_steps": 50,
     "eval_every": 100,
-    "include_full_baseline": True,
 }
 
 REPORT_DEFAULTS = {
@@ -242,10 +241,10 @@ def _typed(name: str, value, default):
 
     A whole float is taken as an int (int(8.9) is 8, so a fraction is
     refused: the run would differ from what config.json records), a finite
-    number as a float, a number as a string's text, and a bool only from
-    true, false, 0 or 1 (bool("False") is True). A list is typed element by element, a
-    block key by key. A None default takes the annotation of the TrainConfig
-    field it feeds, and is otherwise a path.
+    number as a float, and a number as a string's text; true and false are
+    not numbers. A list is typed element by element, a block key by key. A
+    None default takes the annotation of the TrainConfig field it feeds, and
+    is otherwise a path.
     """
     if isinstance(default, dict):
         if isinstance(value, dict):
@@ -261,7 +260,7 @@ def _typed(name: str, value, default):
         # the one empty default, snapshot_steps, holds step numbers
         return [_typed(name, v, default[0] if default else 0) for v in value]
     if default is None:
-        if value in _NONE_ALIASES.get(name, (None,)):
+        if value in _NONE_ALIASES.get(name, (None,)) and value is not False:  # False == 0
             return None
         hint = _ANNOTATIONS.get(name)
         if hint is None:
@@ -269,10 +268,6 @@ def _typed(name: str, value, default):
                 return value
             raise UsageError(f"{name} must be a path, got {value!r}")
         default = typing.get_args(hint)[0]()  # int | None: typed as an int
-    if isinstance(default, bool):
-        if isinstance(value, int) and value in (0, 1):
-            return bool(value)
-        raise UsageError(f"{name} must be true, false, 0 or 1, got {value!r}")
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, int):
         if number and (isinstance(value, int) or value.is_integer()):
@@ -746,7 +741,8 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
 
 
 def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
-    """Validation-loss trend against the head rank on one shared corpus."""
+    """Validation-loss trend against the head rank on one shared corpus:
+    each seed trains a factored head of every rank and the full-head baseline."""
     ranks, seeds = _grid(config, "ranks"), _grid(config, "seeds")
     if ranks != sorted(ranks):
         raise UsageError("ranks must be strictly ascending")
@@ -769,9 +765,7 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
     table, counts = build_counts(train_part, config["max_context_len"])
     val_counts, _ = counts_for_table(val_part, table)
 
-    variants = [(r, False) for r in ranks]
-    if config["include_full_baseline"]:
-        variants.append((width, True))
+    variants = [(r, False) for r in ranks] + [(width, True)]
     measures = {
         "final_train_loss": lambda result: result.trajectory.final_train_loss,
         "final_val_loss": lambda result: result.trajectory.final_val_loss,

@@ -19,8 +19,9 @@ from .tables import write_csv
 
 # Counts are stored sparsely, but `CountMatrix.to_dense` and the exact
 # fallback of `diagnose`'s Eckart-Young gap form C x V matrices of 8-byte
-# cells, and `model.init_params` the C x D rows and the V x D head: each
-# refuses (`check_dense`) one that would exceed this many bytes.
+# cells, `gen_zipf_bigram` its V x V transition table, `diagnose`'s gap its
+# V x V Gram matrix, and `model.init_params` the C x D rows and the V x D
+# head: each refuses (`check_dense`) one that would exceed this many bytes.
 MAX_DENSE_BYTES = 2 * 1024**3
 DEFAULT_CONTEXT_LEN = 16
 
@@ -70,19 +71,20 @@ class Corpus:
 
 @dataclass
 class ContextTable:
-    """Distinct context keys in first-seen order (rows right-aligned, padded
-    with -1, `max_context_len` wide), and the counted corpus itself: its
-    concatenated `tokens`, their context rows `token_rows`, the sequence
+    """The counted corpus: its concatenated `tokens`, their context rows
+    `token_rows` (the `num_contexts` distinct contexts of up to
+    `max_context_len` tokens, numbered in first-seen order), the sequence
     offsets `starts` and its `vocab_size`."""
 
-    keys: np.ndarray
     tokens: np.ndarray
     token_rows: np.ndarray
     starts: np.ndarray
     vocab_size: int
+    max_context_len: int
+    num_contexts: int
 
     def __len__(self) -> int:
-        return self.keys.shape[0]
+        return self.num_contexts
 
 
 @dataclass
@@ -107,7 +109,7 @@ class CountMatrix:
     row_ids: np.ndarray | None = None
 
     @classmethod
-    def from_counts(cls, counts: np.ndarray, row_ids=None) -> "CountMatrix":
+    def from_counts(cls, counts: np.ndarray) -> "CountMatrix":
         counts = np.asarray(counts)
         if counts.ndim != 2:
             raise ValueError("counts must be 2-d")
@@ -123,13 +125,9 @@ class CountMatrix:
         if np.any(row_sums <= 0):
             raise ValueError("every context row must have a positive count sum")
         total = int(counts.sum())
-        if row_ids is not None:
-            row_ids = np.asarray(row_ids, dtype=np.int64)
-            if row_ids.shape != (counts.shape[0],):
-                raise ValueError("row_ids length must match the number of rows")
         rows, cols = np.nonzero(counts)
         return cls(rows, cols, counts[rows, cols], row_sums, counts.shape[1], total,
-                   row_sums / total, row_ids)
+                   row_sums / total)
 
     @property
     def num_contexts(self) -> int:
@@ -192,6 +190,7 @@ def gen_zipf_bigram(
         raise ValueError("need vocab_size >= 2 and exponent > 0")
     if num_seqs < 1 or seq_len < 1:
         raise ValueError("need num_seqs >= 1 and seq_len >= 1")
+    check_dense("the Zipf transition table (tokens x tokens)", vocab_size, vocab_size)
     rng = np.random.default_rng(seed)
     trans = zipf_transition_matrix(vocab_size, exponent, rng)
     # each token is the count of a CDF's entries <= u; the last entry, 1.0,
@@ -304,15 +303,8 @@ def _context_table(corpus: Corpus, max_context_len: int) -> ContextTable:
     code = _context_codes(tokens, starts, [max_context_len])[max_context_len]
     _, first, inv = np.unique(code, return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted codes -> first-seen order
-    # each row's key, right-aligned and -1 padded, gathered at its first token
-    # one column at a time: a C x max_context_len index array would raise the
-    # peak memory of `train` by its size
-    at = first[order]
-    pos = at - starts[np.searchsorted(starts, at, side="right") - 1]
-    keys = np.empty((at.size, max_context_len), dtype=tokens.dtype)
-    for back in range(1, max_context_len + 1):
-        keys[:, -back] = np.where(pos < back, -1, tokens.take(at - back, mode="clip"))
-    return ContextTable(keys, tokens, np.argsort(order)[inv], starts, corpus.vocab_size)
+    return ContextTable(tokens, np.argsort(order)[inv], starts, corpus.vocab_size,
+                        max_context_len, first.size)
 
 
 def batch_counts(table: ContextTable, batch) -> CountMatrix:
@@ -333,12 +325,12 @@ def batch_counts(table: ContextTable, batch) -> CountMatrix:
 
 def counts_for_table(corpus: Corpus, table: ContextTable):
     """Count a (held-out) corpus against an existing table, its contexts as
-    long as the table's keys.
+    long as the table's.
 
     Tokens whose context key is absent from the table are skipped. Returns
     (CountMatrix with row_ids into the table, skipped token count).
     """
-    width = table.keys.shape[1]
+    width = table.max_context_len
     tokens, starts = _concat(corpus.sequences)
     # one stream, the table's corpus first: equal codes are equal contexts
     code = _context_codes(np.concatenate((table.tokens, tokens)),
@@ -423,7 +415,6 @@ def assumption_stats(
     table: ContextTable,
     counts: CountMatrix,
     prefix_sizes=(),
-    entropy_bins: int = 24,
 ) -> AssumptionStats:
     unique_contexts, unique_tokens = _unique_continuations(
         table.token_rows, table.tokens, table.vocab_size)
@@ -435,7 +426,7 @@ def assumption_stats(
     h = row_entropies(counts)
     hmax = max(float(np.log(counts.vocab_size)), 1e-12)
     weights, edges = np.histogram(
-        np.clip(h, 0.0, hmax), bins=entropy_bins, range=(0.0, hmax), weights=counts.weights
+        np.clip(h, 0.0, hmax), bins=24, range=(0.0, hmax), weights=counts.weights
     )
     return AssumptionStats(
         unique_context_count=unique_contexts,

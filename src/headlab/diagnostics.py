@@ -379,9 +379,11 @@ def gradient_gap(counts: CountMatrix, params: md.ModelParams) -> float:
     Frobenius error of its best rank-2*width approximation, from its V x V
     Gram matrix, summed in a serial walk of `model._row_blocks`: one matrix,
     not one per thread. The dense gradient is rebuilt only where
-    `linalg.gram_residual` needs its singular values, and refused where it
-    would exceed the dense-size guard (`_dense_gradient`)."""
+    `linalg.gram_residual` needs its singular values. The Gram matrix and
+    the dense gradient (`_dense_gradient`) are each refused before they are
+    allocated where they would exceed the dense-size guard."""
     v = counts.vocab_size
+    check_dense("the Eckart-Young gap's Gram matrix (tokens x tokens)", v, v)
     gram = np.zeros((v, v), order="F")
     for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head):
         md._gradient_in_place(counts, g, rows, nz, i, cells)

@@ -41,6 +41,10 @@ BLOCK_BYTES = 512 * 1024
 # order, so the thread count never changes a bit.
 SHARDS = 2
 
+# Adam's moment decay rates and denominator floor: the one optimizer recipe
+# every run trains with.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.95, 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     """Training hit a non-finite loss."""
@@ -196,14 +200,10 @@ class TrainConfig:
     width: int
     head_rank: int | None = None  # None for a full head
     optimizer: str = "adam"  # "gd" | "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    adam_eps: float = 1e-8
     schedule: str = "constant"  # "constant" | "cosine"
     warmup_steps: int = 0
     batch_sequences: int | None = None  # None = full batch
     seed: int = 0
-    init_scale: float = 1.0
     eval_every: int = 100
 
     def __post_init__(self):
@@ -211,9 +211,6 @@ class TrainConfig:
             raise ValueError("steps must be nonnegative")
         if not self.lr >= 0:  # also refuses NaN
             raise ValueError(f"lr must be nonnegative, got {self.lr!r}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
         if self.width < 1:
             raise ValueError("width must be positive")
         if self.head_rank is not None and not (1 <= self.head_rank <= self.width):
@@ -242,22 +239,33 @@ class TrajectoryPoint:
 class Trajectory:
     points: list = field(default_factory=list)
 
+    COLUMNS = ("step", "train_loss", "val_loss", "top1_acc")
+
     def to_csv(self, path) -> None:
         rows = [[p.step, p.train_loss, p.val_loss, p.top1_acc] for p in self.points]
-        write_csv(path, ["step", "train_loss", "val_loss", "top1_acc"], rows)
+        write_csv(path, self.COLUMNS, rows)
 
     @classmethod
     def from_csv(cls, path) -> Trajectory:
-        """The trajectory `to_csv` wrote; a blank cell reads back as None."""
+        """The trajectory `to_csv` wrote; a blank cell reads back as None and
+        other columns are ignored. A missing column or a cell that does not
+        parse raises a ValueError naming the file."""
         def cell(text):
             return float(text) if text else None
 
         with open(path, newline="") as fh:
-            return cls([
-                TrajectoryPoint(int(row["step"]), float(row["train_loss"]),
-                                cell(row["val_loss"]), cell(row["top1_acc"]))
-                for row in csv.DictReader(fh)
-            ])
+            reader = csv.DictReader(fh)
+            missing = [c for c in cls.COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ValueError(f"{path}: missing trajectory column(s) {', '.join(missing)}")
+            try:
+                return cls([
+                    TrajectoryPoint(int(row["step"]), float(row["train_loss"]),
+                                    cell(row["val_loss"]), cell(row["top1_acc"]))
+                    for row in reader
+                ])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
 
     @property
     def final_train_loss(self) -> float:
@@ -280,25 +288,22 @@ def init_params(
     vocab_size: int,
     width: int,
     head_rank: int | None = None,
-    init_scale: float = 1.0,
     seed: int = 0,
     rng=None,
 ) -> ModelParams:
-    """Fan-in-scaled normal initialization for all parameter matrices. The
-    C x D rows and the V x D head are refused before they are allocated when
-    either would exceed `corpus.MAX_DENSE_BYTES`."""
-    if init_scale <= 0:
-        raise ValueError("init_scale must be positive")
+    """Fan-in-scaled normal initialization for all parameter matrices: std
+    1 / sqrt(fan-in). The C x D rows and the V x D head are refused before
+    they are allocated when either would exceed `corpus.MAX_DENSE_BYTES`."""
     check_dense("the model's context rows (contexts x width)", num_contexts, width)
     check_dense("the model's head (tokens x width)", vocab_size, width)
     if rng is None:
         rng = np.random.default_rng(seed)
-    h = rng.normal(0.0, init_scale / math.sqrt(width), size=(num_contexts, width))
+    h = rng.normal(0.0, 1.0 / math.sqrt(width), size=(num_contexts, width))
     if head_rank is None:
-        w = rng.normal(0.0, init_scale / math.sqrt(width), size=(vocab_size, width))
+        w = rng.normal(0.0, 1.0 / math.sqrt(width), size=(vocab_size, width))
         return ModelParams(h, FullHead(w))
-    a = rng.normal(0.0, init_scale / math.sqrt(head_rank), size=(vocab_size, head_rank))
-    b = rng.normal(0.0, init_scale / math.sqrt(width), size=(head_rank, width))
+    a = rng.normal(0.0, 1.0 / math.sqrt(head_rank), size=(vocab_size, head_rank))
+    b = rng.normal(0.0, 1.0 / math.sqrt(width), size=(head_rank, width))
     return ModelParams(h, FactoredHead(a, b))
 
 
@@ -471,10 +476,11 @@ def entropy_floor(counts: CountMatrix) -> float:
     return -val / counts.total
 
 
-def smoothed_log_target(counts: CountMatrix, delta: float = INTERIOR_SMOOTHING) -> np.ndarray:
-    """Log of the normalized rows mixed with uniform: a finite logit target."""
-    v = counts.vocab_size
-    return np.log((1.0 - delta) * counts.to_dense(normalized=True) + delta / v)
+def smoothed_log_target(counts: CountMatrix) -> np.ndarray:
+    """Log of the normalized rows mixed with uniform by INTERIOR_SMOOTHING:
+    a finite logit target."""
+    delta = INTERIOR_SMOOTHING
+    return np.log((1.0 - delta) * counts.to_dense(normalized=True) + delta / counts.vocab_size)
 
 
 def param_gradients(counts: CountMatrix, params: ModelParams) -> dict:
@@ -541,15 +547,14 @@ class _Optimizer:
         self.v = {name: np.zeros_like(p) for name, p in moments.items()}
 
     def step(self, params: ModelParams, grads: dict, lr: float, h_rows=None):
-        cfg = self.config
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.t += 1
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         for name, target in params.parts.items():
             rows = h_rows if name == "h" and h_rows is not None else slice(None)
             grad = grads[name]
-            if cfg.optimizer == "gd":
+            if self.config.optimizer == "gd":
                 target[rows] -= lr * grad
             else:
                 # a view of the whole slot, or a copy of the batch's rows
@@ -559,7 +564,7 @@ class _Optimizer:
                 v *= b2
                 v += (1.0 - b2) * grad**2
                 self.m[name][rows], self.v[name][rows] = m, v
-                target[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+                target[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def _eval_point(
@@ -615,7 +620,6 @@ def train(
             counts.vocab_size,
             config.width,
             config.head_rank,
-            config.init_scale,
             rng=rng,
         )
     else:

@@ -8,9 +8,16 @@ from headlab import model as md
 
 
 def context_index(table):
-    """Context key tuple -> row id of a ContextTable, in row order (its keys
-    with the -1 padding dropped)."""
-    return {tuple(int(t) for t in row[row >= 0]): rid for rid, row in enumerate(table.keys)}
+    """Context key tuple -> row id of a ContextTable, in row order, rebuilt
+    from its tokens: each token's key is the last `max_context_len` tokens
+    before it within its sequence, and each key must have one row."""
+    index = {}
+    for lo, hi in zip(table.starts[:-1], table.starts[1:]):
+        seq = table.tokens[lo:hi].tolist()
+        for t, row in enumerate(table.token_rows[lo:hi].tolist()):
+            key = tuple(seq[max(0, t - table.max_context_len) : t])
+            assert index.setdefault(key, row) == row, key
+    return dict(sorted(index.items(), key=lambda item: item[1]))
 
 
 def logit_gradient(counts, p):

@@ -83,6 +83,14 @@ class TestGenCorpus:
         assert "stats_prefix_sizes must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "corpus" / "corpus.txt").exists()
 
+    def test_transition_table_over_the_dense_limit_exits_usage(self, tmp_path, capsys):
+        assert run(["gen-corpus", "--out", str(tmp_path), "--vocab_size", "30000",
+                    "--num_seqs", "2", "--seq_len", "3"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: the Zipf transition table (tokens x tokens): 30000 x 30000 exceed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "corpus" / "corpus.txt").exists()
+
     def test_deterministic_bytes(self, tmp_path):
         args = ["gen-corpus", "--kind", "zipf", "--vocab_size", "12", "--num_seqs", "9",
                 "--seq_len", "7", "--seed", "3"]
@@ -374,9 +382,8 @@ class TestVerifyCommand:
 
 # a value other than every experiment's default for each TrainConfig field
 NON_DEFAULT = {
-    "steps": 9, "lr": 0.25, "width": 6, "head_rank": 3, "optimizer": "gd",
-    "adam_beta1": 0.5, "adam_beta2": 0.75, "adam_eps": 1e-7, "warmup_steps": 3,
-    "batch_sequences": 2, "seed": 4, "init_scale": 0.5, "eval_every": 7,
+    "steps": 9, "lr": 0.25, "width": 6, "head_rank": 3, "optimizer": "gd", "warmup_steps": 3,
+    "batch_sequences": 2, "seed": 4, "eval_every": 7,
 }
 TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
@@ -441,18 +448,6 @@ class TestTrainConfigKeys:
         assert (tc.steps, tc.lr, tc.eval_every) == (12, 1.0, 1000)
         assert type(tc.steps) is int and type(tc.lr) is float
 
-    @pytest.mark.parametrize("value", ["0", "false"])
-    def test_json_false_and_zero_leave_out_the_full_baseline(self, value, tmp_path):
-        args = ["bottleneck-sweep", "--out", str(tmp_path), *TINY_BOTTLENECK,
-                "--include_full_baseline", value]
-        assert run(args) == 0
-        config = json.loads((tmp_path / "bottleneck" / "config.json").read_text())
-        assert config["include_full_baseline"] is False
-        with open(tmp_path / "bottleneck" / "bottleneck.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows and all(row["head"] == "factored" for row in rows)
-
-
     @pytest.mark.parametrize("flag, value", [
         ("--width", "8.9"), ("--steps", "2.5"), ("--head_rank", "1.5"), ("--eval_every", "NaN"),
     ])
@@ -463,19 +458,12 @@ class TestTrainConfigKeys:
         assert flag[2:] in capsys.readouterr().err
         assert not (tmp_path / "train" / "summary.json").exists()
 
-    @pytest.mark.parametrize("value", ["False", "2", "1.0", '"true"'])
-    def test_bool_field_refuses_other_values(self, value, tmp_path, capsys):
-        args = ["bottleneck-sweep", "--out", str(tmp_path), *TINY_BOTTLENECK,
-                "--include_full_baseline", value]
-        assert run(args) == cli.EXIT_USAGE
-        assert "include_full_baseline" in capsys.readouterr().err
-
     @pytest.mark.parametrize("args, key", [
         (["gen-corpus", "--exponent", "NaN", "--vocab_size", "8", "--num_seqs", "3",
           "--seq_len", "6"], "exponent"),
         (["train", "--lr", "Infinity"], "lr"),
         (["train", "--lr", "NaN"], "lr"),
-        (["train", "--init_scale", "-Infinity"], "init_scale"),
+        (["train", "--lr", "false"], "lr"),
         (["train", "--corpus.exponent", "NaN"], "corpus.exponent"),
         (["spamlang-sweep", "--lrs", "[0.01, NaN]"], "lrs"),
         (["diagnose", "--fractions", "[Infinity]"], "fractions"),
@@ -484,21 +472,6 @@ class TestTrainConfigKeys:
     def test_non_finite_float_exits_usage_naming_the_key(self, args, key, tmp_path, capsys):
         assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE
         assert f"error: {key} must be a finite number" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("summary.json"))
-
-    @pytest.mark.parametrize("args, key", [
-        (["train", "--adam_beta1", "1"], "adam_beta1"),
-        (["train", "--adam_beta2", "1.5"], "adam_beta2"),
-        (["train", "--adam_beta1", "-0.1"], "adam_beta1"),
-        (["spamlang-sweep", *TINY_SPAM, "--adam_beta2", "1"], "adam_beta2"),
-        (["bottleneck-sweep", *TINY_BOTTLENECK, "--adam_beta1", "1"], "adam_beta1"),
-    ])
-    def test_adam_beta_outside_the_unit_interval_exits_usage(self, args, key, tmp_path, capsys):
-        args = args[:1] + ["--out", str(tmp_path)] + args[1:]
-        if args[0] == "train":
-            args += ["--corpus.num_seqs", "4", "--corpus.seq_len", "5", "--steps", "3"]
-        assert run(args) == cli.EXIT_USAGE
-        assert f"error: {key} must lie in [0, 1)" in capsys.readouterr().err
         assert not list(tmp_path.rglob("summary.json"))
 
     def test_snapshot_step_beyond_the_run_exits_usage(self, tmp_path, capsys):
@@ -524,8 +497,8 @@ class TestInlineCorpusKeys:
 
 
 class TestIntegerKeys:
-    """Every key whose default is whole, alone or in a list: a fraction is
-    refused, a whole float is taken as its integer."""
+    """Every key whose default is whole, alone or in a list: a fraction, true
+    or false is refused, a whole float is taken as its integer."""
 
     @pytest.mark.parametrize("args, key", [
         (["train", "--corpus.num_seqs", "6", "--corpus.seq_len", "5", "--steps", "3",
@@ -538,6 +511,11 @@ class TestIntegerKeys:
         (["verify", "--update_residual_gap.instances", "2.5"], "update_residual_gap.instances"),
         (["diagnose", "--checkpoint", "missing.bin", "--corpus.seq_len", "4.5"],
          "corpus.seq_len"),
+        (["train", "--corpus.num_seqs", "6", "--corpus.seq_len", "5", "--steps", "true"],
+         "steps"),
+        (["train", "--corpus.num_seqs", "6", "--corpus.seq_len", "5", "--steps", "3",
+          "--batch_sequences", "false"], "batch_sequences"),
+        (["bottleneck-sweep", *TINY_BOTTLENECK, "--ranks", "[2,true]"], "ranks"),
     ])
     def test_fraction_exits_usage_naming_the_key(self, args, key, tmp_path, capsys):
         assert run(args[:1] + ["--out", str(tmp_path)] + args[1:]) == cli.EXIT_USAGE
@@ -555,11 +533,8 @@ class TestIntegerKeys:
 def _like(name, default):
     """JSON values that resolve_config takes for the key `name`: ints and
     whole floats for an int (nonnegative for a seed), ints and floats for a
-    float, 0, 1, true and false for a bool; strings and paths keep their
-    defaults."""
+    float; strings and paths keep their defaults."""
     ints = st.integers(0 if name.endswith(("seed", "seeds")) else -2**53, 2**53)
-    if isinstance(default, bool):
-        return st.sampled_from([0, 1, True, False])
     if isinstance(default, int) or default is None and name in cli._ANNOTATIONS:
         return ints | ints.map(float)
     if isinstance(default, float):
@@ -590,8 +565,6 @@ class TestTypedConfig:
     type exits 1 naming the key, before any file is written."""
 
     @pytest.mark.parametrize("args, key", [
-        (["bottleneck-sweep", *TINY_BOTTLENECK, "--include_full_baseline", "False"],
-         "include_full_baseline"),
         (["train", "--corpus.num_seqs", "6", "--corpus.seq_len", "5", "--steps", "3",
           "--snapshot_steps", "[1.5]"], "snapshot_steps"),
         (["verify", "--loss_floor.bogus", "3"], "loss_floor.bogus"),
@@ -1077,6 +1050,29 @@ class TestReportCommand:
         own = (tmp_path / "train" / "trajectory.svg").read_bytes()
         assert (tmp_path / "report" / "train_trajectory.svg").read_bytes() == own
 
+    @pytest.mark.parametrize("text, problem", [
+        ("step,train_loss\n0,1.5\n", "missing trajectory column(s) val_loss, top1_acc"),
+        ("step,train_loss,val_loss,top1_acc\n0,1.5,,\n10,abc,,\n", "line 3: could not convert"),
+        ("step,train_loss,val_loss,top1_acc\n0,1.5,,\n10\n", "line 3: float() argument"),
+    ])
+    def test_malformed_trajectory_exits_usage_naming_the_file(self, text, problem, tmp_path,
+                                                               capsys):
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "trajectory.csv").write_text(text)
+        assert run(["report", "--out", str(tmp_path), "--run_dir", str(tmp_path / "old")]
+                   ) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'old' / 'trajectory.csv'}" in err and problem in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report" / "summary.json").exists()
+
+    def test_trajectory_with_an_extra_column_gets_its_plot(self, tmp_path):
+        (tmp_path / "new").mkdir()
+        (tmp_path / "new" / "trajectory.csv").write_text(
+            "step,train_loss,val_loss,top1_acc,lr\n0,1.5,1.6,0.25,0.01\n10,0.75,0.8,0.5,0.01\n")
+        assert run(["report", "--out", str(tmp_path), "--run_dir", str(tmp_path / "new")]) == 0
+        assert (tmp_path / "report" / "new_trajectory.svg").is_file()
+
 
 class TestArgHandling:
     def test_unknown_command_is_usage_error(self, tmp_path):
@@ -1174,41 +1170,89 @@ class TestArgHandling:
         assert a == (tmp_path / "b" / "corpus" / "corpus.txt").read_bytes()
         assert run(["train", "--out", str(tmp_path / "c"), "--config", str(sidecar)]) == 1
 
+    @pytest.mark.parametrize("kind", ["train", "spamlang-sweep", "bottleneck-sweep"])
+    def test_sidecar_naming_removed_keys_refused_naming_them_all(self, kind, tmp_path, capsys):
+        """A sidecar written while Adam's constants, the init scale and the
+        full-head baseline were config keys is refused, each key named."""
+        removed = {"adam_beta1": 0.9, "adam_beta2": 0.95, "adam_eps": 1e-8, "init_scale": 1.0}
+        if kind == "bottleneck-sweep":
+            removed["include_full_baseline"] = True
+        sidecar = tmp_path / "config.json"
+        sidecar.write_text(json.dumps({**cli.resolve_config(kind), **removed, "experiment": kind}))
+        assert run([kind, "--out", str(tmp_path / "out"), "--config", str(sidecar)]
+                   ) == cli.EXIT_USAGE
+        assert f"error: unknown config key(s): {', '.join(sorted(removed))}\n" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
 
 class TestDenseSizeGuard:
-    """With room for the model's matrices but for no dense C x V matrix of
-    its corpus, `train` and `diagnose` still run on their row blocks; the
-    paths that form one exit 1 before allocating."""
+    """With room for the model's matrices and the V x V ones but for no
+    dense C x V matrix of its corpus, `train` and `diagnose` still run on
+    their row blocks; the paths that form one exit 1 before allocating."""
 
     @pytest.fixture(autouse=True)
     def tiny_limit(self, monkeypatch):
-        # the fixture's model: 16 x 4 rows and a 16 x 4 head of 512 bytes each;
-        # its 16 x 16 count matrix takes 2048
-        monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 1024)
+        # the `streamed` model: 124 x 4 rows (3968 bytes) and a 16 x 4 head;
+        # the 16 x 16 Zipf table and Gram matrix take 2048 bytes, and its
+        # 124 x 16 count matrix 15872
+        monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 4096)
 
-    def test_train_and_diagnose_stream(self, trained):
-        # the fixture's train ran under the limit too
-        assert run(_diag_args(trained, "streamed")) == 0
-        assert (trained / "streamed" / "summary.json").exists()
+    CORPUS = ["--corpus.kind", "zipf", "--corpus.vocab_size", "16", "--corpus.num_seqs", "24",
+              "--corpus.seq_len", "12", "--corpus.seed", "4", "--max_context_len", "2"]
+
+    @pytest.fixture()
+    def streamed(self, tiny_limit, tmp_path):
+        """A run root whose train/ checkpoint, trained under the limit, has
+        more contexts (124, at two tokens of context) than tokens (16)."""
+        out = tmp_path / "runs"
+        assert run(["train", "--out", str(out), "--width", "4", "--steps", "60", "--lr", "0.02",
+                    "--eval_every", "20", *self.CORPUS]) == 0
+        return out
+
+    def _diag_args(self, out, name):
+        return ["diagnose", "--out", str(out), "--name", name,
+                "--checkpoint", str(out / "train" / "checkpoint.bin"), *self.CORPUS,
+                "--token_counts", "[1,8,32,128]"]
+
+    def test_train_and_diagnose_stream(self, streamed):
+        assert run(self._diag_args(streamed, "streamed")) == 0
+        assert (streamed / "streamed" / "summary.json").exists()
 
     def test_model_over_the_limit_exits_usage(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 64)
         args = ["train", "--out", str(tmp_path), "--width", "4", "--steps", "2",
-                "--corpus.vocab_size", "16", "--corpus.num_seqs", "24", "--corpus.seq_len", "12",
-                "--max_context_len", "1"]
+                "--corpus.kind", "spamlang", "--corpus.vocab_size", "16",
+                "--corpus.num_seqs", "24", "--corpus.seq_len", "12", "--max_context_len", "1"]
         assert run(args) == 1
         err = capsys.readouterr().err
         assert "the model's context rows (contexts x width): " in err and " x 4 exceed 64 bytes" in err
         assert "Traceback" not in err
         assert not (tmp_path / "train" / "summary.json").exists()
 
+    def test_gram_matrix_of_the_gap_exits_usage(self, tmp_path, monkeypatch, capsys):
+        # a spamlang corpus draws no table, and its model fits: the 16 x 16
+        # Gram matrix (2048 bytes) is the first matrix over the limit
+        monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 1024)
+        spamlang = ["--corpus.kind", "spamlang", "--corpus.vocab_size", "16",
+                    "--corpus.num_seqs", "24", "--corpus.seq_len", "12", "--max_context_len", "1"]
+        assert run(["train", "--out", str(tmp_path), "--width", "4", "--steps", "5",
+                    *spamlang]) == 0
+        assert run(["diagnose", "--out", str(tmp_path), "--token_counts", "[1,8]",
+                    "--checkpoint", str(tmp_path / "train" / "checkpoint.bin"), *spamlang]) == 1
+        err = capsys.readouterr().err
+        assert ("error: the Eckart-Young gap's Gram matrix (tokens x tokens): 16 x 16 exceed "
+                "1024 bytes") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "diagnose" / "summary.json").exists()
+
     def test_to_dense_exits_usage(self, tmp_path, capsys):
         assert run(["verify", "--out", str(tmp_path)] + TestVerifyCommand.TINY) == 1
         assert "the dense count matrix" in capsys.readouterr().err
         assert not (tmp_path / "verify" / "summary.json").exists()
 
-    def test_svd_fallback_of_the_gap_exits_usage(self, trained, monkeypatch, capsys):
+    def test_svd_fallback_of_the_gap_exits_usage(self, streamed, monkeypatch, capsys):
         monkeypatch.setattr(linalg, "_GRAM_TAIL_FLOOR", 1.0)  # every tail takes the fallback
-        assert run(_diag_args(trained, "fallback")) == 1
+        assert run(self._diag_args(streamed, "fallback")) == 1
         assert "SVD fallback" in capsys.readouterr().err
-        assert not (trained / "fallback" / "summary.json").exists()
+        assert not (streamed / "fallback" / "summary.json").exists()

@@ -193,9 +193,10 @@ class TestBuildCounts:
 
     def test_dense_cap_refuses_to_dense_only(self, monkeypatch):
         # room for a dense 4-context x 8-token matrix, no more: counting and
-        # batches stay sparse and run, the dense matrix is refused
-        monkeypatch.setattr(cp, "MAX_DENSE_BYTES", 4 * 8 * 8)
+        # batches stay sparse and run, the dense matrix is refused. The
+        # corpus's 8 x 8 transition table is drawn before the limit is set.
         c = cp.gen_zipf_bigram(8, 1.0, 10, 10, seed=1)
+        monkeypatch.setattr(cp, "MAX_DENSE_BYTES", 4 * 8 * 8)
         table, counts = cp.build_counts(c, 3)
         batch = cp.batch_counts(table, range(5))
         assert counts.num_contexts > 4 and batch.num_contexts > 4

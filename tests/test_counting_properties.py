@@ -89,7 +89,7 @@ def test_build_counts_matches_loop(case):
     rows, n, _ = reference_counts(seqs, v, mcl, index)
     assert list(context_index(table)) == list(index)
     assert context_index(table) == index
-    assert table.keys.shape == (len(index), mcl)
+    assert len(table) == len(index) and table.max_context_len == mcl
     assert np.array_equal(rows, np.arange(len(index)))
     assert np.array_equal(counts.to_dense(), n)
     assert counts.row_ids is None

@@ -4,6 +4,7 @@ and `param_gradients` against the dense oracle
 passes against themselves on one and two threads, and the memory held by
 triplet counts."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -41,7 +42,7 @@ def kernel_cases(draw):
     c = c_table if row_ids is None else row_ids.size
     n = rng.integers(0, 4, size=(c, v))
     n[n.sum(axis=1) == 0, rng.integers(v)] = 1
-    counts = cp.CountMatrix.from_counts(n, row_ids=row_ids)
+    counts = dataclasses.replace(cp.CountMatrix.from_counts(n), row_ids=row_ids)
 
     def quarters(*shape):
         return rng.integers(-4, 5, size=shape) / 4.0

@@ -1,0 +1,94 @@
+"""Metamorphic properties: how every measurement must move when its input is
+transformed, checked with no oracle.
+
+Corpus doubling: repeating every sequence doubles each count and the token
+total, so every count-weighted average keeps its value. Both sides of each
+quotient are scaled by 2, which is exact in floating point, so training and
+every `diagnose` figure are equal bit for bit. The rank curve is left out:
+its draws follow the token count.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from headlab import corpus as cp
+from headlab import diagnostics as dg
+from headlab import model as md
+
+PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=60)
+
+
+def assert_same(a, b):
+    """`a` and `b` hold equal values: dataclasses field by field, sequences
+    item by item, arrays and floats elementwise (NaN equal to NaN)."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, (np.ndarray, float)):
+        assert np.array_equal(a, b, equal_nan=True), (a, b)
+    else:
+        assert a == b
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError or the training
+    divergence it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, md.TrainingDivergedError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def doubling_cases(draw):
+    v = draw(st.integers(2, 16))
+    seqs = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=1, max_size=12),
+                         min_size=1, max_size=6))
+    width = draw(st.integers(1, 4))
+    config = {
+        "steps": draw(st.integers(1, 6)),
+        "lr": draw(st.sampled_from([1e-2, 0.1, 1.0])),
+        "width": width,
+        "head_rank": draw(st.none() | st.integers(1, width)),
+        "schedule": draw(st.sampled_from(["constant", "cosine"])),
+        "eval_every": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+    # a zero head gives a hidden-state direction of zero norm, which
+    # `gradient_pass` refuses
+    return v, seqs, draw(st.integers(0, 3)), config, draw(st.booleans())
+
+
+@PROPERTY_SETTINGS
+@given(doubling_cases())
+def test_doubling_the_corpus_changes_no_figure(case):
+    v, seqs, mcl, config, zero_head = case
+    once = cp.build_counts(cp.Corpus(v, seqs), mcl)[1]
+    twice = cp.build_counts(cp.Corpus(v, seqs + seqs), mcl)[1]
+    assert twice.total == 2 * once.total and np.array_equal(twice.n, 2 * once.n)
+    for optimizer in ("gd", "adam"):
+        tc = md.TrainConfig(**config, optimizer=optimizer)
+        results = [outcome(md.train, counts, tc) for counts in (once, twice)]
+        assert_same(*results)
+    params = md.init_params(once.num_contexts, v, config["width"], config["head_rank"],
+                            seed=config["seed"])
+    if zero_head:
+        for part in params.head.parts.values():
+            part[:] = 0.0
+    assert md.entropy_floor(once) == md.entropy_floor(twice)
+    assert_same(md.top1_accuracy(once, params), md.top1_accuracy(twice, params))
+    firsts = [outcome(dg.gradient_pass, counts, params) for counts in (once, twice)]
+    assert_same(*firsts)
+    assert_same(dg.gradient_gap(once, params), dg.gradient_gap(twice, params))
+    if isinstance(firsts[0], dg.GradientPass):
+        fractions = [1e-3, 1e-1]
+        assert_same(dg.update_efficiency(once, params, firsts[0], fractions),
+                    dg.update_efficiency(twice, params, firsts[1], fractions))

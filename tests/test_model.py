@@ -375,7 +375,7 @@ class TestTrain:
         after = result.params.parts
         for name, before in init.parts.items():
             g = grads[name]
-            assert rel_err(after[name] - before, -lr * g / (np.abs(g) + cfg.adam_eps)) < 1e-12
+            assert rel_err(after[name] - before, -lr * g / (np.abs(g) + md.ADAM_EPS)) < 1e-12
 
 
 class TestFirstOrderLogitUpdate:

@@ -214,6 +214,21 @@ class TestGap:
         summary = json.loads((run_dir / "summary.json").read_text())
         close(summary["eckart_young_gap"], np.sqrt(np.sum(s[2 * params.width:] ** 2)))
 
+    def test_over_the_limit_gram_matrix_refused_before_it_is_allocated(self, trained,
+                                                                        monkeypatch):
+        counts = counted(CORPUS)
+        params = md.load_checkpoint(trained[1])
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a matrix was allocated or a row block read")
+
+        monkeypatch.setattr(cp, "MAX_DENSE_BYTES", 8 * 96 * 96 - 1)
+        monkeypatch.setattr(np, "zeros", no_matrix)
+        monkeypatch.setattr(md, "_row_blocks", no_matrix)
+        with pytest.raises(cp.ContextOverflowError, match=r"^the Eckart-Young gap's Gram "
+                           r"matrix \(tokens x tokens\): 96 x 96 exceed 73727 bytes"):
+            dg.gradient_gap(counts, params)
+
     @pytest.mark.parametrize("limit", [1, 2])
     def test_eigh_failure_takes_the_singular_values_and_their_failure_exits_numeric(
         self, limit, trained, monkeypatch, capsys

@@ -393,8 +393,10 @@ def _trajectory_svg(path, trajectory, title: str) -> None:
     steps = [p.step for p in trajectory.points]
     losses = [p.train_loss for p in trajectory.points]
     series = [("train", steps, losses)]
-    if trajectory.points and trajectory.points[-1].val_loss is not None:
-        series.append(("val", steps, [p.val_loss for p in trajectory.points]))
+    # a file `report` reads may leave some points' val_loss blank
+    val = [(p.step, p.val_loss) for p in trajectory.points if p.val_loss is not None]
+    if val:
+        series.append(("val", *map(list, zip(*val))))
     svg.line_plot(path, series, title=title, xlabel="step", ylabel="loss")
 
 

@@ -20,8 +20,9 @@ from .tables import write_csv
 # Counts are stored sparsely, but `CountMatrix.to_dense` and the exact
 # fallback of `diagnose`'s Eckart-Young gap form C x V matrices of 8-byte
 # cells, `gen_zipf_bigram` its V x V transition table, `diagnose`'s gap its
-# V x V Gram matrix, and `model.init_params` the C x D rows and the V x D
-# head: each refuses (`check_dense`) one that would exceed this many bytes.
+# V x V Gram matrix, `model.init_params` the C x D rows and the V x D head,
+# and `model._block_buffers` the row blocks of logits: each refuses
+# (`check_dense`) one that would exceed this many bytes.
 MAX_DENSE_BYTES = 2 * 1024**3
 DEFAULT_CONTEXT_LEN = 16
 
@@ -36,6 +37,12 @@ def check_dense(what: str, rows: int, cols: int) -> None:
     if rows * cols * 8 > MAX_DENSE_BYTES:
         raise ContextOverflowError(f"{what}: {rows} x {cols} exceed "
                                    f"{MAX_DENSE_BYTES} bytes as a dense matrix")
+
+
+def _dense_rows(cols: int) -> int:
+    """The most rows of `cols` 8-byte cells that `check_dense` lets through.
+    Private, as the row-block rule calls it once per logit pass."""
+    return MAX_DENSE_BYTES // (8 * cols)
 
 
 class CorpusFormatError(ValueError):

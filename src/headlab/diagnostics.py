@@ -313,12 +313,13 @@ def gradient_pass(counts: CountMatrix, params: md.ModelParams) -> GradientPass:
                         float(np.sqrt(logit_sq)), grad_norm, hidden_norm)
 
 
-def _gradient_pass_shard(counts: CountMatrix, params: md.ModelParams, basis, wm, starts: range):
+def _gradient_pass_shard(counts: CountMatrix, params: md.ModelParams, basis, wm, block,
+                         starts: range):
     """`gradient_pass`'s shard of `model._sharded_pass`: (kernel split,
     profile moments, [sum of n log p, ||logits||^2, ||g W W^T||^2]) of the
-    row blocks at `starts`."""
+    row blocks at `starts`, each read into `block`."""
     split, moments, sums = _KernelSplit(basis), _ProfileMoments(counts.vocab_size), np.zeros(3)
-    for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head, starts):
+    for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head, starts, block):
         logit_sq = np.vdot(g, g)
         _, logp_sum = md._gradient_in_place(counts, g, rows, nz, i, cells, logp=True)
         moments.add(g, split.add(g))
@@ -328,12 +329,13 @@ def _gradient_pass_shard(counts: CountMatrix, params: md.ModelParams, basis, wm,
 
 
 def _efficiency_shard(counts: CountMatrix, params: md.ModelParams, wm, first: GradientPass,
-                      budgets, starts: range):
+                      budgets, block, starts: range):
     """`update_efficiency`'s shard of `model._sharded_pass`: the sum of
-    n log softmax(logits + b * d) over the row blocks at `starts`, for each
-    unit direction d and then each budget b of `budgets`."""
+    n log softmax(logits + b * d) over the row blocks at `starts`, each read
+    into `block`, for each unit direction d and then each budget b of
+    `budgets`."""
     sums = 0.0
-    for rows, nz, i, cells, _, lm in md._row_blocks(counts, params.h, params.head, starts):
+    for rows, nz, i, cells, _, lm in md._row_blocks(counts, params.h, params.head, starts, block):
         g = lm.copy()
         md._gradient_in_place(counts, g, rows, nz, i, cells)
         directions = [-g / first.grad_norm, -((g @ wm) @ wm.T) / first.hidden_norm]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .corpus import ContextTable, CountMatrix, batch_counts, check_dense
+from .corpus import ContextTable, CountMatrix, _dense_rows, batch_counts, check_dense
 from .parallel import map_threads
 from .tables import write_csv
 
@@ -30,7 +30,9 @@ INTERIOR_SMOOTHING = 1e-6
 
 # Bytes of logits in one row block of `_row_blocks`, the one block generator
 # behind every pass over the logits (training's loss, top-1 and gradients,
-# and `diagnose`). A fixed constant, so the block row count follows from V
+# and `diagnose`) at V <= 1024; a larger V keeps V = 1024's row count (64
+# rows), as thinner blocks leave the kernel threads waiting on the
+# interpreter lock. A fixed constant, so the block row count follows from V
 # alone: blocked sums round differently for another block size, and reruns
 # stay bit-identical on any machine.
 BLOCK_BYTES = 512 * 1024
@@ -95,12 +97,14 @@ class FullHead:
         """The head's trainable matrices by name, in checkpoint order."""
         return {"w": self.w}
 
-    def logits(self, h: np.ndarray) -> np.ndarray:
-        return h @ self.w.T
+    def logits(self, h: np.ndarray, out=None) -> np.ndarray:
+        """The logits h W^T, written to `out` where given."""
+        return np.matmul(h, self.w.T, out=out)
 
-    def pullback(self, g: np.ndarray) -> np.ndarray:
-        """The rows' gradient g W from the logit gradient `g`."""
-        return g @ self.w
+    def pullback(self, g: np.ndarray, out=None) -> np.ndarray:
+        """The rows' gradient g W from the logit gradient `g`, written to
+        `out` where given."""
+        return np.matmul(g, self.w, out=out)
 
     def part_grads(self, gw: np.ndarray) -> dict:
         """The parts' gradients from the V x D effective head gradient."""
@@ -148,11 +152,11 @@ class FactoredHead:
     def parts(self) -> dict:
         return {"a": self.a, "b": self.b}
 
-    def logits(self, h: np.ndarray) -> np.ndarray:
-        return (h @ self.b.T) @ self.a.T
+    def logits(self, h: np.ndarray, out=None) -> np.ndarray:
+        return np.matmul(h @ self.b.T, self.a.T, out=out)
 
-    def pullback(self, g: np.ndarray) -> np.ndarray:
-        return (g @ self.a) @ self.b
+    def pullback(self, g: np.ndarray, out=None) -> np.ndarray:
+        return np.matmul(g @ self.a, self.b, out=out)
 
     def part_grads(self, gw: np.ndarray) -> dict:
         return {"a": gw @ self.b.T, "b": self.a.T @ gw}
@@ -351,9 +355,13 @@ def loss(counts: CountMatrix, params: ModelParams) -> float:
     return -_row_block_pass(counts, params.h, params.head)[0] / counts.total
 
 
-def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False):
+def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False,
+                    workspace: _Workspace | None = None):
     """One `_sharded_pass` over the logits of the counted rows; `h` holds
-    every context row, gathered by `counts.row_ids` where it has them.
+    every context row, gathered by `counts.row_ids` where it has them. The
+    pass writes into the buffers of `workspace`, a `_Workspace` for counts
+    of at most its rows, or else into fresh ones, so that without a
+    workspace the gradients are fresh arrays.
 
     - The evaluation pass (the default, `_eval_shard`) returns (sum of
       n log p, max |row max|, top-1 matches, None). The matches take the
@@ -368,8 +376,10 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False
     """
     c = counts.num_contexts
     if grad:
-        gh = np.empty((c, h.shape[1]))
-        shards = _sharded_pass(_gradient_shard, counts, h, head, gh)
+        workspace = workspace or _Workspace(counts.vocab_size, h.shape[1], c)
+        gh = workspace.rows_gradient(c)
+        shards = _sharded_pass(_gradient_shard, counts, h, head, gh,
+                               buffers=workspace.shards)
         gw = shards[0][1]
         for shard in shards[1:]:
             gw += shard[1]
@@ -377,30 +387,80 @@ def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False
     else:
         counts.targets  # filled here: the shards only read the cached argmax
         match = np.empty(c, dtype=bool)
-        shards = _sharded_pass(_eval_shard, counts, h, head, match)
+        blocks = [s.block for s in workspace.shards] if workspace else None
+        shards = _sharded_pass(_eval_shard, counts, h, head, match, buffers=blocks)
         logp_sum, grads = sum(s[1] for s in shards), None
     max_abs = np.max([0.0, *(s[0] for s in shards)])  # NaN-propagating
     return logp_sum, float(max_abs), match, grads
 
 
-def _sharded_pass(shard, counts: CountMatrix, *args) -> list:
-    """[shard(counts, *args, starts) per run of row blocks], in run order.
+def _sharded_pass(shard, counts: CountMatrix, *args, buffers=None) -> list:
+    """[shard(counts, *args, buffers[k], starts) for the k-th run of row
+    blocks], in run order; `buffers` holds one shard's buffers per run, by
+    default a fresh row block of logits (`_block_buffers`).
 
     The row blocks of `_block_starts` are cut into SHARDS contiguous runs,
     each on its own thread where `parallel.cpu_budget()` allows; callers
     combine the results in run order, so the thread count never changes a
     bit. `shard` calls no public headlab function (the benchmark's tracer
-    keeps one span stack) and sets its own numpy error state (per thread).
+    keeps one span stack), so its buffers are made here, and it sets its
+    own numpy error state (per thread).
     """
     starts = _block_starts(counts)
     cuts = [len(starts) * k // SHARDS for k in range(SHARDS + 1)]
-    return map_threads(shard, [(counts, *args, starts[lo:hi])
-                               for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
+    runs = [starts[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    if buffers is None:
+        buffers = _block_buffers(counts.vocab_size, counts.num_contexts, len(runs))
+    return map_threads(shard, [(counts, *args, b, run) for b, run in zip(buffers, runs)])
+
+
+def _block_rows(vocab_size: int) -> int:
+    """Rows per row block: BLOCK_BYTES of logits, V counted up to 1024, and
+    no more rows than the dense-size guard lets through (binding only under
+    a limit far below its default); at least one."""
+    rows = BLOCK_BYTES // (8 * min(vocab_size, 1024))
+    return max(1, min(rows, _dense_rows(vocab_size)))
 
 
 def _block_starts(counts: CountMatrix) -> range:
-    """The first rows of the row blocks of BLOCK_BYTES of logits."""
-    return range(0, counts.num_contexts, max(1, BLOCK_BYTES // (8 * counts.vocab_size)))
+    """The first rows of the row blocks of `_block_rows`."""
+    return range(0, counts.num_contexts, _block_rows(counts.vocab_size))
+
+
+def _block_buffers(vocab_size: int, num_contexts: int, count: int) -> list:
+    """`count` buffers, each room for the logits of the largest row block of
+    `num_contexts` rows, refused (`corpus.check_dense`) before they are
+    allocated where even one row is too large."""
+    rows = min(_block_rows(vocab_size), num_contexts)
+    check_dense("a row block of logits (rows x tokens)", rows, vocab_size)
+    return [np.empty((rows, vocab_size)) for _ in range(count)]
+
+
+class _ShardBuffers(NamedTuple):
+    """One shard's buffers: a row block of logits, its V x D gW accumulator
+    and one block's V x D term of it."""
+
+    block: np.ndarray
+    gw: np.ndarray
+    term: np.ndarray
+
+
+class _Workspace:
+    """The buffers a run's logit passes reuse from pass to pass: one
+    `_ShardBuffers` per shard, for passes over at most `num_contexts` rows of
+    V tokens, and the rows' gradient gh, grown only for a larger pass."""
+
+    def __init__(self, vocab_size: int, width: int, num_contexts: int):
+        self.shards = [_ShardBuffers(block, np.empty((vocab_size, width)),
+                                     np.empty((vocab_size, width)))
+                       for block in _block_buffers(vocab_size, num_contexts, SHARDS)]
+        self._gh = np.empty((0, width))
+
+    def rows_gradient(self, num_contexts: int) -> np.ndarray:
+        """A C x D buffer for the gradient of `num_contexts` rows."""
+        if num_contexts > len(self._gh):
+            self._gh = np.empty((num_contexts, self._gh.shape[1]))
+        return self._gh[:num_contexts]
 
 
 def _check_shape(counts: CountMatrix, h: np.ndarray, head) -> None:
@@ -412,21 +472,27 @@ def _check_shape(counts: CountMatrix, h: np.ndarray, head) -> None:
                          f"counts shape {counts.shape}")
 
 
-def _row_blocks(counts: CountMatrix, h, head, starts: range | None = None):
+def _row_blocks(counts: CountMatrix, h, head, starts: range | None = None, out=None):
     """(rows, nz, i, cells, h_b, logits) per row block beginning at `starts`
     (a slice of `_block_starts`, by default all of it): its row slice, the
     slice of its count triplets, their rows in the block, their flat indices
-    into its C-ordered logits, its rows of `h` and its logits h_b W^T. A
-    model of the wrong shape is refused (`_check_shape`) at the first block."""
+    into its C-ordered logits, its rows of `h` and its logits h_b W^T. The
+    logits of every block are written to leading rows of `out`, by default
+    one of `_block_buffers` for the call, so a block is overwritten by the
+    next.
+    A model of the wrong shape is refused (`_check_shape`) at the first
+    block."""
     _check_shape(counts, h, head)
     starts = _block_starts(counts) if starts is None else starts
+    if out is None:
+        out, = _block_buffers(counts.vocab_size, counts.num_contexts, 1)
     bounds = np.searchsorted(counts.rows, [*starts, starts.stop])
     for lo, nz_lo, nz_hi in zip(starts, bounds[:-1], bounds[1:]):
         rows, nz = slice(lo, lo + starts.step), slice(nz_lo, nz_hi)
         i = counts.rows[nz] - lo
         h_b = h[rows] if counts.row_ids is None else h[counts.row_ids[rows]]
         with np.errstate(over="ignore", invalid="ignore"):
-            lm = head.logits(h_b)
+            lm = head.logits(h_b, out=out[:len(h_b)])
         yield rows, nz, i, i * counts.vocab_size + counts.cols[nz], h_b, lm
 
 
@@ -442,12 +508,13 @@ def _gradient_in_place(counts: CountMatrix, lm: np.ndarray, rows: slice, nz: sli
     return row_max, logp_sum
 
 
-def _eval_shard(counts: CountMatrix, h, head, match, starts: range):
-    """Writes the blocks' rows of `match`; returns (max |row max|, sum of
-    n log p). Non-finite values of a diverged model flow through."""
+def _eval_shard(counts: CountMatrix, h, head, match, block, starts: range):
+    """Writes the blocks' rows of `match`, each block's logits in `block`;
+    returns (max |row max|, sum of n log p). Non-finite values of a diverged
+    model flow through."""
     max_abs = logp_sum = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, nz, i, cells, _, lm in _row_blocks(counts, h, head, starts):
+        for rows, nz, i, cells, _, lm in _row_blocks(counts, h, head, starts, block):
             z, row_max, block_sum = linalg._softmax_block(lm, cells, i, counts.n[nz])
             logp_sum += block_sum
             lm /= z
@@ -456,15 +523,17 @@ def _eval_shard(counts: CountMatrix, h, head, match, starts: range):
     return max_abs, logp_sum
 
 
-def _gradient_shard(counts: CountMatrix, h, head, gh, starts: range):
+def _gradient_shard(counts: CountMatrix, h, head, gh, buffers: _ShardBuffers, starts: range):
     """Writes the blocks' rows of `gh`; returns (max |row max|, the blocks'
-    V x D gW term). Non-finite values of a diverged model flow through."""
-    max_abs, gw = 0.0, np.zeros((counts.vocab_size, h.shape[1]))
+    V x D gW term, summed in `buffers.gw`). Non-finite values of a diverged
+    model flow through."""
+    max_abs, gw = 0.0, buffers.gw
+    gw.fill(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, nz, i, cells, h_b, lm in _row_blocks(counts, h, head, starts):
+        for rows, nz, i, cells, h_b, lm in _row_blocks(counts, h, head, starts, buffers.block):
             row_max, _ = _gradient_in_place(counts, lm, rows, nz, i, cells)
-            gh[rows] = head.pullback(lm)
-            gw += lm.T @ h_b
+            head.pullback(lm, out=gh[rows])
+            gw += np.matmul(lm.T, h_b, out=buffers.term)
             max_abs = np.maximum(max_abs, np.abs(row_max).max())
     return max_abs, gw
 
@@ -537,7 +606,9 @@ def _lr_at(config: TrainConfig, step: int) -> float:
 class _Optimizer:
     """Plain gradient descent, or Adam with bias correction, over every part
     of `ModelParams.parts`. Adam's moment rows of H are only touched when the
-    corresponding context appears in the step's batch."""
+    corresponding context appears in the step's batch. Each part's update is
+    formed in two scratch arrays of its shape (GD writes only the first), in
+    place of a temporary per operation."""
 
     def __init__(self, config: TrainConfig, params: ModelParams):
         self.config = config
@@ -545,6 +616,8 @@ class _Optimizer:
         moments = params.parts if config.optimizer == "adam" else {}
         self.m = {name: np.zeros_like(p) for name, p in moments.items()}
         self.v = {name: np.zeros_like(p) for name, p in moments.items()}
+        self.scratch = {name: (np.empty_like(p), np.empty_like(p))
+                        for name, p in params.parts.items()}
 
     def step(self, params: ModelParams, grads: dict, lr: float, h_rows=None):
         b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -554,17 +627,22 @@ class _Optimizer:
         for name, target in params.parts.items():
             rows = h_rows if name == "h" and h_rows is not None else slice(None)
             grad = grads[name]
+            # the step's scratch rows: all of them, or as many as the batch's
+            s, t = (buf[:len(grad)] for buf in self.scratch[name])
             if self.config.optimizer == "gd":
-                target[rows] -= lr * grad
+                np.multiply(lr, grad, out=s)
             else:
                 # a view of the whole slot, or a copy of the batch's rows
                 m, v = self.m[name][rows], self.v[name][rows]
                 m *= b1
-                m += (1.0 - b1) * grad
+                m += np.multiply(1.0 - b1, grad, out=s)
                 v *= b2
-                v += (1.0 - b2) * grad**2
+                v += np.multiply(1.0 - b2, np.square(grad, out=s), out=s)
                 self.m[name][rows], self.v[name][rows] = m, v
-                target[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+                # lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
+                np.multiply(lr, np.divide(m, c1, out=s), out=s)
+                s /= np.add(np.sqrt(np.divide(v, c2, out=t), out=t), ADAM_EPS, out=t)
+            target[rows] -= s
 
 
 def _eval_point(
@@ -572,8 +650,9 @@ def _eval_point(
     counts: CountMatrix,
     params: ModelParams,
     val_counts: CountMatrix | None,
+    workspace: _Workspace,
 ) -> TrajectoryPoint:
-    logp_sum, _, match, _ = _row_block_pass(counts, params.h, params.head)
+    logp_sum, _, match, _ = _row_block_pass(counts, params.h, params.head, workspace=workspace)
     val_loss = None
     if val_counts is not None:
         val_loss = loss(val_counts, params)
@@ -628,9 +707,11 @@ def train(
             raise ValueError("explicit params width does not match the config")
 
     optimizer = _Optimizer(config, params)
+    # the mini-batches and the validation counts hold a subset of these rows
+    workspace = _Workspace(counts.vocab_size, config.width, counts.num_contexts)
     trajectory = Trajectory()
     snapshots = []
-    trajectory.points.append(_eval_point(0, counts, params, val_counts))
+    trajectory.points.append(_eval_point(0, counts, params, val_counts, workspace))
     if 0 in wanted_snapshots:
         snapshots.append((0, params.copy()))
 
@@ -650,7 +731,8 @@ def train(
             epoch_pos += k
             step_counts = batch_counts(table, batch)
 
-        _, max_abs, _, grads = _row_block_pass(step_counts, params.h, params.head, grad=True)
+        _, max_abs, _, grads = _row_block_pass(step_counts, params.h, params.head, True,
+                                               workspace)
         if not math.isfinite(max_abs):
             # a gradient pass skips the loss sum; only a diverged step pays for one
             raise TrainingDivergedError(step, loss(step_counts, params), max_abs)
@@ -658,7 +740,7 @@ def train(
 
         done = step + 1
         if done % config.eval_every == 0 or done == config.steps:
-            trajectory.points.append(_eval_point(done, counts, params, val_counts))
+            trajectory.points.append(_eval_point(done, counts, params, val_counts, workspace))
         if done in wanted_snapshots:
             snapshots.append((done, params.copy()))
 

@@ -192,3 +192,25 @@ def gen_zipf_bigram_out_of_place(vocab_size, exponent, num_seqs, seq_len, seed):
     for t in range(1, seq_len):
         tokens[:, t] = cp._count_at_most(body, tokens[:, t - 1], rng.random(num_seqs))
     return cp.Corpus(vocab_size=vocab_size, sequences=list(tokens))
+
+
+def optimizer_step(optimizer, params, grads, lr, h_rows=None):
+    """`model._Optimizer.step` with a fresh array for every operation: the
+    update its scratch arrays must reproduce bit for bit."""
+    b1, b2 = md.ADAM_BETA1, md.ADAM_BETA2
+    optimizer.t += 1
+    c1 = 1.0 - b1**optimizer.t
+    c2 = 1.0 - b2**optimizer.t
+    for name, target in params.parts.items():
+        rows = h_rows if name == "h" and h_rows is not None else slice(None)
+        grad = grads[name]
+        if optimizer.config.optimizer == "gd":
+            target[rows] -= lr * grad
+        else:
+            m, v = optimizer.m[name][rows], optimizer.v[name][rows]
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad**2
+            optimizer.m[name][rows], optimizer.v[name][rows] = m, v
+            target[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + md.ADAM_EPS)

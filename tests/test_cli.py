@@ -3,6 +3,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1065,6 +1066,16 @@ class TestReportCommand:
         assert f"error: {tmp_path / 'old' / 'trajectory.csv'}" in err and problem in err
         assert "Traceback" not in err
         assert not (tmp_path / "report" / "summary.json").exists()
+
+    def test_blank_val_loss_before_a_filled_one_is_left_out_of_the_val_series(self, tmp_path):
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "trajectory.csv").write_text(
+            "step,train_loss,val_loss,top1_acc\n0,1.5,,0.25\n10,0.75,0.8,0.5\n")
+        assert run(["report", "--out", str(tmp_path), "--run_dir", str(tmp_path / "old")]) == 0
+        plot = (tmp_path / "report" / "old_trajectory.svg").read_text()
+        train, val = re.findall(r'<polyline points="([^"]*)"', plot)
+        assert len(train.split()) == 2 and len(val.split()) == 1
+        assert ">val</text>" in plot
 
     def test_trajectory_with_an_extra_column_gets_its_plot(self, tmp_path):
         (tmp_path / "new").mkdir()

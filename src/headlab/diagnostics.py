@@ -111,6 +111,12 @@ class CompressionReport:
         write_csv(path, ["row", "lost_fraction"], enumerate(self.per_row_lost))
 
 
+def _row_norms(x: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) of a real `x`, bit for bit, its squares
+    written to `square`, an array shaped as `x`."""
+    return np.sqrt(np.add.reduce(np.square(x, out=square), axis=1))
+
+
 class _KernelSplit:
     """`compression_report` over the row blocks of a gradient, added in row
     order, given the head's `linalg.range_basis`: per block the split of
@@ -122,12 +128,16 @@ class _KernelSplit:
         self.lost_sq = 0.0
         self.row_norms = []  # (row, kept, lost) norms of each block
 
-    def add(self, g: np.ndarray) -> np.ndarray:
-        """Add the block `g`; return its part in the kernel."""
-        kept, lost = linalg._split_rows(g, self.basis)
+    def add(self, g: np.ndarray, temps=None) -> np.ndarray:
+        """Add the block `g`; return its part in the kernel. The block's
+        temporaries (its kept and lost parts, then squares) are written to
+        `temps`, three arrays shaped as `g`, by default fresh ones; the
+        returned part is the second."""
+        kept, lost, square = temps or [np.empty(g.shape) for _ in range(3)]
+        linalg._split_rows(g, self.basis, out=(kept, lost))
         self.grad_sq += float(np.vdot(g, g))
         self.lost_sq += float(np.vdot(lost, lost))
-        self.row_norms.append(tuple(np.linalg.norm(x, axis=1) for x in (g, kept, lost)))
+        self.row_norms.append(tuple(_row_norms(x, square) for x in (g, kept, lost)))
         return lost
 
     def merge(self, other: _KernelSplit) -> None:
@@ -199,14 +209,20 @@ class _ProfileMoments:
         self.mean = np.zeros((2, vocab_size))  # full, projected
         self.m2 = np.zeros((2, vocab_size))
 
-    def add(self, g_full: np.ndarray, g_proj: np.ndarray) -> None:
+    def add(self, g_full: np.ndarray, g_proj: np.ndarray, temps=None) -> None:
+        """Add the block `g_full` and its `g_proj`. The sorted rows are
+        written to `temps`, two arrays shaped as `g_full`, by default fresh
+        ones."""
         if g_full.shape != g_proj.shape:
             raise ValueError("full and projected gradients must have the same shape")
-        order = np.argsort(-np.abs(g_full), axis=1)
-        f_sorted = np.take_along_axis(g_full, order, axis=1)
+        f_sorted, p_sorted = temps or [np.empty(g_full.shape) for _ in range(2)]
+        order = np.argsort(np.negative(np.abs(g_full, out=f_sorted), out=f_sorted), axis=1)
+        # each row's order as flat indices: one gather per array, into its buffer
+        order += np.arange(0, order.size, order.shape[1])[:, None]
+        np.take(g_full, order, out=f_sorted, mode="clip")
         flip = np.where(f_sorted[:, :1] > 0, -1.0, 1.0)
         f_sorted *= flip
-        p_sorted = np.take_along_axis(g_proj, order, axis=1)
+        np.take(g_proj, order, out=p_sorted, mode="clip")
         p_sorted *= flip
         del order
         block = _ProfileMoments(g_full.shape[1])
@@ -317,13 +333,18 @@ def _gradient_pass_shard(counts: CountMatrix, params: md.ModelParams, basis, wm,
                          starts: range):
     """`gradient_pass`'s shard of `model._sharded_pass`: (kernel split,
     profile moments, [sum of n log p, ||logits||^2, ||g W W^T||^2]) of the
-    row blocks at `starts`, each read into `block`."""
+    row blocks at `starts`, each read into `block`. Every block's
+    temporaries are written to three buffers shaped as `block`, made once."""
     split, moments, sums = _KernelSplit(basis), _ProfileMoments(counts.vocab_size), np.zeros(3)
+    buffers = [np.empty(block.shape) for _ in range(3)]
     for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head, starts, block):
+        kept, lost, spare = (buf[:len(g)] for buf in buffers)
         logit_sq = np.vdot(g, g)
         _, logp_sum = md._gradient_in_place(counts, g, rows, nz, i, cells, logp=True)
-        moments.add(g, split.add(g))
-        hidden = (g @ wm) @ wm.T
+        split.add(g, (kept, lost, spare))
+        # kept's and spare's rows are free again once the split is added
+        moments.add(g, lost, (kept, spare))
+        hidden = np.matmul(g @ wm, wm.T, out=kept)
         sums += (logp_sum, logit_sq, np.vdot(hidden, hidden))
     return split, moments, sums
 
@@ -333,14 +354,22 @@ def _efficiency_shard(counts: CountMatrix, params: md.ModelParams, wm, first: Gr
     """`update_efficiency`'s shard of `model._sharded_pass`: the sum of
     n log softmax(logits + b * d) over the row blocks at `starts`, each read
     into `block`, for each unit direction d and then each budget b of
-    `budgets`."""
+    `budgets`. Every block's gradient, directions and moved logits are
+    written to three buffers shaped as `block`, made once."""
     sums = 0.0
+    buffers = [np.empty(block.shape) for _ in range(3)]
     for rows, nz, i, cells, _, lm in md._row_blocks(counts, params.h, params.head, starts, block):
-        g = lm.copy()
+        g, d_logit, d_hidden = (buf[:len(lm)] for buf in buffers)
+        np.copyto(g, lm)
         md._gradient_in_place(counts, g, rows, nz, i, cells)
-        directions = [-g / first.grad_norm, -((g @ wm) @ wm.T) / first.hidden_norm]
-        sums = sums + np.array([linalg._softmax_block(d * b + lm, cells, i, counts.n[nz])[2]
-                                for d in directions for b in budgets])
+        np.divide(np.negative(g, out=d_logit), first.grad_norm, out=d_logit)
+        np.matmul(g @ wm, wm.T, out=d_hidden)
+        np.divide(np.negative(d_hidden, out=d_hidden), first.hidden_norm, out=d_hidden)
+        # g's rows are free again: each moved block d * b + lm is formed there
+        sums = sums + np.array([
+            linalg._softmax_block(np.add(np.multiply(d, b, out=g), lm, out=g), cells, i,
+                                  counts.n[nz])[2]
+            for d in (d_logit, d_hidden) for b in budgets])
     return sums
 
 

@@ -118,16 +118,21 @@ def range_basis(w) -> np.ndarray:
     return q[:, :rank]
 
 
-def _split_rows(g: np.ndarray, basis: np.ndarray):
+def _split_rows(g: np.ndarray, basis: np.ndarray, out=None):
     """Split each row of the float64 `g` into its parts in span(basis) and
     orthogonal to it, for a `basis` of orthonormal columns (as `range_basis`
-    returns): (kept, lost), kept + lost = g. With as many columns as rows
-    `lost` is exactly zero, with none `kept` is. Private and unchecked, as
-    `diagnose`'s kernel threads run it."""
+    returns): (kept, lost), kept + lost = g, written to `out`, a pair of
+    arrays shaped as `g` (by default fresh ones). With as many columns as
+    rows `lost` is exactly zero, with none `kept` is. Private and unchecked,
+    as `diagnose`'s kernel threads run it."""
+    kept, lost = (np.empty(g.shape), np.empty(g.shape)) if out is None else out
     if basis.shape[1] == basis.shape[0]:  # (g Q) Q^T would leave rounding-level residue
-        return g.copy(), np.zeros_like(g)
-    kept = (g @ basis) @ basis.T
-    return kept, g - kept
+        np.copyto(kept, g)
+        lost.fill(0.0)
+    else:
+        np.matmul(g @ basis, basis.T, out=kept)
+        np.subtract(g, kept, out=lost)
+    return kept, lost
 
 
 def kernel_split(g, w):

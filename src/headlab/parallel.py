@@ -2,10 +2,10 @@
 
 Importing this module sets numpy's and scipy's OpenBLAS to one thread, so
 `cpu_budget()`, the one rule, is the usable CPUs. `_map_cells` runs independent
-jobs (the sweeps' training runs, `diagnose`'s measurements) in a fork process
-pool of that many workers, and `map_threads` runs the fixed shards of one logit
-pass on that many threads. A pool worker's budget is 1, so its jobs never start
-threads of their own.
+jobs (the sweeps' training runs, `diagnose`'s measurements, `verify`'s checks)
+in a fork process pool of that many workers, and `map_threads` runs the fixed
+shards of one logit pass on that many threads. A pool worker's budget is 1, so
+its jobs never start threads of their own.
 """
 
 from __future__ import annotations
@@ -97,8 +97,12 @@ def _map_cells(jobs: list) -> list:
     The zero-argument jobs run in a fork pool of min(len(jobs), cpu_budget())
     workers, or in this process when that is one. Fork carries them into the
     workers unpickled, so they may close over count matrices or lambdas; only
-    their results are pickled. Workers inherit the one-thread BLAS and run
+    their results and exceptions are pickled. Each worker takes the next job
+    in job order when it is free. Workers inherit the one-thread BLAS and run
     their logit passes on one thread, so the results equal the serial ones.
+    The first exception in job order is raised, its type and message
+    unchanged: in the pool, as on `map_threads`' threads, after every job has
+    finished, and in this process at once.
     """
     workers = min(len(jobs), cpu_budget())
     if workers <= 1:
@@ -106,8 +110,9 @@ def _map_cells(jobs: list) -> list:
     with multiprocessing.get_context("fork").Pool(
         workers, initializer=_start_worker, initargs=(jobs,)
     ) as pool:
-        results = pool.map(_run_job, range(len(jobs)), chunksize=1)
-        # close and join, so that the workers' rusage reaches this process
+        pending = [pool.apply_async(_run_job, (index,)) for index in range(len(jobs))]
+        # close and join: every job has finished, and the workers' rusage
+        # reaches this process
         pool.close()
         pool.join()
-    return results
+    return [result.get() for result in pending]

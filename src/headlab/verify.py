@@ -25,6 +25,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse.csgraph
@@ -42,6 +43,7 @@ from .model import (
     loss_from_logits,
     smoothed_log_target,
 )
+from .parallel import _map_cells
 from .tables import write_csv, write_json
 
 RANK_TOL = linalg.DEFAULT_RANK_TOL
@@ -509,25 +511,36 @@ CHECKS = {
 }
 
 
+def _run_check(check_id: str, check, kwargs: dict) -> VerificationResult:
+    """check(**kwargs), a ValueError it raises raised again prefixed with
+    its check id."""
+    try:
+        return check(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{check_id}: {exc}") from exc
+
+
 def run_all(seed: int = 0, rank_tol: float = RANK_TOL, sizes: dict | None = None) -> dict:
-    """Run every registered check; returns {check_id: VerificationResult}.
+    """Run every registered check; returns {check_id: VerificationResult},
+    in registry order.
 
     `sizes` maps a check id to the keyword arguments of its verifier, which
     are `{"instances": N}` or none. `rank_tol` goes to every verifier that
-    takes one. Every block's count is checked before the first check draws,
-    and a ValueError a verifier raises is raised again prefixed with its
-    check id.
+    takes one. Every block's count is checked before the first check draws.
+    The checks are independent jobs of `parallel._map_cells`, so they run in
+    its fork pool where the CPU budget allows; each draws from its own
+    generator of `seed`, so the results do not depend on the worker count.
+    A ValueError a
+    verifier raises is raised again prefixed with its check id, the first
+    in registry order when several fail.
     """
     sizes = sizes or {}
     _positive(**{f"{check_id}.instances": block["instances"]
                  for check_id, block in sizes.items() if "instances" in block})
-    results = {}
+    jobs = []
     for check_id, check in CHECKS.items():
         kwargs = {**sizes.get(check_id, {}), "seed": seed}
         if "rank_tol" in inspect.signature(check).parameters:
             kwargs["rank_tol"] = rank_tol
-        try:
-            results[check_id] = check(**kwargs)
-        except ValueError as exc:
-            raise ValueError(f"{check_id}: {exc}") from exc
-    return results
+        jobs.append(partial(_run_check, check_id, check, kwargs))
+    return dict(zip(CHECKS, _map_cells(jobs)))

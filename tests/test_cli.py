@@ -219,6 +219,7 @@ class TestDiagnoseCommand:
     ):
         calls = []
         monkeypatch.setattr(cli.diagnostics, "gradient_pass", lambda *args: calls.append(args))
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)  # the spy runs here
         args = _diag_args(trained, "d7")
         args[args.index("[1,8,32,128]")] = token_counts
         assert run(args) == cli.EXIT_USAGE
@@ -292,6 +293,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(vf.linalg, "qr_rank", spy(vf.linalg.qr_rank))
         monkeypatch.setattr(vf, "_svd_rank", spy(vf._svd_rank))
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)  # the spy runs here
         assert run(["verify", "--out", str(tmp_path), "--rank_tol", "1e-3"] + self.TINY) == 0
         assert seen == {
             "verify_logit_rank_caps": {1e-3},
@@ -331,6 +333,7 @@ class TestVerifyCommand:
 
         for check_id, check in list(vf.CHECKS.items()):
             monkeypatch.setitem(vf.CHECKS, check_id, spy(check_id, check))
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)  # the spy runs here
         args = ["verify", "--out", str(tmp_path)] + self.TINY + [f"--{key}", "0"]
         assert run(args) == cli.EXIT_USAGE
         assert f"error: {key} must be positive" in capsys.readouterr().err
@@ -749,12 +752,28 @@ class TestSweepPool:
             if path.name != "config.json":
                 assert trees[0][path] == trees[1][path], path
 
-    @pytest.mark.parametrize("limit, made", [(1, []), (2, [])])
+    def test_verify_one_and_two_workers_write_identical_files(self, pools, monkeypatch,
+                                                             tmp_path):
+        trees = []
+        for limit in (1, 2):
+            monkeypatch.setattr(parallel, "cpu_budget", lambda: limit)
+            out = tmp_path / f"workers{limit}"
+            assert run(["verify", "--out", str(out)] + TestVerifyCommand.TINY) == 0
+            trees.append(_tree(out))
+        # six checks on two workers
+        assert pools == [2]
+        assert {path.name for path in trees[0]} == {"config.json", "summary.json"} | {
+            f"{check_id}{suffix}" for check_id in vf.CHECKS
+            for suffix in (".json", "_instances.csv")}
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("limit, made", [(1, []), (2, [2])])
     def test_diagnose_cell_error_exits_usage(
         self, limit, made, trained, pools, monkeypatch, capsys
     ):
         # a zero head maps every hidden-state step to a zero logit update;
-        # the first pass over the row blocks refuses it, before any fork
+        # the first pass over the row blocks refuses it, in a pool worker at
+        # limit 2
         path = trained / "train" / "checkpoint.bin"
         params = load_checkpoint(path)
         params.head.w[:] = 0.0

@@ -344,3 +344,44 @@ class TestModelShapeRefused:
             self.ENTRY_POINTS[entry](counts, params, good)
         assert f"({c + extra_rows}, {v + extra_tokens})" in str(exc.value)
         assert f"{counts.shape}" in str(exc.value)
+
+
+class TestBlockBuffers:
+    """A shard writes each block's temporaries into the leading rows of
+    buffers made once for its largest block; reused, dirty buffers give the
+    bits of fresh arrays and of numpy's own forms."""
+
+    @staticmethod
+    def dirty(rows, like):
+        buf = np.full((rows, like.shape[1]), np.nan)
+        return buf[:len(like)]
+
+    def block(self, seed):
+        g = np.random.default_rng(seed).normal(size=(5, 9))
+        g[1] = 0.0
+        g[2, :3] = g[2, 3:6]  # ties in |g|
+        return g
+
+    def test_row_norms_equal_numpys_norm(self):
+        g = self.block(40)
+        assert np.array_equal(dg._row_norms(g, self.dirty(8, g)), np.linalg.norm(g, axis=1))
+
+    @pytest.mark.parametrize("rank", [0, 3, 9])
+    def test_split_into_buffers_equals_fresh_split(self, rank):
+        g = self.block(41)
+        basis = np.linalg.qr(np.random.default_rng(42).normal(size=(9, 9)))[0][:, :rank]
+        fresh = linalg._split_rows(g, basis)
+        reused = linalg._split_rows(g, basis, out=(self.dirty(8, g), self.dirty(8, g)))
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, reused))
+
+    def test_profile_from_buffers_equals_the_sorted_rows(self):
+        g, proj = self.block(43), self.block(44)
+        fresh, reused = dg._ProfileMoments(9), dg._ProfileMoments(9)
+        fresh.add(g, proj)
+        reused.add(g, proj, (self.dirty(8, g), self.dirty(8, g)))
+        assert np.array_equal(fresh.mean, reused.mean) and np.array_equal(fresh.m2, reused.m2)
+        order = np.argsort(-np.abs(g), axis=1)
+        flip = np.where(np.take_along_axis(g, order, axis=1)[:, :1] > 0, -1.0, 1.0)
+        for k, x in enumerate((g, proj)):
+            sorted_rows = np.take_along_axis(x, order, axis=1) * flip
+            assert np.array_equal(fresh.mean[k], sorted_rows.mean(axis=0))

@@ -63,6 +63,16 @@ def _with_pid(fn, i):
     return fn(i), os.getpid()
 
 
+def _fail_after(seconds, message):
+    threading.Event().wait(seconds)
+    raise ValueError(message)
+
+
+def _mark_after(seconds, path):
+    threading.Event().wait(seconds)
+    path.touch()
+
+
 def _budget_and_threads(i):
     results = parallel.map_threads(_job, [(i,), (i + 1,)])
     return parallel.cpu_budget(), {ident for _, ident in results} == {threading.get_ident()}
@@ -90,6 +100,18 @@ class TestFork:
         assert [value for value, _ in results] == [0, 1, 4, 9, 16]
         pids = {pid for _, pid in results}
         assert os.getpid() not in pids and len(pids) <= 2
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_first_exception_in_job_order_after_every_job(self, budget, monkeypatch,
+                                                          tmp_path):
+        # in the pool job 0 fails last, job 1 at once, and job 2 leaves a
+        # mark when done; in this process the jobs stop at job 0's failure
+        monkeypatch.setattr(parallel, "cpu_budget", lambda: budget)
+        jobs = [partial(_fail_after, 0.3, "job 0 failed"), partial(_fail_after, 0.0, "job 1"),
+                partial(_mark_after, 0.3, tmp_path / "done")]
+        with pytest.raises(ValueError, match="^job 0 failed$"):
+            parallel._map_cells(jobs)
+        assert (tmp_path / "done").exists() == (budget == 2)
 
     def test_pool_workers_have_budget_one_and_start_no_threads(self, two_cpus):
         parallel.map_threads(_job, [(1,), (2,)])

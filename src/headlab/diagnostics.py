@@ -8,12 +8,11 @@ profiles, update-direction efficiency, and the unavoidable low-rank residual
 of the parameter-induced logit update.
 
 `diagnose` reads them off the snapshot in the row blocks of
-`model._row_blocks` and never forms a C x V matrix. `gradient_pass`
-accumulates the kernel split, the coefficient profile and the norms of the
-logit gradient, and `update_efficiency` the perturbed losses, each in a pass
-of `model._sharded_pass` whose runs' accumulators merge in run order.
-`gradient_gap` sums the V x V Gram matrix in a serial walk of the same
-blocks. `compression_report` and `coefficient_profile` are the one-block
+`model._row_blocks` and never forms a C x V matrix. Each of its passes is
+one serial walk of the blocks, in row order: `gradient_pass` accumulates the
+kernel split, the coefficient profile and the norms of the logit gradient,
+`update_efficiency` the perturbed losses, and `gradient_gap` the V x V Gram
+matrix. `compression_report` and `coefficient_profile` are the one-block
 case of the first pass's accumulators.
 """
 
@@ -139,12 +138,6 @@ class _KernelSplit:
         self.lost_sq += float(np.vdot(lost, lost))
         self.row_norms.append(tuple(_row_norms(x, square) for x in (g, kept, lost)))
         return lost
-
-    def merge(self, other: _KernelSplit) -> None:
-        """Add the split of the rows that follow this one's."""
-        self.grad_sq += other.grad_sq
-        self.lost_sq += other.lost_sq
-        self.row_norms += other.row_norms
 
     def report(self) -> CompressionReport:
         row, kept, lost = (np.concatenate(parts) for parts in zip(*self.row_norms))
@@ -304,19 +297,26 @@ class GradientPass:
 
 
 def gradient_pass(counts: CountMatrix, params: md.ModelParams) -> GradientPass:
-    """One pass of `model._sharded_pass`: the loss, the kernel split of g
+    """One walk of `model._row_blocks`: the loss, the kernel split of g
     (`_KernelSplit`), its coefficient profile (`_ProfileMoments`),
-    ||logits||, ||g|| and ||g W W^T||, merged in run order. Non-finite
-    logits, and a gradient or hidden-state direction of zero norm, which
-    leaves the update efficiency nothing to move along, are refused here.
+    ||logits||, ||g|| and ||g W W^T||. Every block's temporaries are written
+    to three buffers shaped as a block, made once. Non-finite logits, and a
+    gradient or hidden-state direction of zero norm, which leaves the update
+    efficiency nothing to move along, are refused here.
     """
     wm = params.head.matrix
-    shards = md._sharded_pass(_gradient_pass_shard, counts, params, linalg.range_basis(wm), wm)
-    split, moments, sums = shards[0]
-    for other_split, other_moments, other_sums in shards[1:]:
-        split.merge(other_split)
-        moments.merge(other_moments)
-        sums += other_sums
+    split, moments, sums = (_KernelSplit(linalg.range_basis(wm)),
+                            _ProfileMoments(counts.vocab_size), np.zeros(3))
+    block, *buffers = md._block_buffers(counts.vocab_size, counts.num_contexts, 4)
+    for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head, out=block):
+        kept, lost, spare = (buf[:len(g)] for buf in buffers)
+        logit_sq = np.vdot(g, g)
+        _, logp_sum = md._gradient_in_place(counts, g, rows, nz, i, cells, logp=True)
+        split.add(g, (kept, lost, spare))
+        # kept's and spare's rows are free again once the split is added
+        moments.add(g, lost, (kept, spare))
+        hidden = np.matmul(g @ wm, wm.T, out=kept)
+        sums += (logp_sum, logit_sq, np.vdot(hidden, hidden))
     if not np.isfinite(sums).all():
         raise ValueError("the model's logits or their update directions are not finite")
     logp_sum, logit_sq, hidden_sq = sums
@@ -329,36 +329,28 @@ def gradient_pass(counts: CountMatrix, params: md.ModelParams) -> GradientPass:
                         float(np.sqrt(logit_sq)), grad_norm, hidden_norm)
 
 
-def _gradient_pass_shard(counts: CountMatrix, params: md.ModelParams, basis, wm, block,
-                         starts: range):
-    """`gradient_pass`'s shard of `model._sharded_pass`: (kernel split,
-    profile moments, [sum of n log p, ||logits||^2, ||g W W^T||^2]) of the
-    row blocks at `starts`, each read into `block`. Every block's
-    temporaries are written to three buffers shaped as `block`, made once."""
-    split, moments, sums = _KernelSplit(basis), _ProfileMoments(counts.vocab_size), np.zeros(3)
-    buffers = [np.empty(block.shape) for _ in range(3)]
-    for rows, nz, i, cells, _, g in md._row_blocks(counts, params.h, params.head, starts, block):
-        kept, lost, spare = (buf[:len(g)] for buf in buffers)
-        logit_sq = np.vdot(g, g)
-        _, logp_sum = md._gradient_in_place(counts, g, rows, nz, i, cells, logp=True)
-        split.add(g, (kept, lost, spare))
-        # kept's and spare's rows are free again once the split is added
-        moments.add(g, lost, (kept, spare))
-        hidden = np.matmul(g @ wm, wm.T, out=kept)
-        sums += (logp_sum, logit_sq, np.vdot(hidden, hidden))
-    return split, moments, sums
+def update_efficiency(
+    counts: CountMatrix, params: md.ModelParams, first: GradientPass, fractions
+) -> EfficiencyCurve:
+    """Loss change when moving the model's logits by a norm fraction in two
+    directions, in a second walk of `model._row_blocks` after
+    `gradient_pass`, which supplied `first`: the loss and the norms.
 
-
-def _efficiency_shard(counts: CountMatrix, params: md.ModelParams, wm, first: GradientPass,
-                      budgets, block, starts: range):
-    """`update_efficiency`'s shard of `model._sharded_pass`: the sum of
-    n log softmax(logits + b * d) over the row blocks at `starts`, each read
-    into `block`, for each unit direction d and then each budget b of
-    `budgets`. Every block's gradient, directions and moved logits are
-    written to three buffers shaped as `block`, made once."""
+    Direction one is the (negated, unit-Frobenius) logit gradient g;
+    direction two is the logit-space image g W W^T of a hidden-state gradient
+    step through the head W. Both moves spend the same budget
+    alpha * ||logits||_F, and the loss is evaluated directly on the perturbed
+    logits: per block the sum of n log softmax(logits + b * d), for each
+    direction d and then each budget b. Every block's gradient, directions
+    and moved logits are written to three buffers shaped as a block, made
+    once.
+    """
+    fractions = check_fractions(fractions)
+    budgets = [a * first.logit_norm for a in fractions]
+    wm = params.head.matrix
     sums = 0.0
-    buffers = [np.empty(block.shape) for _ in range(3)]
-    for rows, nz, i, cells, _, lm in md._row_blocks(counts, params.h, params.head, starts, block):
+    block, *buffers = md._block_buffers(counts.vocab_size, counts.num_contexts, 4)
+    for rows, nz, i, cells, _, lm in md._row_blocks(counts, params.h, params.head, out=block):
         g, d_logit, d_hidden = (buf[:len(lm)] for buf in buffers)
         np.copyto(g, lm)
         md._gradient_in_place(counts, g, rows, nz, i, cells)
@@ -370,26 +362,6 @@ def _efficiency_shard(counts: CountMatrix, params: md.ModelParams, wm, first: Gr
             linalg._softmax_block(np.add(np.multiply(d, b, out=g), lm, out=g), cells, i,
                                   counts.n[nz])[2]
             for d in (d_logit, d_hidden) for b in budgets])
-    return sums
-
-
-def update_efficiency(
-    counts: CountMatrix, params: md.ModelParams, first: GradientPass, fractions
-) -> EfficiencyCurve:
-    """Loss change when moving the model's logits by a norm fraction in two
-    directions, in a second pass of `model._sharded_pass` after
-    `gradient_pass`, which supplied `first`: the loss and the norms.
-
-    Direction one is the (negated, unit-Frobenius) logit gradient g;
-    direction two is the logit-space image g W W^T of a hidden-state gradient
-    step through the head W. Both moves spend the same budget
-    alpha * ||logits||_F, and the loss is evaluated directly on the perturbed
-    logits.
-    """
-    fractions = check_fractions(fractions)
-    budgets = [a * first.logit_norm for a in fractions]
-    sums = sum(md._sharded_pass(_efficiency_shard, counts, params, params.head.matrix, first,
-                                budgets))
     deltas = [-s / counts.total - first.base_loss for s in sums]
     return EfficiencyCurve(fractions, deltas[: len(fractions)], deltas[len(fractions) :])
 
@@ -408,11 +380,11 @@ def _dense_gradient(counts: CountMatrix, params: md.ModelParams) -> np.ndarray:
 def gradient_gap(counts: CountMatrix, params: md.ModelParams) -> float:
     """Eckart-Young gap of the logit gradient at the model's width, the
     Frobenius error of its best rank-2*width approximation, from its V x V
-    Gram matrix, summed in a serial walk of `model._row_blocks`: one matrix,
-    not one per thread. The dense gradient is rebuilt only where
-    `linalg.gram_residual` needs its singular values. The Gram matrix and
-    the dense gradient (`_dense_gradient`) are each refused before they are
-    allocated where they would exceed the dense-size guard."""
+    Gram matrix, summed in a walk of `model._row_blocks`. The dense gradient
+    is rebuilt only where `linalg.gram_residual` needs its singular values.
+    The Gram matrix and the dense gradient (`_dense_gradient`) are each
+    refused before they are allocated where they would exceed the
+    dense-size guard."""
     v = counts.vocab_size
     check_dense("the Eckart-Young gap's Gram matrix (tokens x tokens)", v, v)
     gram = np.zeros((v, v), order="F")

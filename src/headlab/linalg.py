@@ -36,8 +36,9 @@ def as_matrix(m) -> np.ndarray:
 
 def _softmax_block(lm: np.ndarray, cells=None, i=None, n=None):
     """Overwrite the C-ordered logits `lm` with exp(lm - row max): the row
-    softmax before its divide by the row normalizers z. Private, as the
-    kernel threads run it (see `model._sharded_pass`).
+    softmax before its divide by the row normalizers z. Private, as it runs
+    once per row block: on training's threads (see `model._sharded_pass`)
+    and in `diagnose`'s walks.
 
     Returns z and the row maxima (as columns) and, given the flat indices
     `cells` of some cells, their rows `i` and counts `n`, the sum of
@@ -124,7 +125,7 @@ def _split_rows(g: np.ndarray, basis: np.ndarray, out=None):
     returns): (kept, lost), kept + lost = g, written to `out`, a pair of
     arrays shaped as `g` (by default fresh ones). With as many columns as
     rows `lost` is exactly zero, with none `kept` is. Private and unchecked,
-    as `diagnose`'s kernel threads run it."""
+    as `diagnose` runs it once per row block."""
     kept, lost = (np.empty(g.shape), np.empty(g.shape)) if out is None else out
     if basis.shape[1] == basis.shape[0]:  # (g Q) Q^T would leave rounding-level residue
         np.copyto(kept, g)

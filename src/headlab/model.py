@@ -321,7 +321,7 @@ def logits(params: ModelParams) -> np.ndarray:
 
 def probs_and_loss(counts: CountMatrix, logit_matrix: np.ndarray):
     """Softmax probabilities and the count-weighted cross-entropy, in one
-    dense pass: the reference `_row_block_pass` is tested against.
+    dense pass: the reference `_eval_pass` and `_grad_pass` are tested against.
 
     Cells with a zero count contribute exactly zero regardless of the logit
     value, so the loss equals the per-token average negative log-likelihood.
@@ -352,52 +352,50 @@ def loss_from_logits(counts: CountMatrix, logit_matrix: np.ndarray) -> float:
 
 
 def loss(counts: CountMatrix, params: ModelParams) -> float:
-    return -_row_block_pass(counts, params.h, params.head)[0] / counts.total
+    return -_eval_pass(counts, params.h, params.head)[0] / counts.total
 
 
-def _row_block_pass(counts: CountMatrix, h: np.ndarray, head, grad: bool = False,
-                    workspace: _Workspace | None = None):
-    """One `_sharded_pass` over the logits of the counted rows; `h` holds
-    every context row, gathered by `counts.row_ids` where it has them. The
-    pass writes into the buffers of `workspace`, a `_Workspace` for counts
-    of at most its rows, or else into fresh ones, so that without a
-    workspace the gradients are fresh arrays.
+def _eval_pass(counts: CountMatrix, h: np.ndarray, head, workspace: _Workspace | None = None):
+    """(sum of n log p, max |row max|, top-1 matches) of the counted rows'
+    logits, in one `_sharded_pass`; `h` holds every context row, gathered by
+    `counts.row_ids` where it has them. The blocks are those of `workspace`,
+    a `_Workspace` for counts of at most its rows, or else fresh ones. The
+    matches take the argmax of e / z, the probabilities of
+    `linalg.softmax_rows`, so ties break the same, against `counts.targets`.
+    """
+    counts.targets  # filled here: the shards only read the cached argmax
+    match = np.empty(counts.num_contexts, dtype=bool)
+    blocks = [s.block for s in workspace.shards] if workspace else None
+    shards = _sharded_pass(_eval_shard, counts, h, head, match, buffers=blocks)
+    max_abs = np.max([0.0, *(s[0] for s in shards)])  # NaN-propagating
+    return sum(s[1] for s in shards), float(max_abs), match
 
-    - The evaluation pass (the default, `_eval_shard`) returns (sum of
-      n log p, max |row max|, top-1 matches, None). The matches take the
-      argmax of e / z, the probabilities of `linalg.softmax_rows`, so ties
-      break the same, against `counts.targets`.
-    - The gradient pass (`grad`, `_gradient_shard`) returns (None,
-      max |row max|, None, the gradients keyed as `ModelParams.parts`): per
-      block the logit gradient g_b, gh_b = g_b W and the V x D sum of
-      g_b^T h_b (gW, or the effective head gradient behind gA and gB). No C x V gradient is formed.
+
+def _grad_pass(counts: CountMatrix, h: np.ndarray, head, workspace: _Workspace | None = None):
+    """(max |row max|, the gradients keyed as `ModelParams.parts`) in one
+    `_sharded_pass`, `h` and `workspace` as in `_eval_pass`; without a
+    workspace the gradients are fresh arrays. Per block it forms the logit
+    gradient g_b, gh_b = g_b W and the V x D sum of g_b^T h_b (gW, or the
+    effective head gradient behind gA and gB); no C x V gradient is formed.
     A row's normalizer is non-finite exactly when its max is, so a
     non-finite max |row max| signals divergence, and then equals max |logit|.
     """
-    c = counts.num_contexts
-    if grad:
-        workspace = workspace or _Workspace(counts.vocab_size, h.shape[1], c)
-        gh = workspace.rows_gradient(c)
-        shards = _sharded_pass(_gradient_shard, counts, h, head, gh,
-                               buffers=workspace.shards)
-        gw = shards[0][1]
-        for shard in shards[1:]:
-            gw += shard[1]
-        logp_sum, match, grads = None, None, {"h": gh, **head.part_grads(gw)}
-    else:
-        counts.targets  # filled here: the shards only read the cached argmax
-        match = np.empty(c, dtype=bool)
-        blocks = [s.block for s in workspace.shards] if workspace else None
-        shards = _sharded_pass(_eval_shard, counts, h, head, match, buffers=blocks)
-        logp_sum, grads = sum(s[1] for s in shards), None
+    workspace = workspace or _Workspace(counts.vocab_size, h.shape[1], counts.num_contexts)
+    gh = workspace.rows_gradient(counts.num_contexts)
+    shards = _sharded_pass(_gradient_shard, counts, h, head, gh, buffers=workspace.shards)
+    gw = shards[0][1]
+    for shard in shards[1:]:
+        gw += shard[1]
     max_abs = np.max([0.0, *(s[0] for s in shards)])  # NaN-propagating
-    return logp_sum, float(max_abs), match, grads
+    return float(max_abs), {"h": gh, **head.part_grads(gw)}
 
 
 def _sharded_pass(shard, counts: CountMatrix, *args, buffers=None) -> list:
     """[shard(counts, *args, buffers[k], starts) for the k-th run of row
-    blocks], in run order; `buffers` holds one shard's buffers per run, by
-    default a fresh row block of logits (`_block_buffers`).
+    blocks], in run order, for the shards of `_eval_pass` and `_grad_pass`:
+    the one place where a pass over the logits runs on threads. `buffers`
+    holds one shard's buffers per run, by default a fresh row block of
+    logits (`_block_buffers`).
 
     The row blocks of `_block_starts` are cut into SHARDS contiguous runs,
     each on its own thread where `parallel.cpu_budget()` allows; callers
@@ -554,7 +552,7 @@ def smoothed_log_target(counts: CountMatrix) -> np.ndarray:
 
 def param_gradients(counts: CountMatrix, params: ModelParams) -> dict:
     """Exact analytic gradients of every part, keyed as `params.parts`."""
-    return _row_block_pass(counts, params.h, params.head, grad=True)[3]
+    return _grad_pass(counts, params.h, params.head)[1]
 
 
 def first_order_logit_update(counts: CountMatrix, params: ModelParams) -> np.ndarray:
@@ -587,7 +585,7 @@ def top1_accuracy(counts: CountMatrix, params: ModelParams) -> Top1Accuracy:
 
     Ties break toward the lowest token id on both sides.
     """
-    return _top1_from_match(counts, _row_block_pass(counts, params.h, params.head)[2])
+    return _top1_from_match(counts, _eval_pass(counts, params.h, params.head)[2])
 
 
 def _lr_at(config: TrainConfig, step: int) -> float:
@@ -652,10 +650,10 @@ def _eval_point(
     val_counts: CountMatrix | None,
     workspace: _Workspace,
 ) -> TrajectoryPoint:
-    logp_sum, _, match, _ = _row_block_pass(counts, params.h, params.head, workspace=workspace)
+    logp_sum, _, match = _eval_pass(counts, params.h, params.head, workspace)
     val_loss = None
     if val_counts is not None:
-        val_loss = loss(val_counts, params)
+        val_loss = -_eval_pass(val_counts, params.h, params.head, workspace)[0] / val_counts.total
     return TrajectoryPoint(
         step=step,
         train_loss=-logp_sum / counts.total,
@@ -731,8 +729,7 @@ def train(
             epoch_pos += k
             step_counts = batch_counts(table, batch)
 
-        _, max_abs, _, grads = _row_block_pass(step_counts, params.h, params.head, True,
-                                               workspace)
+        max_abs, grads = _grad_pass(step_counts, params.h, params.head, workspace)
         if not math.isfinite(max_abs):
             # a gradient pass skips the loss sum; only a diverged step pays for one
             raise TrainingDivergedError(step, loss(step_counts, params), max_abs)

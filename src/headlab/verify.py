@@ -5,7 +5,10 @@ inequality with explicit margins, and returns a VerificationResult with
 per-instance records. A margin is the slack by which the claim held;
 negative slack counts as a violation.
 
-Checks covered:
+Checks covered, in `CHECKS` order:
+  - batch_rank_floor: the prediction-error rank floor of error_rank_floor
+    within mini-batches whose unique batch continuations form a connected
+    co-occurrence graph;
   - loss_floor: the count-weighted cross-entropy never beats the weighted
     empirical entropy, with equality when the model matches the empirical rows;
   - logit_rank_caps: logits have rank at most the width, log-probabilities at
@@ -14,8 +17,6 @@ Checks covered:
     top-1 probability to arbitrary precision;
   - error_rank_floor: the prediction-error matrix has rank at least
     min(#distinct unique continuations, V - 1) for strictly interior predictions;
-  - batch_rank_floor: the same floor within mini-batches whose unique batch
-    continuations form a connected co-occurrence graph;
   - update_residual_gap: the first-order logit update (rank <= 2D) misses the
     prediction error by more than the optimal rank-2D truncation error.
 """
@@ -500,13 +501,14 @@ def verify_update_residual_gap(instances: int = 100, seed: int = 0) -> Verificat
 
 
 # check id -> the verifier itself (not wrapped in a tuple or object), so that
-# perfbench's tracer, which swaps module-level dict values, reaches every call
+# perfbench's tracer, which swaps module-level dict values, reaches every call.
+# The longest checks come first: the fork pool starts its jobs in this order.
 CHECKS = {
+    "batch_rank_floor": batch_rank_floor_suite,
     "loss_floor": verify_loss_floor,
     "logit_rank_caps": verify_logit_rank_caps,
     "top1_reachability": verify_top1_reachability,
     "error_rank_floor": verify_error_rank_floor,
-    "batch_rank_floor": batch_rank_floor_suite,
     "update_residual_gap": verify_update_residual_gap,
 }
 

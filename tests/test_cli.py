@@ -1276,7 +1276,10 @@ class TestDenseSizeGuard:
         assert "Traceback" not in err
         assert not (tmp_path / "diagnose" / "summary.json").exists()
 
-    def test_to_dense_exits_usage(self, tmp_path, capsys):
+    def test_to_dense_exits_usage(self, tmp_path, monkeypatch, capsys):
+        # room for batch_rank_floor's 32 x 32 Zipf table (the first check's
+        # first matrix), not for the dense count matrices of its batches
+        monkeypatch.setattr(corpus_mod, "MAX_DENSE_BYTES", 8 * 32 * 32)
         assert run(["verify", "--out", str(tmp_path)] + TestVerifyCommand.TINY) == 1
         assert "the dense count matrix" in capsys.readouterr().err
         assert not (tmp_path / "verify" / "summary.json").exists()

@@ -347,7 +347,7 @@ class TestModelShapeRefused:
 
 
 class TestBlockBuffers:
-    """A shard writes each block's temporaries into the leading rows of
+    """A pass writes each block's temporaries into the leading rows of
     buffers made once for its largest block; reused, dirty buffers give the
     bits of fresh arrays and of numpy's own forms."""
 

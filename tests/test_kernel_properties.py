@@ -1,8 +1,7 @@
 """Property tests: the row-block softmax kernel behind `loss`, `top1_accuracy`
 and `param_gradients` against the dense oracle
-`logit_gradient(probs_and_loss(...))`, it and `diagnose`'s two threaded
-passes against themselves on one and two threads, and the memory held by
-triplet counts."""
+`logit_gradient(probs_and_loss(...))` and against itself on one and two
+threads, and the memory held by triplet counts."""
 
 import dataclasses
 from unittest import mock
@@ -12,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headlab import corpus as cp
-from headlab import diagnostics as dg
 from headlab import model as md
 from headlab import parallel
 from reference import logit_gradient
@@ -61,8 +59,8 @@ def kernel_cases(draw):
 
 
 def kernel_layout(counts, block_rows, shards):
-    """Patches giving `_row_block_pass` blocks of `block_rows` rows and
-    `shards` shards."""
+    """Patches giving `_eval_pass` and `_grad_pass` blocks of `block_rows`
+    rows and `shards` shards."""
     return mock.patch.multiple(
         md, BLOCK_BYTES=block_rows * 8 * counts.vocab_size, SHARDS=shards
     )
@@ -102,50 +100,23 @@ def test_row_block_kernel_matches_dense_oracle(case):
 
 
 def _pass_bytes(result):
-    """Every value `_row_block_pass` returns, as bytes."""
-    logp_sum, max_abs, match, grads = result
-    parts = [np.float64(max_abs).tobytes()]
-    if logp_sum is not None:
-        parts.append(np.float64(logp_sum).tobytes())
-    if match is not None:
-        parts.append(match.tobytes())
-    if grads is not None:
-        parts += [grad.tobytes() for grad in grads.values()]
-    return b"|".join(parts)
-
-
-def _diagnose_bytes(counts, params):
-    """Every figure of `diagnostics.gradient_pass` and `update_efficiency`, as
-    bytes, or the message of the error that refused them."""
-    try:
-        first = dg.gradient_pass(counts, params)
-    except ValueError as error:
-        return str(error)
-    curve = dg.update_efficiency(counts, params, first, [0.1, 1.0])
-    report = first.report
-    figures = [report.lost_fraction, report.cosine_mean, report.cosine_std,
-               report.per_row_lost, *vars(first.profile).values(), first.base_loss,
-               first.logit_norm, first.grad_norm, first.hidden_norm, curve.delta_logit,
-               curve.delta_hidden]
-    return b"|".join(np.asarray(x, dtype=np.float64).tobytes() for x in figures)
+    """Every value `_eval_pass` or `_grad_pass` returns, as bytes."""
+    arrays = [x for value in result
+              for x in (value.values() if isinstance(value, dict) else [value])]
+    return b"|".join(np.asarray(x).tobytes() for x in arrays)
 
 
 @PROPERTY_SETTINGS
 @given(kernel_cases())
 def test_row_block_kernel_is_bit_identical_on_one_and_two_threads(case):
     counts, params, block_rows, shards = case
-    passes = {
-        "eval": lambda: _pass_bytes(md._row_block_pass(counts, params.h, params.head)),
-        "grad": lambda: _pass_bytes(md._row_block_pass(counts, params.h, params.head, True)),
-        "diagnose": lambda: _diagnose_bytes(counts, params),
-    }
     with kernel_layout(counts, block_rows, shards):
-        for name, run in passes.items():
+        for run in (md._eval_pass, md._grad_pass):
             results = []
             for budget in (1, 2):
                 with mock.patch.object(parallel, "cpu_budget", lambda: budget):
-                    results.append(run())
-            assert results[0] == results[1], name
+                    results.append(_pass_bytes(run(counts, params.h, params.head)))
+            assert results[0] == results[1], run.__name__
 
 
 def test_counts_hold_no_dense_array():

@@ -264,7 +264,8 @@ class TestTrain:
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
-        monkeypatch.setattr(md, "_row_block_pass", no_step)
+        monkeypatch.setattr(md, "_grad_pass", no_step)
+        monkeypatch.setattr(md, "_eval_pass", no_step)
         with pytest.raises(ValueError, match="ContextTable"):
             md.train(counts, cfg)
 
@@ -329,9 +330,10 @@ class TestTrain:
         counts = random_counts(np.random.default_rng(18), 4, 5)
 
         def no_pass(*args, **kwargs):
-            raise AssertionError("a gradient pass ran")
+            raise AssertionError("a pass over the logits ran")
 
-        monkeypatch.setattr(md, "_row_block_pass", no_pass)
+        monkeypatch.setattr(md, "_grad_pass", no_pass)
+        monkeypatch.setattr(md, "_eval_pass", no_pass)
         with pytest.raises(ValueError, match=r"snapshot_steps must lie in \[0, steps\]"):
             md.train(counts, md.TrainConfig(steps=10, lr=0.1, width=2),
                      snapshot_steps=wanted)

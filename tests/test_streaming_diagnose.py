@@ -75,10 +75,9 @@ def block_bytes(rows, vocab_size=CORPUS["vocab_size"]):
 
 @st.composite
 def blocked_gradients(draw):
-    """(g, head, cuts, run_cut): a gradient with some zero rows, a full,
-    rank-deficient or full-rank square head, the row offsets that cut g into
-    blocks, 1-row blocks included, and the index into them of the offset that
-    cuts the blocks into two runs, the second possibly empty."""
+    """(g, head, cuts): a gradient with some zero rows, a full,
+    rank-deficient or full-rank square head, and the row offsets that cut g
+    into blocks, 1-row blocks included."""
     kind = draw(st.sampled_from(["full", "deficient", "square"]))
     d = draw(st.integers(1, 5))
     v = d if kind == "square" else draw(st.integers(d + 1, 16))
@@ -90,36 +89,30 @@ def blocked_gradients(draw):
     g = rng.normal(size=(c, v)) * 10.0 ** draw(st.integers(-3, 3))
     g[draw(st.lists(st.integers(0, c - 1), max_size=c // 2))] = 0.0
     cuts = [0, *sorted(draw(st.sets(st.integers(1, c - 1), max_size=c - 1)) if c > 1 else []), c]
-    return g, md.FullHead(w), cuts, draw(st.integers(1, len(cuts) - 1))
+    return g, md.FullHead(w), cuts
 
 
 @PROPERTY_SETTINGS
 @given(blocked_gradients())
-def test_merged_blocks_equal_one_block(case):
-    """Blocks added in row order within each of two runs, as one shard of
-    `model._sharded_pass` adds them, and the second run merged into the
-    first, equal one block."""
-    g, head, cuts, run_cut = case
+def test_blocks_added_in_row_order_equal_one_block(case):
+    """Blocks added in row order, as `gradient_pass` walks them, equal one
+    block."""
+    g, head, cuts = case
     basis = linalg.range_basis(head.matrix)
-    runs = []
-    for run in (cuts[: run_cut + 1], cuts[run_cut:]):
-        runs.append((dg._KernelSplit(basis), dg._ProfileMoments(g.shape[1])))
-        for lo, hi in zip(run, run[1:]):
-            runs[-1][1].add(g[lo:hi], runs[-1][0].add(g[lo:hi]))
-    (split, moments), (later_split, later_moments) = runs
-    split.merge(later_split)
-    moments.merge(later_moments)
+    split, moments = dg._KernelSplit(basis), dg._ProfileMoments(g.shape[1])
+    for lo, hi in zip(cuts, cuts[1:]):
+        moments.add(g[lo:hi], split.add(g[lo:hi]))
     one_split, one_moments = dg._KernelSplit(basis), dg._ProfileMoments(g.shape[1])
     one_moments.add(g, one_split.add(g))
     close(split.grad_sq, one_split.grad_sq)
     close(split.lost_sq, one_split.lost_sq)
-    merged, one = split.report(), one_split.report()
-    assert merged.zero_gradient == one.zero_gradient
+    blocked, one = split.report(), one_split.report()
+    assert blocked.zero_gradient == one.zero_gradient
     for name in ("lost_fraction", "cosine_mean", "cosine_std", "per_row_lost"):
-        close(getattr(merged, name), getattr(one, name))
-    merged, one = moments.profile(), one_moments.profile()
+        close(getattr(blocked, name), getattr(one, name))
+    blocked, one = moments.profile(), one_moments.profile()
     for name in ("full_mean", "full_std", "proj_mean", "proj_std"):
-        close(getattr(merged, name), getattr(one, name))
+        close(getattr(blocked, name), getattr(one, name))
 
 
 class TestBlockwiseMatchesDense:
@@ -257,10 +250,27 @@ class TestGap:
         assert "numeric failure" in capsys.readouterr().err
 
 
+def test_passes_start_no_thread(trained, monkeypatch):
+    """At budget 2, with several row blocks, `diagnose`'s three walks of the
+    blocks run in the calling thread."""
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a diagnose pass started threads")
+
+    monkeypatch.setattr(parallel, "cpu_budget", lambda: 2)
+    monkeypatch.setattr(parallel, "map_threads", no_threads)
+    monkeypatch.setattr(md, "map_threads", no_threads)
+    monkeypatch.setattr(md, "BLOCK_BYTES", block_bytes(7))
+    counts, params = counted(CORPUS), md.load_checkpoint(trained[1])
+    assert len(md._block_starts(counts)) > md.SHARDS
+    first = dg.gradient_pass(counts, params)
+    dg.update_efficiency(counts, params, first, FRACTIONS)
+    dg.gradient_gap(counts, params)
+
+
 def test_files_are_bit_identical_at_budgets_one_and_two(trained, two_cpus, monkeypatch,
                                                        tmp_path):
-    """Threaded passes and the fork pool at budget 2, with several row
-    blocks per run, write the bytes of the serial run at budget 1."""
+    """The fork pool at budget 2, with several row blocks, writes the bytes
+    of the serial run at budget 1."""
     monkeypatch.setattr(md, "BLOCK_BYTES", block_bytes(7))
     trees = []
     for budget in (2, 1):

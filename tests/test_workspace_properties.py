@@ -5,7 +5,7 @@ bits of fresh buffers, the step loop allocates nothing of a block's or a
 
 import dataclasses
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -47,9 +47,8 @@ def _bytes(arrays):
 
 
 def _pass_bytes(result):
-    logp_sum, max_abs, match, grads = result
-    return (logp_sum, max_abs, None if match is None else match.tobytes(),
-            None if grads is None else _bytes(grads))
+    """Every value `_eval_pass` or `_grad_pass` returns, as bytes."""
+    return [_bytes(x) if isinstance(x, dict) else np.asarray(x).tobytes() for x in result]
 
 
 def _recorded_train(counts, config, table, val_counts, reference: bool):
@@ -57,17 +56,18 @@ def _recorded_train(counts, config, table, val_counts, reference: bool):
     `reference`, every pass runs on fresh buffers and the optimizer makes a
     fresh array per operation."""
     steps = []
-    real_pass, real_step = md._row_block_pass, md._Optimizer.step
+    real_step = md._Optimizer.step
 
-    def fresh_pass(counts, h, head, grad=False, workspace=None):
-        return real_pass(counts, h, head, grad)
+    def fresh(real_pass):
+        return lambda counts, h, head, workspace=None: real_pass(counts, h, head)
 
     def recording_step(optimizer, params, grads, lr, h_rows=None):
         steps.append(_bytes(grads))
         (optimizer_step if reference else real_step)(optimizer, params, grads, lr, h_rows)
 
+    passes = {name: fresh(getattr(md, name)) for name in ("_eval_pass", "_grad_pass")}
     with mock.patch.object(md._Optimizer, "step", recording_step), \
-            mock.patch.object(md, "_row_block_pass", fresh_pass if reference else real_pass):
+            (mock.patch.multiple(md, **passes) if reference else nullcontext()):
         return md.train(counts, config, table=table, val_counts=val_counts), steps
 
 
@@ -124,11 +124,9 @@ def test_one_workspace_serves_passes_that_grow_and_shrink(corpus, mcl, data):
     with layout(corpus.vocab_size, *data.draw(LAYOUTS)):
         workspace = md._Workspace(corpus.vocab_size, width, full.num_contexts)
         for counts in [*batches, full, *batches[::-1]]:
-            for grad in (True, False):
-                got = _pass_bytes(md._row_block_pass(counts, params.h, params.head, grad,
-                                                     workspace))
-                assert got == _pass_bytes(md._row_block_pass(counts, params.h, params.head,
-                                                             grad))
+            for run in (md._grad_pass, md._eval_pass):
+                got = _pass_bytes(run(counts, params.h, params.head, workspace))
+                assert got == _pass_bytes(run(counts, params.h, params.head))
 
 
 def test_param_gradients_are_fresh_arrays():
@@ -137,7 +135,7 @@ def test_param_gradients_are_fresh_arrays():
     _, counts = cp.build_counts(corpus, 2)
     params = md.init_params(counts.num_contexts, 16, 4, seed=1)
     workspace = md._Workspace(16, 4, counts.num_contexts)
-    kept = md._row_block_pass(counts, params.h, params.head, True, workspace)[3]
+    kept = md._grad_pass(counts, params.h, params.head, workspace)[1]
     held = [*kept.values(), workspace.rows_gradient(counts.num_contexts),
             *(a for shard in workspace.shards for a in shard)]
     first = md.param_gradients(counts, params)
@@ -148,39 +146,49 @@ def test_param_gradients_are_fresh_arrays():
             assert not np.shares_memory(a, b)
 
 
-@pytest.mark.parametrize("optimizer, head_rank", [("adam", None), ("gd", None),
-                                                  ("adam", 4)])
-def test_step_loop_allocates_no_block_or_row_matrix(optimizer, head_rank, two_cpus):
+@pytest.mark.parametrize("optimizer, head_rank, held_out", [
+    ("adam", None, False), ("gd", None, False), ("adam", 4, False), ("adam", None, True)])
+def test_step_loop_allocates_no_block_or_row_matrix(optimizer, head_rank, held_out,
+                                                    two_cpus):
     """After the first step of a full-batch `train`, no allocation that numpy
     reports to tracemalloc is as large as a row block or the C x D rows: the
     traced peak never rises that far above the memory held at the second
-    step's start."""
+    step's start. With `held_out`, every evaluation also takes the loss of
+    validation counts of at least a block's rows, whose blocks gather their
+    rows of h: at most the validation counts' C x D in all, and no block of
+    logits."""
     corpus = cp.gen_zipf_bigram(64, 1.0, 128, 24, seed=0)
-    _, counts = cp.build_counts(corpus, 2)
+    table, counts = cp.build_counts(corpus, 2)
     c, v, d = counts.num_contexts, counts.vocab_size, 32
-    block_bytes = 8 * v * min(md._block_starts(counts).step, c)
+    block_rows = md._block_starts(counts).step
+    block_bytes = 8 * v * min(block_rows, c)
     assert len(md._block_starts(counts)) >= 2  # both shards run
+    val_counts = None
+    if held_out:
+        val_counts, _ = cp.counts_for_table(
+            cp.Corpus(corpus.vocab_size, corpus.sequences[1:]), table)
+        assert val_counts.num_contexts >= block_rows
     config = md.TrainConfig(steps=6, lr=0.01, width=d, head_rank=head_rank,
                             optimizer=optimizer, eval_every=2)
-    real_pass, grad_passes, held = md._row_block_pass, [], []
+    real_pass, grad_passes, held = md._grad_pass, [], []
 
-    def marking_pass(counts, h, head, grad=False, workspace=None):
-        if grad:
-            grad_passes.append(1)
-            if len(grad_passes) == 2:
-                held.append(tracemalloc.get_traced_memory()[0])
-                tracemalloc.reset_peak()
-        return real_pass(counts, h, head, grad, workspace)
+    def marking_pass(counts, h, head, workspace=None):
+        grad_passes.append(1)
+        if len(grad_passes) == 2:
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return real_pass(counts, h, head, workspace)
 
     tracemalloc.start()
     try:
-        with mock.patch.object(md, "_row_block_pass", marking_pass):
-            md.train(counts, config)
+        with mock.patch.object(md, "_grad_pass", marking_pass):
+            md.train(counts, config, val_counts=val_counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(grad_passes) == config.steps
-    assert peak - held[0] < min(block_bytes, 8 * c * d)
+    gathered = 0 if val_counts is None else 8 * val_counts.num_contexts * d
+    assert peak - held[0] < min(block_bytes, 8 * c * d) + gathered
 
 
 @pytest.mark.parametrize("vocab_size, rows", [(16, 4096), (32, 2048), (512, 128),

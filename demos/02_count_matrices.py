@@ -23,7 +23,7 @@ print("example sequence:", spam.sequences[0][:8], "...")
 table, counts = build_counts(spam, max_context_len=2)
 print(f"{len(spam.sequences)} sequences, {counts.total} tokens, {counts.num_contexts} contexts")
 print("entropy floor (weighted):", round(entropy_floor(counts), 4))
-stats = assumption_stats(spam, table, counts)
+stats = assumption_stats(table, counts)
 print("single-continuation contexts:", stats.unique_context_count, "of", counts.num_contexts)
 print("distinct unique continuations:", stats.unique_next_token_count)
 
@@ -31,7 +31,7 @@ print()
 print("=== permuted-Zipf Markov corpus ===")
 zipf = gen_zipf_bigram(vocab_size=64, exponent=1.2, num_seqs=400, seq_len=40, seed=2)
 table, counts = build_counts(zipf, max_context_len=8)
-stats = assumption_stats(zipf, table, counts, prefix_sizes=(1, 2, 4, 8))
+stats = assumption_stats(table, counts, prefix_sizes=(1, 2, 4, 8))
 print(f"{counts.total} tokens, {counts.num_contexts} distinct contexts at prefix 8")
 print("unique continuation tokens by prefix size (longer prefixes ->")
 print("more unique contexts -> more of the vocabulary pinned down):")

@@ -413,9 +413,7 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
     corpus_path = run_dir / "corpus.txt"
     save_corpus(corpus_path, corpus)
     table, counts = build_counts(corpus, max_context_len=corpus_mod.DEFAULT_CONTEXT_LEN)
-    stats = corpus_mod.assumption_stats(
-        corpus, table, counts, prefix_sizes=config["stats_prefix_sizes"]
-    )
+    stats = corpus_mod.assumption_stats(table, counts, prefix_sizes=config["stats_prefix_sizes"])
     corpus_mod.write_stats_csv(run_dir / "stats.csv", stats)
     return {
         "corpus": str(corpus_path),

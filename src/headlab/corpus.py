@@ -417,18 +417,14 @@ def _unique_continuations(contexts: np.ndarray, tokens: np.ndarray, vocab_size: 
     return int(single.sum()), int(np.count_nonzero(np.bincount(cells[single] % vocab_size)))
 
 
-def assumption_stats(
-    corpus: Corpus,
-    table: ContextTable,
-    counts: CountMatrix,
-    prefix_sizes=(),
-) -> AssumptionStats:
+def assumption_stats(table: ContextTable, counts: CountMatrix, prefix_sizes=()) -> AssumptionStats:
+    """Statistics of the corpus `table` was counted from, with `counts` its
+    count matrix; each prefix size recounts the table's own tokens."""
     unique_contexts, unique_tokens = _unique_continuations(
         table.token_rows, table.tokens, table.vocab_size)
     prefix_sizes = [int(size) for size in prefix_sizes]
-    corpus_tokens, starts = _concat(corpus.sequences)
-    codes = _context_codes(corpus_tokens, starts, prefix_sizes)
-    by_prefix = {size: _unique_continuations(codes[size], corpus_tokens, corpus.vocab_size)[1]
+    codes = _context_codes(table.tokens, table.starts, prefix_sizes)
+    by_prefix = {size: _unique_continuations(codes[size], table.tokens, table.vocab_size)[1]
                  for size in prefix_sizes}
     h = row_entropies(counts)
     hmax = max(float(np.log(counts.vocab_size)), 1e-12)

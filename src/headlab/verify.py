@@ -3,7 +3,12 @@
 Each verifier draws (or plants) random instances from its seed, checks one
 inequality with explicit margins, and returns a VerificationResult with
 per-instance records. A margin is the slack by which the claim held;
-negative slack counts as a violation.
+negative slack counts as a violation. Every verifier with a fixed instance
+count states one instance as a local `draw(rng) -> (margin, details)`, and
+one loop, `_instances`, refuses a count below 1, makes the one generator of
+the seed, calls `draw` that many times and builds the result.
+`batch_rank_floor_suite` keeps its own loop: it reseeds per attempt and
+skips the draws that do not qualify.
 
 Checks covered, in `CHECKS` order:
   - batch_rank_floor: the prediction-error rank floor of error_rank_floor
@@ -120,13 +125,20 @@ def _positive(**counts) -> None:
             raise ValueError(f"{name} must be positive")
 
 
+def _instances(check_id: str, instances: int, seed: int, draw) -> VerificationResult:
+    """The result of `instances` calls of draw(rng) -> (margin, details), all
+    drawing from the one generator of `seed`; a count below 1 is refused
+    before the first draw."""
+    _positive(instances=instances)
+    rng = np.random.default_rng(seed)
+    margins, details = zip(*(draw(rng) for _ in range(instances)))
+    return _finish(check_id, seed, list(details), margins)
+
+
 def verify_loss_floor(instances: int = 1000, seed: int = 0) -> VerificationResult:
     """Loss >= weighted empirical entropy; equality at the matched model.
     C is drawn from [1, 10], V from [2, 12] and D from [1, 4]."""
-    _positive(instances=instances)
-    rng = np.random.default_rng(seed)
-    details, margins = [], []
-    for _ in range(instances):
+    def draw(rng):
         c = int(rng.integers(1, 11))
         v = int(rng.integers(2, 13))
         d = int(rng.integers(1, 5))
@@ -140,11 +152,10 @@ def verify_loss_floor(instances: int = 1000, seed: int = 0) -> VerificationResul
             - entropy_floor(interior)
         )
         margin = min(slack + 1e-10, 1e-8 - eq_dev)
-        margins.append(margin)
-        details.append(
-            {"C": c, "V": v, "D": d, "floor_slack": float(slack), "equality_dev": float(eq_dev)}
-        )
-    return _finish("loss_floor", seed, details, margins)
+        return margin, {"C": c, "V": v, "D": d, "floor_slack": float(slack),
+                        "equality_dev": float(eq_dev)}
+
+    return _instances("loss_floor", instances, seed, draw)
 
 
 def verify_logit_rank_caps(
@@ -152,10 +163,7 @@ def verify_logit_rank_caps(
 ) -> VerificationResult:
     """rank(logits) <= width and rank(log-softmax(logits)) <= width + 1.
     D is drawn from [1, 4], V from [D + 3, 16] and C from [2, 10]."""
-    _positive(instances=instances)
-    rng = np.random.default_rng(seed)
-    details, margins = [], []
-    for _ in range(instances):
+    def draw(rng):
         d = int(rng.integers(1, 5))
         v = int(rng.integers(d + 3, 17))
         c = int(rng.integers(2, 11))
@@ -165,11 +173,10 @@ def verify_logit_rank_caps(
         logit_rank = linalg.qr_rank(lm, rank_tol)
         logprob_rank = linalg.qr_rank(linalg.log_softmax_rows(lm), rank_tol)
         margin = min(d - logit_rank, d + 1 - logprob_rank)
-        margins.append(float(margin))
-        details.append(
-            {"C": c, "V": v, "D": d, "logit_rank": logit_rank, "logprob_rank": logprob_rank}
-        )
-    return _finish("logit_rank_caps", seed, details, margins)
+        return float(margin), {"C": c, "V": v, "D": d, "logit_rank": logit_rank,
+                               "logprob_rank": logprob_rank}
+
+    return _instances("logit_rank_caps", instances, seed, draw)
 
 
 def _unit_circle_head(v: int) -> np.ndarray:
@@ -246,11 +253,9 @@ def verify_top1_reachability(
 ) -> VerificationResult:
     """construct_top1 meets an epsilon of 1e-3 across random target matrices,
     C drawn from [1, 64] and V from [2, 256]."""
-    _positive(instances=instances)
     epsilon = 1e-3
-    rng = np.random.default_rng(seed)
-    details, margins = [], []
-    for _ in range(instances):
+
+    def draw(rng):
         c = int(rng.integers(1, 65))
         v = int(rng.integers(2, 257))
         n = rng.integers(0, 5, size=(c, v))
@@ -270,16 +275,10 @@ def verify_top1_reachability(
         cells = (np.arange(counts.num_contexts), counts.targets)
         devs = np.abs(probs[cells] - counts.to_dense(normalized=True)[cells])
         margin = epsilon - float(devs.max())
-        margins.append(margin)
-        details.append(
-            {
-                "C": c,
-                "V": v,
-                "max_dev": float(devs.max()),
-                "head_rank": linalg.qr_rank(params.head.w, rank_tol),
-            }
-        )
-    return _finish("top1_reachability", seed, details, margins)
+        return margin, {"C": c, "V": v, "max_dev": float(devs.max()),
+                        "head_rank": linalg.qr_rank(params.head.w, rank_tol)}
+
+    return _instances("top1_reachability", instances, seed, draw)
 
 
 def _plant_unique_structure(rng, c: int, v: int, n_unique: int):
@@ -318,10 +317,7 @@ def verify_error_rank_floor(
 ) -> VerificationResult:
     """rank(P - normalized counts) >= min(#unique continuation tokens, V-1),
     V drawn from [4, 32]."""
-    _positive(instances=instances)
-    rng = np.random.default_rng(seed)
-    details, margins = [], []
-    for _ in range(instances):
+    def draw(rng):
         v = int(rng.integers(4, 33))
         n_unique = int(rng.integers(1, v + 1))
         c = min(64, n_unique + int(rng.integers(0, 9)))
@@ -338,19 +334,11 @@ def verify_error_rank_floor(
             # interior predictions make the planted square submatrix strictly
             # diagonally dominant, hence nonsingular
             margin = min(margin, math.inf if sub_sigma_min > 0 else -1.0)
-        margins.append(margin)
-        details.append(
-            {
-                "C": c,
-                "V": v,
-                "unique_tokens": n_unique,
-                "bound": bound,
-                "rank_qr": rank_qr,
-                "rank_svd": rank_svd,
-                "submatrix_sigma_min": sub_sigma_min,
-            }
-        )
-    return _finish("error_rank_floor", seed, details, margins)
+        return margin, {"C": c, "V": v, "unique_tokens": n_unique, "bound": bound,
+                        "rank_qr": rank_qr, "rank_svd": rank_svd,
+                        "submatrix_sigma_min": sub_sigma_min}
+
+    return _instances("error_rank_floor", instances, seed, draw)
 
 
 def unique_batch_contexts(counts: CountMatrix, batch: CountMatrix):
@@ -456,10 +444,7 @@ def batch_rank_floor_suite(
 def verify_update_residual_gap(instances: int = 100, seed: int = 0) -> VerificationResult:
     """The rank-limited first-order update misses the prediction error by more
     than the optimal rank-2D truncation, under both residual conventions."""
-    _positive(instances=instances)
-    rng = np.random.default_rng(seed)
-    details, margins = [], []
-    for _ in range(instances):
+    def draw(rng):
         d = int(rng.integers(1, 4))
         v = int(rng.integers(2 * d + 3, 17))
         n_unique = int(rng.integers(2 * d + 1, v + 1))
@@ -483,21 +468,12 @@ def verify_update_residual_gap(instances: int = 100, seed: int = 0) -> Verificat
             dist_raw - gap_raw,
             dist_weighted - gap_weighted,
         )
-        margins.append(margin)
-        details.append(
-            {
-                "C": c,
-                "V": v,
-                "D": d,
-                "unique_tokens": n_unique,
-                "delta_rank": delta_rank,
-                "gap_raw": gap_raw,
-                "excess_raw": dist_raw - gap_raw,
-                "gap_weighted": gap_weighted,
-                "excess_weighted": dist_weighted - gap_weighted,
-            }
-        )
-    return _finish("update_residual_gap", seed, details, margins)
+        return margin, {"C": c, "V": v, "D": d, "unique_tokens": n_unique,
+                        "delta_rank": delta_rank, "gap_raw": gap_raw,
+                        "excess_raw": dist_raw - gap_raw, "gap_weighted": gap_weighted,
+                        "excess_weighted": dist_weighted - gap_weighted}
+
+    return _instances("update_residual_gap", instances, seed, draw)
 
 
 # check id -> the verifier itself (not wrapped in a tuple or object), so that
@@ -530,11 +506,12 @@ def run_all(seed: int = 0, rank_tol: float = RANK_TOL, sizes: dict | None = None
     are `{"instances": N}` or none. `rank_tol` goes to every verifier that
     takes one. Every block's count is checked before the first check draws.
     The checks are independent jobs of `parallel._map_cells`, so they run in
-    its fork pool where the CPU budget allows; each draws from its own
-    generator of `seed`, so the results do not depend on the worker count.
-    A ValueError a
-    verifier raises is raised again prefixed with its check id, the first
-    in registry order when several fail.
+    its fork pool where the CPU budget allows. Each draws from its own
+    generator of `seed` (made by the one instance loop, `_instances`, for
+    every check but `batch_rank_floor`, which reseeds per attempt), so the
+    results do not depend on the worker count.
+    A ValueError a verifier raises is raised again prefixed with its check
+    id, the first in registry order when several fail.
     """
     sizes = sizes or {}
     _positive(**{f"{check_id}.instances": block["instances"]

@@ -261,7 +261,7 @@ class TestAssumptionStats:
     def test_spamlang_unique_structure(self):
         c = cp.gen_spamlang(6, 30, 5, seed=43)
         table, counts = cp.build_counts(c, 4)
-        stats = cp.assumption_stats(c, table, counts)
+        stats = cp.assumption_stats(table, counts)
         symbols = {int(s[0]) for s in c.sequences}
         assert len(symbols) > 1
         assert stats.unique_context_count == counts.num_contexts - 1
@@ -273,7 +273,7 @@ class TestAssumptionStats:
         seq = [0, 1, 2, 0, 1, 2, 0, 1, 2]
         c = cp.Corpus(3, [seq])
         table, counts = cp.build_counts(c, 1)
-        stats = cp.assumption_stats(c, table, counts)
+        stats = cp.assumption_stats(table, counts)
         assert stats.entropy_bin_weights[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(stats.entropy_bin_weights[1:] == 0)
 
@@ -281,7 +281,7 @@ class TestAssumptionStats:
         v = 64
         c = cp.gen_zipf_bigram(v, 1.2, 1000, 60, seed=47)
         table, counts = cp.build_counts(c, 16)
-        stats = cp.assumption_stats(c, table, counts, prefix_sizes=(1, 4, 16))
+        stats = cp.assumption_stats(table, counts, prefix_sizes=(1, 4, 16))
         assert stats.unique_next_token_count >= 0.9 * v
         # longer prefixes make contexts more unique, never less
         series = stats.unique_token_counts_by_prefix_size
@@ -290,7 +290,7 @@ class TestAssumptionStats:
     def test_histogram_weights_sum_to_one(self):
         c = cp.gen_zipf_bigram(8, 1.2, 20, 10, seed=53)
         table, counts = cp.build_counts(c, 1)
-        stats = cp.assumption_stats(c, table, counts)
+        stats = cp.assumption_stats(table, counts)
         assert stats.entropy_bin_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -336,7 +336,7 @@ class TestCorpusIo:
     def test_stats_csv_shape(self, tmp_path):
         c = cp.gen_spamlang(4, 10, 5, seed=61)
         table, counts = cp.build_counts(c, 2)
-        stats = cp.assumption_stats(c, table, counts, prefix_sizes=(1, 2))
+        stats = cp.assumption_stats(table, counts, prefix_sizes=(1, 2))
         path = tmp_path / "stats.csv"
         cp.write_stats_csv(path, stats)
         lines = path.read_text().splitlines()

@@ -137,7 +137,7 @@ def assert_stats_csv_matches_dense_path(corpus, mcl, prefix_sizes, tmp_dir):
     """stats.csv from `assumption_stats` equals, byte for byte, the one from
     dense per-prefix count matrices."""
     table, counts = cp.build_counts(corpus, mcl)
-    stats = cp.assumption_stats(corpus, table, counts, prefix_sizes=prefix_sizes)
+    stats = cp.assumption_stats(table, counts, prefix_sizes=prefix_sizes)
     rows, tokens = dense_unique_continuations(counts)
     by_prefix = {}
     for size in prefix_sizes:

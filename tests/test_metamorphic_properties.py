@@ -6,6 +6,12 @@ total, so every count-weighted average keeps its value. Both sides of each
 quotient are scaled by 2, which is exact in floating point, so training and
 every `diagnose` figure are equal bit for bit. The rank curve is left out:
 its draws follow the token count.
+
+Width rotation: for an orthogonal D x D matrix R, the model h -> hR,
+W -> WR (for a factored head, B -> BR) has the same logits, since
+hR (WR)^T = h W^T, and its head the same column span. So every figure of
+`gradient_pass`, `update_efficiency` and `gradient_gap` agrees up to
+rounding, within 1e-12 of its scale.
 """
 
 import dataclasses
@@ -92,3 +98,60 @@ def test_doubling_the_corpus_changes_no_figure(case):
         fractions = [1e-3, 1e-1]
         assert_same(dg.update_efficiency(once, params, firsts[0], fractions),
                     dg.update_efficiency(twice, params, firsts[1], fractions))
+
+
+def assert_close(a, b, scale):
+    """`a` and `b` (floats or arrays) differ by at most 1e-12 * `scale`."""
+    gap = np.abs(np.asarray(a) - np.asarray(b)).max(initial=0.0)
+    assert gap <= 1e-12 * scale, (a, b, scale)
+
+
+@st.composite
+def rotation_cases(draw):
+    v = draw(st.integers(2, 16))
+    width = draw(st.integers(1, min(v, 6)))  # the head's range basis needs V >= D
+    corpus = cp.gen_zipf_bigram(v, draw(st.sampled_from([0.8, 1.2, 2.0])),
+                                draw(st.integers(1, 6)), draw(st.integers(1, 12)),
+                                draw(st.integers(0, 2**16)))
+    counts = cp.build_counts(corpus, draw(st.integers(0, 3)))[1]
+    params = md.init_params(counts.num_contexts, v, width,
+                            draw(st.none() | st.integers(1, width)),
+                            seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, r = np.linalg.qr(rng.normal(size=(width, width)))
+    return counts, params, q * np.sign(np.diag(r))
+
+
+def rotated(params, r):
+    """The model h -> hR, W -> WR (B -> BR for a factored head)."""
+    head = params.head
+    if isinstance(head, md.FullHead):
+        return md.ModelParams(params.h @ r, md.FullHead(head.w @ r))
+    return md.ModelParams(params.h @ r, md.FactoredHead(head.a, head.b @ r))
+
+
+@PROPERTY_SETTINGS
+@given(rotation_cases())
+def test_rotating_the_width_changes_no_diagnose_figure(case):
+    counts, params, r = case
+    turned = rotated(params, r)
+    first, turned_first = dg.gradient_pass(counts, params), dg.gradient_pass(counts, turned)
+    report, turned_report = first.report, turned_first.report
+    # fractions and cosines lie in [0, 1]: their scale is 1
+    for name in ("lost_fraction", "cosine_mean", "cosine_std", "per_row_lost"):
+        assert_close(getattr(report, name), getattr(turned_report, name), 1.0)
+    assert report.zero_gradient == turned_report.zero_gradient
+    for f in dataclasses.fields(first.profile):
+        series = getattr(first.profile, f.name)
+        assert_close(series, getattr(turned_first.profile, f.name), np.abs(series).max())
+    for name in ("base_loss", "logit_norm", "grad_norm", "hidden_norm"):
+        assert_close(getattr(first, name), getattr(turned_first, name), getattr(first, name))
+    fractions = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]
+    curve = dg.update_efficiency(counts, params, first, fractions)
+    turned_curve = dg.update_efficiency(counts, turned, turned_first, fractions)
+    # a loss change is a difference of two losses: it rounds on the loss's scale
+    for name in ("delta_logit", "delta_hidden"):
+        assert_close(getattr(curve, name), getattr(turned_curve, name), first.base_loss)
+    # the gap is a trace minus eigenvalues: it rounds on the scale of ||g||_F
+    assert_close(dg.gradient_gap(counts, params), dg.gradient_gap(counts, turned),
+                 first.grad_norm)

@@ -1,12 +1,16 @@
 """Each public name has one import path: its submodule. The package root
-re-exports nothing, the package holds no name that only tests use, and every
-name the README cites exists."""
+re-exports nothing, the package holds no name that only tests use, every
+name the README cites exists, and importing the CLI loads no slow scipy
+subpackage."""
 
 import ast
 import functools
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -74,3 +78,16 @@ def test_every_dotted_name_in_the_readme_resolves():
         except (ImportError, AttributeError):
             unresolved.append(dotted)
     assert cited and unresolved == []
+
+
+def test_importing_the_cli_loads_neither_scipy_stats_nor_scipy_optimize():
+    """A fresh interpreter's `import headlab.cli` leaves both out of
+    `sys.modules`: `scipy.stats` alone takes about a second to import, and
+    every command and every test subprocess would pay it."""
+    probe = ("import sys, headlab.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

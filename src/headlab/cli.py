@@ -186,10 +186,14 @@ _DEFAULTS = {
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
+    """`extra`'s keys over `base`'s, block by block. A block is refused over
+    a string: its keys would silently replace a path such as a corpus file."""
     out = copy.deepcopy(base)
     for key, value in extra.items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
             out[key] = _deep_merge(out[key], value)
+        elif isinstance(value, dict) and isinstance(out.get(key), str):
+            raise UsageError(f"{key}.* keys conflict with {key} {out[key]!r}")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -224,6 +228,8 @@ def _parse_overrides(tokens) -> dict:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise UsageError(f"override {key!r} conflicts with a scalar")
+        if isinstance(node.get(parts[-1]), dict):  # would drop the earlier flags' keys
+            raise UsageError(f"override {key!r} conflicts with the {key}.* flags before it")
         node[parts[-1]] = value
     return out
 

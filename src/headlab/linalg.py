@@ -111,9 +111,6 @@ def range_basis(w) -> np.ndarray:
     counting |R_ii| > DEFAULT_RANK_TOL as `qr_rank` does.
     """
     a = as_matrix(w)
-    v, d = a.shape
-    if v < d:
-        raise ValueError(f"need rows >= cols, got shape {a.shape}")
     q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
     rank = int(np.count_nonzero(np.abs(np.diag(r)) > DEFAULT_RANK_TOL))
     return q[:, :rank]
@@ -160,9 +157,6 @@ def kernel_basis(w) -> np.ndarray:
     replaces; only the tests call them.
     """
     a = as_matrix(w)
-    v, d = a.shape
-    if v < d:
-        raise ValueError(f"need rows >= cols, got shape {a.shape}")
     q, r, _ = scipy.linalg.qr(a, mode="full", pivoting=True)
     rank = int(np.count_nonzero(np.abs(np.diag(r)) > DEFAULT_RANK_TOL))
     return q[:, rank:]

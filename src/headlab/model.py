@@ -61,8 +61,9 @@ class TrainingDivergedError(RuntimeError):
         self.max_abs_logit = max_abs_logit
 
     def __reduce__(self):
-        # rebuilt from its fields: a sweep worker's error must unpickle in the
-        # parent, or the pool's result thread dies and the sweep hangs
+        # rebuilt from its fields: without this the parent cannot unpickle a
+        # pool worker's error, and the pool reports itself broken in place
+        # of the divergence
         return type(self), (self.step, self.loss_value, self.max_abs_logit)
 
 

@@ -3,9 +3,9 @@
 Importing this module sets numpy's and scipy's OpenBLAS to one thread, so
 `cpu_budget()`, the one rule, is the usable CPUs. `_map_cells` runs independent
 jobs (the sweeps' training runs, `diagnose`'s measurements, `verify`'s checks)
-in a fork process pool of that many workers, and `map_threads` runs the fixed
-shards of one logit pass on that many threads. A pool worker's budget is 1, so
-its jobs never start threads of their own.
+on a fork `ProcessPoolExecutor` of that many workers, and `map_threads` the
+fixed shards of one logit pass on a `ThreadPoolExecutor` of that many threads.
+A pool worker's budget is 1, so its jobs never start threads of their own.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import ctypes
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 
 import scipy.linalg  # noqa: F401 - loads numpy's and scipy's OpenBLAS, for _pin_blas
 
@@ -94,25 +94,22 @@ def _run_job(index: int):
 def _map_cells(jobs: list) -> list:
     """[job() for job in jobs], in job order.
 
-    The zero-argument jobs run in a fork pool of min(len(jobs), cpu_budget())
-    workers, or in this process when that is one. Fork carries them into the
-    workers unpickled, so they may close over count matrices or lambdas; only
-    their results and exceptions are pickled. Each worker takes the next job
-    in job order when it is free. Workers inherit the one-thread BLAS and run
-    their logit passes on one thread, so the results equal the serial ones.
-    The first exception in job order is raised, its type and message
-    unchanged: in the pool, as on `map_threads`' threads, after every job has
-    finished, and in this process at once.
+    The zero-argument jobs run on min(len(jobs), cpu_budget()) fork workers,
+    or in this process when that is one. Fork carries them into the workers
+    unpickled, so they may close over count matrices or lambdas; only their
+    results and exceptions are pickled. Each worker takes the next job in job
+    order when it is free, with the one-thread BLAS, so the results equal the
+    serial ones. The first exception in job order is raised, its type and
+    message unchanged: in the pool, as in `map_threads`, after every job has
+    finished, and in this process at once. A dead worker, or an exception
+    this process cannot unpickle, raises `BrokenProcessPool` instead.
     """
     workers = min(len(jobs), cpu_budget())
     if workers <= 1:
         return [job() for job in jobs]
-    with multiprocessing.get_context("fork").Pool(
-        workers, initializer=_start_worker, initargs=(jobs,)
-    ) as pool:
-        pending = [pool.apply_async(_run_job, (index,)) for index in range(len(jobs))]
-        # close and join: every job has finished, and the workers' rusage
-        # reaches this process
-        pool.close()
-        pool.join()
-    return [result.get() for result in pending]
+    # leaving the block waits for every job and joins the workers, so their
+    # rusage reaches this process
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(jobs,)) as pool:
+        futures = [pool.submit(_run_job, index) for index in range(len(jobs))]
+    return [future.result() for future in futures]

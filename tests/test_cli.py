@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -190,6 +189,18 @@ class TestDiagnoseCommand:
             "--corpus.num_seqs", "16", "--corpus.seq_len", "10", "--corpus.seed", "6",
             "--max_context_len", "1", "--token_counts", "[1,8]",
         ]) == 0
+        summary = json.loads((out / "diagnose" / "summary.json").read_text())
+        assert summary["lost_fraction"] == 0.0
+
+    def test_head_wider_than_its_vocabulary_reports_zero_lost(self, tmp_path):
+        """V=4 < D=8: the head spans every logit direction, so nothing is lost."""
+        out = tmp_path / "runs"
+        corpus_args = ["--corpus.vocab_size", "4", "--corpus.num_seqs", "16",
+                       "--corpus.seq_len", "8", "--max_context_len", "1"]
+        assert run(["train", "--out", str(out), "--width", "8", "--steps", "20"]
+                   + corpus_args) == 0
+        assert run(["diagnose", "--out", str(out), "--token_counts", "[1,8]",
+                    "--checkpoint", str(out / "train" / "checkpoint.bin")] + corpus_args) == 0
         summary = json.loads((out / "diagnose" / "summary.json").read_text())
         assert summary["lost_fraction"] == 0.0
 
@@ -633,16 +644,15 @@ def _cell_with_pid(shared, i):
 
 @pytest.fixture()
 def pools(monkeypatch):
-    """The worker count of every fork pool created; the pools still run."""
-    ctx = multiprocessing.get_context("fork")
+    """The worker count of every process pool created; the pools still run."""
     made = []
-    real = ctx.Pool
+    real = parallel.ProcessPoolExecutor
 
-    def spy(processes, *args, **kwargs):
-        made.append(processes)
-        return real(processes, *args, **kwargs)
+    def spy(max_workers, *args, **kwargs):
+        made.append(max_workers)
+        return real(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(ctx, "Pool", spy)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", spy)
     return made
 
 
@@ -1193,6 +1203,25 @@ class TestArgHandling:
         assert run(args) == cli.EXIT_USAGE
         assert "vocab_sze" in capsys.readouterr().err
         assert not (tmp_path / "train" / "summary.json").exists()
+
+    @pytest.mark.parametrize("args, key", [
+        (["--corpus.vocab_size", "10", "--corpus", "corpus.txt"], "'corpus'"),
+        (["--corpus", "corpus.txt", "--corpus.vocab_size", "10"], "'corpus.vocab_size'"),
+    ])
+    def test_corpus_path_and_corpus_flags_refused_together(self, args, key, tmp_path,
+                                                           capsys):
+        assert run(["train", "--out", str(tmp_path / "out"), "--steps", "2"] + args) == 1
+        assert f"error: override {key} conflicts with" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_corpus_flags_refused_over_a_config_files_corpus_path(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus": "corpus.txt"}))
+        assert run(["train", "--out", str(tmp_path / "out"), "--config", str(cfg),
+                    "--corpus.vocab_size", "10"]) == 1
+        assert "error: corpus.* keys conflict with corpus 'corpus.txt'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_sidecar_is_accepted_as_config(self, tmp_path):
         assert run(["gen-corpus", "--out", str(tmp_path / "a"), "--num_seqs", "4",

@@ -13,13 +13,14 @@ PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples
 
 @st.composite
 def split_cases(draw):
-    """(g, w): a gradient with some zero rows and a full, square,
-    rank-deficient or factored V x D head."""
-    kind = draw(st.sampled_from(["full", "square", "deficient", "factored"]))
+    """(g, w): a gradient with some zero rows and a full, square, wide (V <= D,
+    rank V), rank-deficient or factored V x D head."""
+    kind = draw(st.sampled_from(["full", "square", "wide", "deficient", "factored"]))
     d = draw(st.integers(1, 6))
-    v = d if kind == "square" else draw(st.integers(d, 24))
+    rows = st.integers(1, d) if kind == "wide" else st.integers(d, 24)
+    v = d if kind == "square" else draw(rows)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind in ("full", "square"):
+    if kind in ("full", "square", "wide"):
         w = rng.normal(size=(v, d))
     elif kind == "deficient":
         k = draw(st.integers(0, d - 1))  # k = 0 is the zero head

@@ -155,6 +155,36 @@ print(json.dumps({"threads": threads(), "workers": parallel._map_cells([threads,
                   "budget": parallel.cpu_budget(), "cpus": len(os.sched_getaffinity(0))}))
 """
 
+# `_map_cells` at budget 2 on three jobs, the middle one killing its own worker
+# or raising an error that cannot be rebuilt from its args; prints the live
+# children left once the pool reports itself broken
+_BROKEN_POOL_PROBE = """
+import multiprocessing, os, signal, sys
+from concurrent.futures.process import BrokenProcessPool
+from headlab import parallel
+
+os.sched_getaffinity = lambda pid: {0, 1}  # budget 2, as the two_cpus fixture sets it
+
+class TwoArgumentError(Exception):
+    def __init__(self, step, loss):
+        super().__init__(f"step {step}: loss {loss}")
+
+def fine():
+    return 1
+
+def kill_own_worker():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+def raise_two_argument_error():
+    raise TwoArgumentError(3, 1.5)
+
+job = {"kill": kill_own_worker, "raise": raise_two_argument_error}[sys.argv[1]]
+try:
+    parallel._map_cells([fine, job, fine])
+except BrokenProcessPool:
+    print(len(multiprocessing.active_children()))
+"""
+
 # a shape at which OpenBLAS's own threads once changed diagnose's lost fraction
 # in the last digit
 _DIAGNOSE_CORPUS = [
@@ -199,3 +229,10 @@ class TestBlasPin:
                           for path in sorted(out.rglob("*")) if path.is_file()})
         assert len(trees[0]) == 10
         assert trees[0] == trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("job", ["kill", "raise"])
+def test_broken_pool_fails_instead_of_hanging(job, tmp_path):
+    """A worker killed mid-job, or a job error the parent cannot unpickle,
+    raises BrokenProcessPool within the timeout and leaves no worker alive."""
+    assert _run_child(["-c", _BROKEN_POOL_PROBE, job], None, tmp_path) == "0\n"

@@ -368,19 +368,20 @@ def _make_corpus(spec):
     raise UsageError(f"unknown corpus kind {spec['kind']!r}")
 
 
-def _split_corpus(corpus, val_fraction: float):
-    """Deterministic train/validation split: the trailing sequences validate."""
+def _split_counts(corpus, val_fraction: float, max_context_len: int):
+    """A run's context table and counts of all but its trailing
+    round(val_fraction * n) sequences, then those sequences' counts against
+    that table and their skipped-token count (None and 0 if there are none)."""
     if not 0 <= val_fraction < 1:
         raise UsageError("val_fraction must lie in [0, 1)")
-    n = len(corpus.sequences)
-    n_val = int(round(val_fraction * n))
-    if n_val == 0:
-        return corpus, None
-    if n - n_val < 1:
+    seqs, v = corpus.sequences, corpus.vocab_size
+    n_train = len(seqs) - int(round(val_fraction * len(seqs)))
+    if n_train < 1:
         raise UsageError("val_fraction leaves no training sequences")
-    seqs = [s.copy() for s in corpus.sequences]
-    return (corpus_mod.Corpus(corpus.vocab_size, seqs[: n - n_val]),
-            corpus_mod.Corpus(corpus.vocab_size, seqs[n - n_val :]))
+    table, counts = build_counts(corpus_mod.Corpus(v, seqs[:n_train]), max_context_len)
+    if n_train == len(seqs):
+        return table, counts, None, 0
+    return table, counts, *counts_for_table(corpus_mod.Corpus(v, seqs[n_train:]), table)
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -432,13 +433,9 @@ def run_gen_corpus(config: dict, run_dir: Path) -> dict:
 
 
 def run_train(config: dict, run_dir: Path) -> dict:
-    corpus = _make_corpus(config["corpus"])
-    train_part, val_part = _split_corpus(corpus, config["val_fraction"])
-    table, counts = build_counts(train_part, config["max_context_len"])
-    val_counts = None
-    skipped = 0
-    if val_part is not None:
-        val_counts, skipped = counts_for_table(val_part, table)
+    table, counts, val_counts, skipped = _split_counts(
+        _make_corpus(config["corpus"]), config["val_fraction"], config["max_context_len"]
+    )
     result = train(counts, _train_config(config), val_counts=val_counts,
                    snapshot_steps=config["snapshot_steps"], table=table)
     save_checkpoint(run_dir / "checkpoint.bin", result.params)
@@ -632,23 +629,6 @@ def _spearman(xs, ys) -> float:
     return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
-def _spamlang_cell(config, vocab_size, tc):
-    """One (V, seed, lr) cell trained by `tc`: its row and trajectory (None if diverged)."""
-    # the corpus depends only on (V, seed): cells stay independent of the
-    # learning-rate grid composition
-    corpus = corpus_mod.gen_spamlang(
-        vocab_size, config["seqs_per_symbol"] * vocab_size, config["seq_len"], tc.seed
-    )
-    _, counts = build_counts(corpus, config["max_context_len"])
-    row = {"vocab_size": vocab_size, "lr": tc.lr, "seed": tc.seed,
-           "entropy_floor": entropy_floor(counts)}
-    return _train_cell(row, counts, tc, None, {
-        "final_loss": lambda result: result.trajectory.final_train_loss,
-        # the final eval's top-1, on these counts and the final params
-        "top1_weighted": lambda result: result.trajectory.points[-1].top1_acc,
-    })
-
-
 def _spamlang_label(cell) -> str:
     """A spamlang cell's run directory name, from its row."""
     return f"v{cell['vocab_size']}_lr{cell['lr']:g}_seed{cell['seed']}"
@@ -669,24 +649,30 @@ def run_spamlang_sweep(config: dict, run_dir: Path) -> dict:
     for key, least in (("vocab_sizes", 2), ("seq_len", 2), ("seqs_per_symbol", 1)):
         if np.min(config[key]) < least:
             raise UsageError(f"{key} must be at least {least}, got {config[key]}")
-    grid = [
-        {"vocab_size": vocab_size, "seed": seed, "lr": lr}
-        for vocab_size in vocab_sizes
-        for seed in seeds
-        for lr in lrs
-    ]
     # two learning rates that print alike would share their cells' run directories
     named = {}
-    for cell in grid:
-        label = _spamlang_label(cell)
-        if named.setdefault(label, cell) is not cell:
+    for lr in lrs:
+        label = _spamlang_label({"vocab_size": vocab_sizes[0], "lr": lr, "seed": seeds[0]})
+        if named.setdefault(label, lr) != lr:
             raise UsageError(
-                f"lrs {named[label]['lr']!r} and {cell['lr']!r} would share the run "
-                f"directory runs/{label}"
+                f"lrs {named[label]!r} and {lr!r} would share the run directory runs/{label}"
             )
-    jobs = [partial(_spamlang_cell, config, cell["vocab_size"],
-                    _train_config({**config, "lr": cell["lr"], "seed": cell["seed"]}))
-            for cell in grid]
+    measures = {
+        "final_loss": lambda result: result.trajectory.final_train_loss,
+        # the final eval's top-1, on these counts and the final params
+        "top1_weighted": lambda result: result.trajectory.points[-1].top1_acc,
+    }
+    jobs = []
+    for v in vocab_sizes:
+        for seed in seeds:
+            # each (V, seed) corpus is generated and counted once, for all its cells
+            n = config["seqs_per_symbol"] * v
+            corpus = corpus_mod.gen_spamlang(v, n, config["seq_len"], seed)
+            _, counts = build_counts(corpus, config["max_context_len"])
+            row = {"vocab_size": v, "seed": seed, "entropy_floor": entropy_floor(counts)}
+            jobs += [partial(_train_cell, {**row, "lr": lr}, counts,
+                             _train_config({**config, "lr": lr, "seed": seed}), None, measures)
+                     for lr in lrs]
     cells, _ = _run_cells(run_dir, jobs, _spamlang_label)
 
     _write_table(
@@ -770,14 +756,14 @@ def run_bottleneck_sweep(config: dict, run_dir: Path) -> dict:
         config["seq_len"],
         config["corpus_seed"],
     )
-    train_part, val_part = _split_corpus(corpus, config["val_fraction"])
-    if val_part is None:
+    _, counts, val_counts, _ = _split_counts(
+        corpus, config["val_fraction"], config["max_context_len"]
+    )
+    if val_counts is None:
         raise UsageError(
             f"val_fraction {config['val_fraction']} leaves no validation sequences of "
             f"{len(corpus.sequences)}; bottleneck-sweep ranks the heads by validation loss"
         )
-    table, counts = build_counts(train_part, config["max_context_len"])
-    val_counts, _ = counts_for_table(val_part, table)
 
     variants = [(r, False) for r in ranks] + [(width, True)]
     measures = {

@@ -732,8 +732,8 @@ def train(
 
         max_abs, grads = _grad_pass(step_counts, params.h, params.head, workspace)
         if not math.isfinite(max_abs):
-            # a gradient pass skips the loss sum; only a diverged step pays for one
-            raise TrainingDivergedError(step, loss(step_counts, params), max_abs)
+            # a non-finite row max makes its row's normalizer, and so the loss, NaN
+            raise TrainingDivergedError(step, math.nan, max_abs)
         optimizer.step(params, grads, _lr_at(config, step), h_rows=step_counts.row_ids)
 
         done = step + 1

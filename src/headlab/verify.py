@@ -504,7 +504,8 @@ def run_all(seed: int = 0, rank_tol: float = RANK_TOL, sizes: dict | None = None
 
     `sizes` maps a check id to the keyword arguments of its verifier, which
     are `{"instances": N}` or none. `rank_tol` goes to every verifier that
-    takes one. Every block's count is checked before the first check draws.
+    takes one. Every block's count, and `rank_tol`, which must be positive,
+    are checked before the first check draws.
     The checks are independent jobs of `parallel._map_cells`, so they run in
     its fork pool where the CPU budget allows. Each draws from its own
     generator of `seed` (made by the one instance loop, `_instances`, for
@@ -516,6 +517,8 @@ def run_all(seed: int = 0, rank_tol: float = RANK_TOL, sizes: dict | None = None
     sizes = sizes or {}
     _positive(**{f"{check_id}.instances": block["instances"]
                  for check_id, block in sizes.items() if "instances" in block})
+    if not rank_tol > 0:
+        raise ValueError(f"rank_tol must be positive, got {rank_tol!r}")
     jobs = []
     for check_id, check in CHECKS.items():
         kwargs = {**sizes.get(check_id, {}), "seed": seed}

@@ -80,6 +80,15 @@ MUTANTS = (
            "lo += half * (rows[which, lo + half - 1] <= u)",
            "lo += half * (rows[which, lo + half - 1] < u)",
            ("tests/test_corpus.py::test_bisection_counts_ties_like_the_dense_comparison",)),
+    Mutant("spamlang-seeds-share-a-corpus", "cli.py",
+           'gen_spamlang(v, n, config["seq_len"], seed)',
+           'gen_spamlang(v, n, config["seq_len"], seeds[0])',
+           ("tests/test_cli.py::TestSpamlangSweep::test_every_cell_trains_on_its_own_corpus",)),
+    Mutant("rank-tol-refusal-dropped", "verify.py",
+           "if not rank_tol > 0:",
+           "if False:",
+           ("tests/test_cli.py::TestVerifyCommand::"
+            "test_nonpositive_rank_tol_refused_before_any_check_runs",)),
 )
 
 

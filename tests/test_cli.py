@@ -333,10 +333,9 @@ class TestVerifyCommand:
         assert f"{key.split('.')[1]} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "verify" / "summary.json").exists()
 
-    @pytest.mark.parametrize("key", COUNT_KEYS)
-    def test_count_refused_naming_its_check_before_any_check_runs(
-        self, key, monkeypatch, tmp_path, capsys
-    ):
+    @pytest.fixture()
+    def ran(self, monkeypatch):
+        """The id of every check that runs, in this process."""
         ran = []
 
         def spy(check_id, check):
@@ -348,10 +347,26 @@ class TestVerifyCommand:
         for check_id, check in list(vf.CHECKS.items()):
             monkeypatch.setitem(vf.CHECKS, check_id, spy(check_id, check))
         monkeypatch.setattr(parallel, "cpu_budget", lambda: 1)  # the spy runs here
+        return ran
+
+    @pytest.mark.parametrize("key", COUNT_KEYS)
+    def test_count_refused_naming_its_check_before_any_check_runs(
+        self, key, ran, tmp_path, capsys
+    ):
         args = ["verify", "--out", str(tmp_path)] + self.TINY + [f"--{key}", "0"]
         assert run(args) == cli.EXIT_USAGE
         assert f"error: {key} must be positive" in capsys.readouterr().err
         assert ran == []
+
+    @pytest.mark.parametrize("tol, shown", [("0", "0.0"), ("-1e-6", "-1e-06")])
+    def test_nonpositive_rank_tol_refused_before_any_check_runs(
+        self, tol, shown, ran, tmp_path, capsys
+    ):
+        args = ["verify", "--out", str(tmp_path), "--rank_tol", tol] + self.TINY
+        assert run(args) == cli.EXIT_USAGE
+        assert f"error: rank_tol must be positive, got {shown}" in capsys.readouterr().err
+        assert ran == []
+        assert not (tmp_path / "verify" / "summary.json").exists()
 
     def test_verifier_error_names_its_check_without_a_traceback(
         self, tmp_path, monkeypatch, capsys
@@ -900,6 +915,26 @@ class TestSpamlangSweep:
             traj = model.Trajectory.from_csv(out / "runs" / label / "trajectory.csv")
             assert float(row["top1_weighted"]) == traj.points[-1].top1_acc
 
+    def test_every_cell_trains_on_its_own_corpus(self, tmp_path):
+        """Each row's entropy floor, diverged rows too, is that of its own
+        (V, seed) corpus, generated and counted here independently."""
+        grid = ["--vocab_sizes", "[8,12]", "--lrs", "[1e7,0.02]", "--seeds", "[0,1]",
+                "--width", "4", "--steps", "20", "--seq_len", "12", "--seqs_per_symbol", "3",
+                "--eval_every", "10", "--warmup_steps", "0", "--schedule", "constant",
+                "--optimizer", "gd"]
+        assert run(["spamlang-sweep", "--out", str(tmp_path)] + grid) == 0
+        with open(tmp_path / "spamlang" / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        assert {row["status"] for row in rows if row["lr"] == "10000000.0"} == {"diverged"}
+        floors = set()
+        for row in rows:
+            v, seed = int(row["vocab_size"]), int(row["seed"])
+            _, counts = corpus_mod.build_counts(corpus_mod.gen_spamlang(v, 3 * v, 12, seed), 1)
+            assert float(row["entropy_floor"]) == model.entropy_floor(counts), row
+            floors.add(float(row["entropy_floor"]))
+        assert len(floors) == 4  # the four corpora differ
+
     def test_rerun_bit_identical_and_cells_independent(self, tmp_path):
         assert run(["spamlang-sweep", "--out", str(tmp_path / "a")] + TINY_SPAM) == 0
         assert run(["spamlang-sweep", "--out", str(tmp_path / "b")] + TINY_SPAM) == 0
@@ -979,14 +1014,6 @@ class TestSpearman:
             want = float(scipy.stats.spearmanr(xs, ys).statistic)
         got = cli._spearman(xs, ys)
         assert got == want or (np.isnan(got) and np.isnan(want))
-
-    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, headlab.cli; sys.exit('scipy.stats' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
 
 
 class TestBottleneckSweep:

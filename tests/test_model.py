@@ -314,6 +314,29 @@ class TestTrain:
         back = pickle.loads(pickle.dumps(exc.value))
         assert (type(back), str(back), back.step) == (type(exc.value), str(exc.value), exc.value.step)
 
+    @pytest.mark.parametrize("optimizer, lr", [("gd", 1e6), ("adam", 1e300)])
+    @pytest.mark.parametrize("head_rank", [None, 2])
+    def test_divergence_pays_for_no_loss_pass(self, optimizer, lr, head_rank, monkeypatch):
+        """A non-finite row max makes the step's loss NaN, so the divergence
+        reports NaN and makes no eval pass beyond its eval points'."""
+        calls = []
+        real = md._eval_pass
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(md, "_eval_pass", spy)
+        counts = random_counts(np.random.default_rng(16), 4, 5)
+        cfg = md.TrainConfig(steps=200, lr=lr, width=3, optimizer=optimizer, eval_every=1,
+                             seed=0, head_rank=head_rank)
+        with pytest.raises(md.TrainingDivergedError) as exc:
+            md.train(counts, cfg)
+        # one eval point at step 0 and one after each finished step
+        assert len(calls) == exc.value.step + 1
+        assert math.isnan(exc.value.loss_value)
+        assert "loss=nan" in str(exc.value)
+
     def test_snapshots_and_cosine_schedule(self):
         rng = np.random.default_rng(17)
         counts = random_counts(rng, 5, 6)

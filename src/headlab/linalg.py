@@ -83,12 +83,23 @@ def qr_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     Uses Householder QR with column pivoting. The count agrees with the
     number of singular values above tol * max(1, sigma_max) within +-1 for
     matrices whose spectrum is not concentrated at the threshold.
+
+    Calls LAPACK's geqp3 as `scipy.linalg.qr(mode="r", pivoting=True)`
+    does, a workspace query then one factorization of the wrapper's own
+    Fortran copy of `m`, and reads R's diagonal from the factor geqp3
+    returns, so R itself is never built. The queried workspace keeps
+    LAPACK on the blocked path that `scipy.linalg.qr` takes, and with it
+    every bit of the diagonal.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = as_matrix(m)
-    r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
-    return int(np.count_nonzero(np.abs(np.diag(r)) > tol))
+    (geqp3,) = scipy.linalg.lapack.get_lapack_funcs(("geqp3",), (a,))
+    lwork = int(geqp3(a, lwork=-1)[3][0])
+    factor, _, _, _, info = geqp3(a, lwork=lwork)
+    if info != 0:
+        raise RuntimeError(f"LAPACK geqp3 returned info={info}")
+    return int(np.count_nonzero(np.abs(np.diagonal(factor)) > tol))
 
 
 def singular_values(m) -> np.ndarray:

@@ -89,6 +89,22 @@ MUTANTS = (
            "if False:",
            ("tests/test_cli.py::TestVerifyCommand::"
             "test_nonpositive_rank_tol_refused_before_any_check_runs",)),
+    Mutant("qr-rank-overwrites-input", "linalg.py",
+           "geqp3(a, lwork=lwork)",
+           "geqp3(a, lwork=lwork, overwrite_a=1)",
+           ("tests/test_linalg.py::test_qr_rank_counts_the_diagonal_of_scipys_pivoted_r",)),
+    Mutant("qr-rank-skips-the-lwork-query", "linalg.py",
+           "lwork = int(geqp3(a, lwork=-1)[3][0])",
+           "lwork = max(3 * (a.shape[1] + 1), 1)",  # geqp3's default
+           ("tests/test_linalg.py::test_qr_rank_counts_r_on_lapacks_blocked_path",)),
+    Mutant("profile-chan-delta-dropped", "diagnostics.py",
+           "self.m2 += other.m2 + delta**2 * (before * other.rows / self.rows)",
+           "self.m2 += other.m2",
+           ("tests/test_streaming_diagnose.py::test_blocks_added_in_row_order_equal_one_block",)),
+    Mutant("gram-fallback-dropped", "linalg.py",
+           "if tail > _GRAM_TAIL_FLOOR * total:",
+           "if True:",
+           ("tests/test_linalg.py::test_gram_form_skips_the_svd_unless_the_tail_cancels",)),
 )
 
 

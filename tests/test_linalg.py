@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -155,6 +157,65 @@ class TestQrRank:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             linalg.qr_rank(np.eye(2), 0.0)
+
+
+def assert_counts_r_diagonal(m):
+    """At tol = each nonzero |R_ii| of `scipy.linalg.qr`'s pivoted R, and at
+    the next float below it, `qr_rank` counts what R's diagonal counts, so a
+    changed bit of the diagonal changes a count; `m` is left unchanged."""
+    before = m.copy(order="A")
+    diag = np.abs(np.diag(scipy.linalg.qr(m, mode="r", pivoting=True)[0]))
+    for entry in diag[diag > 0]:
+        for tol in (entry, np.nextafter(entry, 0.0)):
+            assert linalg.qr_rank(m, tol) == np.count_nonzero(diag > tol), tol
+    assert np.array_equal(m, before)
+
+
+@st.composite
+def qr_rank_cases(draw):
+    """Tall, wide and square matrices up to 40 on a side, full rank or of a
+    planted lower rank, in C or Fortran order."""
+    n, extra = draw(st.integers(1, 40)), draw(st.integers(1, 20))
+    rows, cols = {"tall": (n + extra, n), "square": (n, n), "wide": (n, n + extra)}[
+        draw(st.sampled_from(["tall", "square", "wide"]))]
+    rank = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rank == n:
+        m = rng.normal(size=(rows, cols))
+    else:
+        m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    return np.asarray(m, order=draw(st.sampled_from("CF")))
+
+
+@PROPERTY_SETTINGS
+@given(qr_rank_cases())
+def test_qr_rank_counts_the_diagonal_of_scipys_pivoted_r(m):
+    assert_counts_r_diagonal(m)
+
+
+@pytest.mark.parametrize("shape, rank, order", [((300, 200), 200, "C"), ((256, 512), 96, "F")])
+def test_qr_rank_counts_r_on_lapacks_blocked_path(shape, rank, order):
+    """At these shapes LAPACK factors in blocks, and only with the queried
+    workspace does the diagonal keep `scipy.linalg.qr`'s bits."""
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+    assert_counts_r_diagonal(np.asarray(m, order=order))
+
+
+@pytest.mark.parametrize("shape", [(256, 512), (512, 256)])
+def test_qr_rank_peak_memory_stays_near_one_matrix(shape):
+    """Ranking holds one Fortran copy of the matrix and no R beside it:
+    the traced peak stays under 1.5 times the matrix's bytes, which the
+    copy and an R of the same size would pass."""
+    m = np.random.default_rng(18).normal(size=shape)
+    tracemalloc.start()
+    try:
+        rank = linalg.qr_rank(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == min(shape)
+    assert peak < 1.5 * m.nbytes, (peak, m.nbytes)
 
 
 class TestSingularValues:

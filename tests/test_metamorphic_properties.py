@@ -11,7 +11,9 @@ Width rotation: for an orthogonal D x D matrix R, the model h -> hR,
 W -> WR (for a factored head, B -> BR) has the same logits, since
 hR (WR)^T = h W^T, and its head the same column span. So every figure of
 `gradient_pass`, `update_efficiency` and `gradient_gap` agrees up to
-rounding, within 1e-12 of its scale.
+rounding, within 1e-12 of its scale. GD from the rotated start, full-batch
+or in batches, follows the same trajectory to the same figures and ends at
+the unrotated run's parameters times R.
 
 Context permutation: permuting the count rows and the rows of h together
 reorders the contexts and their logits, and every figure is a sum over
@@ -171,6 +173,51 @@ def assert_figures_close(counts, params, other_counts, other_params, rows=slice(
 def test_rotating_the_width_changes_no_diagnose_figure(case):
     counts, params, r = case
     assert_figures_close(counts, params, counts, rotated(params, r))
+
+
+@st.composite
+def training_rotation_cases(draw):
+    """(table, counts, config, params, R): a tiny zipf corpus, GD full-batch
+    or in batches of sequences, a constant or cosine schedule, a full or
+    factored head and a random orthogonal R."""
+    v, seqs = draw(st.integers(2, 16)), draw(st.integers(1, 6))
+    corpus = cp.gen_zipf_bigram(v, draw(st.sampled_from([0.8, 1.2, 2.0])), seqs,
+                                draw(st.integers(1, 12)), draw(st.integers(0, 2**16)))
+    table, counts = cp.build_counts(corpus, draw(st.integers(0, 3)))
+    width = draw(st.integers(1, 6))
+    config = md.TrainConfig(
+        steps=draw(st.integers(1, 60)), lr=draw(st.sampled_from([1e-2, 0.1, 1.0])),
+        width=width, optimizer="gd", schedule=draw(st.sampled_from(["constant", "cosine"])),
+        batch_sequences=draw(st.none() | st.integers(1, seqs)),
+        seed=draw(st.integers(0, 2**16)), eval_every=draw(st.integers(1, 10)))
+    params = md.init_params(counts.num_contexts, v, width,
+                            draw(st.none() | st.integers(1, width)),
+                            seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, r = np.linalg.qr(rng.normal(size=(width, width)))
+    return table, counts, config, params, q * np.sign(np.diag(r))
+
+
+@PROPERTY_SETTINGS
+@given(training_rotation_cases())
+def test_rotating_the_width_rotates_gd_training(case):
+    """GD's steps are equivariant: the gradients of the rotated model are
+    the unrotated ones times R (the rows' and W's, or B's; A's are equal),
+    so it follows the same trajectory and ends at the unrotated run's
+    parameters times R. Adam, which is elementwise, is not."""
+    table, counts, config, params, r = case
+    plain = md.train(counts, config, params, table=table)
+    turned = md.train(counts, config, rotated(params, r), table=table)
+    assert len(turned.trajectory.points) == len(plain.trajectory.points)
+    for point, other in zip(plain.trajectory.points, turned.trajectory.points):
+        assert other.step == point.step
+        assert_close(other.train_loss, point.train_loss, point.train_loss)
+        assert_close(other.top1_acc, point.top1_acc, 1.0)
+        assert other.val_loss is point.val_loss is None
+    want = rotated(plain.params, r)
+    assert_close(turned.params.h, want.h, np.abs(want.h).max())
+    for name, part in want.head.parts.items():
+        assert_close(turned.params.head.parts[name], part, np.abs(part).max())
 
 
 @st.composite

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse.csgraph
 
 from . import linalg
 from .corpus import Corpus, CountMatrix, batch_counts, build_counts, gen_zipf_bigram
@@ -364,6 +363,19 @@ def unique_batch_contexts(counts: CountMatrix, batch: CountMatrix):
     return np.asarray(rows, dtype=np.int64), np.asarray(tokens, dtype=np.int64)
 
 
+def _connected(a: np.ndarray) -> bool:
+    """Whether the undirected graph of the square boolean matrix `a` (k >= 1
+    nodes) is connected, with an edge i-j wherever a[i, j] or a[j, i] is set.
+
+    Squaring the reachability of A | A^T | I doubles the path length it
+    covers, so ceil(log2 k) boolean products close it.
+    """
+    reach = a | a.T | np.eye(a.shape[0], dtype=bool)
+    for _ in range((a.shape[0] - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach[0].all())
+
+
 def verify_batch_rank_floor(
     corpus: Corpus, seed: int = 0, rank_tol: float = RANK_TOL
 ) -> dict | None:
@@ -391,7 +403,7 @@ def verify_batch_rank_floor(
         return None
     normalized = counts.to_dense(normalized=True)
     cross = normalized[rows][:, tokens]
-    if scipy.sparse.csgraph.connected_components(cross > 0, directed=False)[0] != 1:
+    if not _connected(cross > 0):
         return None
     v = counts.vocab_size
     bound = min(rows.size, v - 1)

@@ -105,6 +105,10 @@ MUTANTS = (
            "if tail > _GRAM_TAIL_FLOOR * total:",
            "if True:",
            ("tests/test_linalg.py::test_gram_form_skips_the_svd_unless_the_tail_cancels",)),
+    Mutant("connected-edges-one-way", "verify.py",
+           "reach = a | a.T | np.eye(a.shape[0], dtype=bool)",
+           "reach = a | np.eye(a.shape[0], dtype=bool)",
+           ("tests/test_verify.py::test_connected_matches_scipys_graph_search",)),
 )
 
 

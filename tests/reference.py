@@ -1,6 +1,7 @@
 """Reference paths the tests check the library against; not part of headlab."""
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from headlab import corpus as cp
 from headlab import linalg
@@ -192,6 +193,12 @@ def gen_zipf_bigram_out_of_place(vocab_size, exponent, num_seqs, seq_len, seed):
     for t in range(1, seq_len):
         tokens[:, t] = cp._count_at_most(body, tokens[:, t - 1], rng.random(num_seqs))
     return cp.Corpus(vocab_size=vocab_size, sequences=list(tokens))
+
+
+def connected_by_csgraph(a):
+    """`verify._connected` by scipy's graph search: whether the undirected
+    graph of the square boolean matrix `a` has one connected component."""
+    return bool(scipy.sparse.csgraph.connected_components(a, directed=False)[0] == 1)
 
 
 def optimizer_step(optimizer, params, grads, lr, h_rows=None):

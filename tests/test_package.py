@@ -91,3 +91,17 @@ def test_importing_the_cli_loads_neither_scipy_stats_nor_scipy_optimize():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_scipy_sparse():
+    """A fresh interpreter's `import headlab.cli` leaves every `scipy.sparse`
+    module out of `sys.modules`: they are about 80 modules and 3 MB of
+    resident memory that every command and every fork-pool worker would
+    carry."""
+    probe = ("import sys, headlab.cli; "
+             "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

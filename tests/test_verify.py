@@ -2,11 +2,16 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headlab import corpus as cp
 from headlab import linalg
 from headlab import model as md
 from headlab import verify as vf
+from reference import connected_by_csgraph
+
+PROPERTY_SETTINGS = settings(settings.get_profile("deterministic"), max_examples=300)
 
 
 class TestLossFloor:
@@ -159,6 +164,39 @@ class TestBatchRankFloor:
         assert res.instances_tested == 10
         for det in res.details:
             assert det["largest_held_delta"] is not None
+
+    def test_suite_qualifies_the_draws_scipys_graph_search_qualifies(self, monkeypatch):
+        """The connectivity precondition picks the same draws and skips as
+        many with scipy's `connected_components` in place of `_connected`."""
+        res = vf.batch_rank_floor_suite(instances=10, seed=29)
+        monkeypatch.setattr(vf, "_connected", connected_by_csgraph)
+        oracle = vf.batch_rank_floor_suite(instances=10, seed=29)
+        assert res.skipped > 0
+        assert (res.details, res.skipped) == (oracle.details, oracle.skipped)
+
+
+@st.composite
+def graphs(draw):
+    """Square boolean matrices of 1 to 32 nodes: a directed path through
+    the nodes in a drawn order with up to two of its edges cut, plus a few
+    more edges, self-loops included. Each edge sets one entry, so most are
+    one-way, and a cut path leaves components apart or nodes isolated unless
+    an extra edge joins them."""
+    k = draw(st.integers(1, 32))
+    order = draw(st.permutations(range(k)))
+    cuts = draw(st.sets(st.integers(0, max(k - 2, 0)), max_size=2))
+    node = st.integers(0, k - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=k))
+    a = np.zeros((k, k), dtype=bool)
+    for i, j in [*((order[t], order[t + 1]) for t in range(k - 1) if t not in cuts), *extra]:
+        a[i, j] = True
+    return a
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_connected_matches_scipys_graph_search(a):
+    assert vf._connected(a) == connected_by_csgraph(a)
 
 
 class TestUpdateResidualGap:
